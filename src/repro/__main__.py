@@ -681,8 +681,7 @@ def _perf_run(args) -> int:
     try:
         specs = perf.default_suite(
             [n.strip() for n in args.only.split(",") if n.strip()]
-            if args.only else None,
-            kernel_backend=args.kernel_backend)
+            if args.only else None)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -879,17 +878,6 @@ def _cmd_config(args, _runner) -> int:
         selected = getattr(config, field_name)
         print(f"  {field_name:16s} = {selected:12s} "
               f"[registered: {', '.join(names)}]")
-
-    from repro.uarch.vectors import numpy_available
-    kernel = components.create_kernel(config)
-    caps = kernel.capabilities()
-    print()
-    print(f"kernel backend {kernel.name!r} capabilities:")
-    for cap in sorted(caps):
-        print(f"  {cap:16s} = {'yes' if caps[cap] else 'no'}")
-    print(f"  {'numpy available':16s} = "
-          f"{'yes' if numpy_available() else 'no'}"
-          f"{'' if numpy_available() else '  (pure-Python fallback)'}")
 
     area = estimate_area(config)
     print()
@@ -1293,10 +1281,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf_run.add_argument("--only", default=None, metavar="A,B",
                           help="run only the named benchmarks "
                                "(see `perf list`)")
-    perf_run.add_argument("--kernel-backend", default=None, metavar="NAME",
-                          help="run the cycle-sim benchmark with this "
-                               "registered execution-kernel backend "
-                               "(see `repro config show`)")
     perf_run.add_argument("--out", default=None, metavar="FILE",
                           help="output path (default BENCH_<YYYYMMDD>.json "
                                "at the repo root)")

@@ -17,7 +17,6 @@ benchmark                 what it times
 ``pipeline-cold``         full stage compute into an empty artifact store
 ``pipeline-warm``         warm resolution (disk hit + checksum verify)
 ``trace-emit``            buffered ``TraceLog`` JSONL emission
-``cycle-sim-batched``     ``cycle-sim`` on the batched kernel backend
 ``sweep-batched``         lock-step multi-point sweep (``sweep --batch``)
 ``sweep-journal``         journal append + replay (checksummed JSONL)
 ``serve-roundtrip``       warm ``POST /v1/run`` over the serve HTTP API
@@ -81,18 +80,9 @@ def _setup_cycle_sim():
                         formation="hyper")
 
 
-def _make_run_cycle_sim(kernel_backend: Optional[str] = None):
-    def _run(lowered):
-        from repro.uarch import run_cycles
-        if kernel_backend is None:
-            return run_cycles(lowered)
-        from repro.uarch.config import TripsConfig
-        return run_cycles(
-            lowered, config=TripsConfig(kernel_backend=kernel_backend))
-    return _run
-
-
-_run_cycle_sim = _make_run_cycle_sim()
+def _run_cycle_sim(lowered):
+    from repro.uarch import run_cycles
+    return run_cycles(lowered)
 
 
 # -- microarchitecture component benchmarks ---------------------------------
@@ -353,10 +343,6 @@ _SUITE: List[BenchSpec] = [
     BenchSpec("trace-emit", "pipeline",
               f"TraceLog JSONL emission, {_TRACE_RECORDS} records",
               _setup_trace_emit, _run_trace_emit, _teardown_tmpdir),
-    BenchSpec("cycle-sim-batched", "simulators",
-              f"cycle-level TRIPS simulator, {_CYCLE_BENCH} end to end "
-              f"[kernel=batched]",
-              _setup_cycle_sim, _make_run_cycle_sim("batched")),
     BenchSpec("sweep-batched", "explore",
               f"lock-step batch sweep: {_SWEEP_BENCH} x "
               f"{_SWEEP_AXIS[0]}[{len(_SWEEP_AXIS[1])}], cold store",
@@ -380,29 +366,13 @@ def suite_names() -> List[str]:
     return [spec.name for spec in _SUITE]
 
 
-def default_suite(only: Optional[Sequence[str]] = None,
-                  kernel_backend: Optional[str] = None) -> List[BenchSpec]:
+def default_suite(only: Optional[Sequence[str]] = None) -> List[BenchSpec]:
     """The registered benchmarks, optionally restricted to ``only``.
 
-    ``kernel_backend`` reruns the ``cycle-sim`` benchmark with a named
-    execution-kernel backend from the component registry (the spec name
-    stays ``cycle-sim`` so ``perf compare`` lines up against baselines).
     Unknown names raise with the valid set (mirrors the sweep spec
     validator's fail-fast style).
     """
     suite = list(_SUITE)
-    if kernel_backend is not None:
-        from dataclasses import replace
-
-        from repro.uarch.components import validate_selection
-        validate_selection("kernel", kernel_backend)
-        suite = [
-            replace(spec,
-                    description=(f"{spec.description} "
-                                 f"[kernel={kernel_backend}]"),
-                    run=_make_run_cycle_sim(kernel_backend))
-            if spec.name == "cycle-sim" else spec
-            for spec in suite]
     if only is None:
         return suite
     by_name: Dict[str, BenchSpec] = {s.name: s for s in suite}

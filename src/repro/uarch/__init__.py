@@ -8,8 +8,8 @@ from repro.uarch.caches import (
     MemoryHierarchy, NucaL2, PerfectL1Hierarchy, SetAssociativeCache,
 )
 from repro.uarch.components import (
-    ComponentError, ExecutionKernel, MemoryHierarchyABC,
-    NextBlockPredictorABC, OpnTopology, component_names,
+    ComponentError, MemoryHierarchyABC, NextBlockPredictorABC, OpnTopology,
+    component_names,
 )
 from repro.uarch.config import (
     ConfigError, PROTOTYPE, TripsConfig, improved_predictor_config,
@@ -17,7 +17,6 @@ from repro.uarch.config import (
 from repro.robust.errors import SimulationBudgetExceeded
 from repro.uarch.core import CycleSimulator, CycleStats, run_cycles
 from repro.uarch.ideal import IdealSimulator, IdealStats, run_ideal
-from repro.uarch.kernels import ScalarKernel
 from repro.uarch.opn import (
     OperandNetwork, OpnStats, dt_coord, et_coord, hop_count, route, rt_coord,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "CycleStats",
     "DoubleWidthMeshTopology",
     "DramModel",
-    "ExecutionKernel",
     "ExitPredictor",
     "GshareNextBlockPredictor",
     "GsharePredictor",
@@ -59,7 +57,6 @@ __all__ = [
     "PROTOTYPE",
     "PerfectL1Hierarchy",
     "PredictorStats",
-    "ScalarKernel",
     "SetAssociativeCache",
     "SimulationBudgetExceeded",
     "TargetPredictor",

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 from repro.uarch.components import MEMORIES, MemoryHierarchyABC
 from repro.uarch.config import TripsConfig
+from repro.uarch.resources import SkipAheadPool
 
 
 @dataclass
@@ -82,11 +83,10 @@ class DramModel:
     """
 
     def __init__(self, latency: int, occupancy: int, channels: int = 2) -> None:
-        from repro.uarch.resources import ResourcePool
         self.latency = latency
         self.occupancy = occupancy
         self.channels = channels
-        self._ports = ResourcePool()
+        self._ports = SkipAheadPool()
         self.accesses = 0
 
     def access(self, address: int, now: int) -> int:
@@ -104,14 +104,13 @@ class NucaL2:
 
     def __init__(self, config: TripsConfig, dram: DramModel,
                  tracer=None) -> None:
-        from repro.uarch.resources import ResourcePool
         self.config = config
         self.dram = dram
         self.banks = [SetAssociativeCache(config.l2_bank_bytes,
                                           config.l2_line_bytes,
                                           config.l2_assoc)
                       for _ in range(config.l2_banks)]
-        self._ports = ResourcePool()
+        self._ports = SkipAheadPool()
         self.tracer = tracer
 
     def bank_of(self, address: int) -> int:
@@ -139,14 +138,13 @@ class L1DataBanks:
 
     def __init__(self, config: TripsConfig, l2: NucaL2,
                  tracer=None) -> None:
-        from repro.uarch.resources import ResourcePool
         self.config = config
         self.l2 = l2
         self.banks = [SetAssociativeCache(config.l1d_bank_bytes,
                                           config.l1d_line_bytes,
                                           config.l1d_assoc)
                       for _ in range(config.l1d_banks)]
-        self._ports = ResourcePool()
+        self._ports = SkipAheadPool()
         self.stats = CacheStats()
         self.tracer = tracer
 

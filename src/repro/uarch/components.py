@@ -1,6 +1,6 @@
 """Pluggable microarchitecture components: interfaces and registry.
 
-The cycle simulator is assembled from four swappable component kinds,
+The cycle simulator is assembled from three swappable component kinds,
 each behind a narrow interface and selected by name through a
 :class:`TripsConfig` field:
 
@@ -10,7 +10,6 @@ kind            interface              ``TripsConfig`` field       default
 ``topology``    :class:`OpnTopology`   ``opn_topology``            ``mesh``
 ``predictor``   :class:`NextBlockPredictorABC`  ``predictor_kind``  ``tournament``
 ``memory``      :class:`MemoryHierarchyABC`     ``memory_kind``     ``trips``
-``kernel``      :class:`ExecutionKernel`        ``kernel_backend``  ``scalar``
 ==============  =====================  ==========================  =========
 
 Selections flow into the full-field config digest
@@ -21,9 +20,8 @@ opn-topology``).
 
 Default implementations register themselves on import of their home
 modules (:mod:`repro.uarch.topologies`, :mod:`repro.uarch.predictor`,
-:mod:`repro.uarch.caches`, :mod:`repro.uarch.kernels`); the registry
-loads them lazily so ``import repro.uarch.components`` alone stays
-cheap and cycle-free.  Third-party variants register the same way::
+:mod:`repro.uarch.caches`); the registry loads them lazily so
+``import repro.uarch.components`` alone stays cheap and cycle-free.  Third-party variants register the same way::
 
     from repro.uarch import components
 
@@ -42,10 +40,9 @@ from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Tuple
 
 __all__ = [
-    "COMPONENT_FIELDS", "ComponentError", "ComponentRegistry",
-    "ExecutionKernel", "KERNELS", "MEMORIES", "MemoryHierarchyABC",
-    "NextBlockPredictorABC", "OpnTopology", "PREDICTORS", "TOPOLOGIES",
-    "component_names", "create_kernel", "create_memory",
+    "COMPONENT_FIELDS", "ComponentError", "ComponentRegistry", "MEMORIES",
+    "MemoryHierarchyABC", "NextBlockPredictorABC", "OpnTopology",
+    "PREDICTORS", "TOPOLOGIES", "component_names", "create_memory",
     "create_predictor", "create_topology", "registry",
     "validate_selection",
 ]
@@ -162,44 +159,6 @@ class MemoryHierarchyABC(ABC):
     """
 
 
-class ExecutionKernel(ABC):
-    """The cycle simulator's inner issue/route/commit loop.
-
-    A kernel executes one block activation: dataflow wake-up, operand
-    routing through ``sim.opn``/``sim.topology``, loads/stores through
-    ``sim.hierarchy``, and the block's commit bookkeeping.  Kernels are
-    *performance* variants — every backend must produce bit-identical
-    results and statistics for the same configuration (the scalar
-    default is the reference; a vectorized backend is benchmarked
-    against it with ``repro perf run --kernel-backend``).
-    """
-
-    name: str = "?"
-
-    @abstractmethod
-    def execute_block(self, sim, block, placement,
-                      fetch_done: int) -> Tuple[object, int, int]:
-        """Execute one block on simulator ``sim``; returns
-        ``(exit_instruction, exit_time, done_time)``."""
-
-    def attach(self, sim) -> None:
-        """Hook called once, at the end of simulator construction.
-
-        All resource pools are empty at that point, so a backend may
-        swap in faster (timing-identical) pool implementations or
-        precompute simulator-wide tables.  The default does nothing.
-        """
-
-    def capabilities(self) -> Dict[str, bool]:
-        """Machine-readable feature flags for ``repro config show``.
-
-        Keys: ``vectorized`` (numpy-accelerated analysis active) and
-        ``skip_ahead`` (interval-based resource arbitration).  Backends
-        override to report what they actually enabled.
-        """
-        return {"vectorized": False, "skip_ahead": False}
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -256,13 +215,11 @@ class ComponentRegistry:
 TOPOLOGIES = ComponentRegistry("OPN topology")
 PREDICTORS = ComponentRegistry("next-block predictor")
 MEMORIES = ComponentRegistry("memory system")
-KERNELS = ComponentRegistry("execution kernel")
 
 _REGISTRIES: Dict[str, ComponentRegistry] = {
     "topology": TOPOLOGIES,
     "predictor": PREDICTORS,
     "memory": MEMORIES,
-    "kernel": KERNELS,
 }
 
 #: TripsConfig field name -> component kind (the sweepable seams).
@@ -270,7 +227,6 @@ COMPONENT_FIELDS: Dict[str, str] = {
     "opn_topology": "topology",
     "predictor_kind": "predictor",
     "memory_kind": "memory",
-    "kernel_backend": "kernel",
 }
 
 _loaded = False
@@ -284,7 +240,6 @@ def _ensure_loaded() -> None:
         return
     _loaded = True
     import repro.uarch.caches      # noqa: F401  (registers "trips", ...)
-    import repro.uarch.kernels     # noqa: F401  (registers "scalar")
     import repro.uarch.predictor   # noqa: F401  (registers "tournament", ...)
     import repro.uarch.topologies  # noqa: F401  (registers "mesh", ...)
 
@@ -325,8 +280,3 @@ def create_predictor(config, tracer=None) -> NextBlockPredictorABC:
 def create_memory(config, tracer=None) -> MemoryHierarchyABC:
     """Build the configured memory hierarchy for ``config``."""
     return MEMORIES.create(config.memory_kind, config, tracer)
-
-
-def create_kernel(config) -> ExecutionKernel:
-    """Build the configured execution-kernel backend for ``config``."""
-    return KERNELS.create(config.kernel_backend, config)

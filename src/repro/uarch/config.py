@@ -170,9 +170,6 @@ class TripsConfig:
     #: Memory system: "trips" (prototype) or "perfect-l1".
     memory_kind: str = field(default_factory=lambda: _component_default(
         "memory_kind", "trips"))
-    #: Execution-kernel backend: "scalar" (reference).
-    kernel_backend: str = field(default_factory=lambda: _component_default(
-        "kernel_backend", "scalar"))
 
     # ------------------------------------------------------------------
     # Validation

@@ -40,11 +40,12 @@ from repro.isa.block import TripsBlock, TripsProgram
 from repro.isa.instructions import TInst, TOp
 from repro.trips.codegen import LoweredProgram
 from repro.trips.functional import _as_int
-from repro.trips.placement import Placement
 
 from repro.uarch import components
 from repro.uarch.config import TripsConfig
+from repro.uarch.kernels import BatchedKernel
 from repro.uarch.opn import OperandNetwork
+from repro.uarch.resources import SkipAheadPool
 
 _EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
@@ -123,15 +124,14 @@ class CycleSimulator:
         self.tracer = tracer
         # Pluggable components (repro.uarch.components registries),
         # selected by the config's opn_topology / memory_kind /
-        # predictor_kind / kernel_backend fields.  The defaults
-        # reconstruct the prototype exactly.
+        # predictor_kind fields.  The defaults reconstruct the
+        # prototype exactly.
         self.topology = components.create_topology(self.config)
         self.hierarchy = components.create_memory(self.config, tracer=tracer)
         self.opn = OperandNetwork(self.config.opn_hop_cycles, tracer=tracer,
                                   topology=self.topology)
         self.predictor = components.create_predictor(self.config,
                                                      tracer=tracer)
-        self.kernel = components.create_kernel(self.config)
         self.stats = CycleStats()
         # Watchdog budgets: the block budget matches the historical
         # runaway guard; cycle and wall-clock budgets are opt-in.  All
@@ -145,12 +145,11 @@ class CycleSimulator:
         self.max_wall_seconds = max_wall_seconds
         self._wall_start: Optional[float] = None
 
-        from repro.uarch.resources import ResourcePool
         self.regs: List[object] = [0] * 128
         self.reg_ready: List[int] = [0] * 128
-        self.rt_read_ports = ResourcePool()
-        self.rt_write_ports = ResourcePool()
-        self.et_issue = ResourcePool()
+        self.rt_read_ports = SkipAheadPool()
+        self.rt_write_ports = SkipAheadPool()
+        self.et_issue = SkipAheadPool()
         self.lwt: Set[int] = set()   # load-wait table (by static load id)
         # Predicate predictor (Section 7 extension): static predicate arc
         # -> [last value, 2-bit confidence].
@@ -162,10 +161,9 @@ class CycleSimulator:
         self._prev_commit = 0
         for address, payload in self.program.globals_image:
             self.memory.write_bytes(address, payload)
-        # Backend hook: the simulator is fully wired and every resource
-        # pool is still empty, so a kernel may swap pools or precompute
-        # tables here (see ExecutionKernel.attach).
-        self.kernel.attach(self)
+        # Built last: the kernel binds the simulator's resources and
+        # precomputes its tables from the fully wired simulator.
+        self.kernel = BatchedKernel(self)
 
     # -- program loop ------------------------------------------------------------
 
@@ -204,8 +202,8 @@ class CycleSimulator:
                             start=fetch_start, chunks=self._chunks(block),
                             miss=icache_miss)
 
-            exit_inst, exit_time, done_time = self._execute_block(
-                block, placement, fetch_done)
+            exit_inst, exit_time, done_time = self.kernel.execute_block(
+                self, block, placement, fetch_done)
 
             # The distributed commit protocol is pipelined: a block's
             # commit completes commit_protocol_cycles after it finishes,
@@ -344,28 +342,16 @@ class CycleSimulator:
             block.label, self._chunks(block), start)
         return done, missed
 
-    # -- block execution -----------------------------------------------------------
-
-    def _execute_block(self, block: TripsBlock, placement: Placement,
-                       fetch_done: int) -> Tuple[TInst, int, int]:
-        """Execute one block activation via the configured kernel backend.
-
-        The inner issue/route/commit loop lives in
-        :mod:`repro.uarch.kernels` behind the
-        :class:`~repro.uarch.components.ExecutionKernel` seam; every
-        backend must return bit-identical ``(exit_inst, exit_time,
-        done_time)`` for the same configuration.
-        """
-        return self.kernel.execute_block(self, block, placement, fetch_done)
+    # -- block accounting ------------------------------------------------------
 
     _last_useful = 0
 
-    def _account(self, block, state, used_feed, write_producers, n) -> None:
+    def _account(self, block, fired, used_feed, write_producers, n) -> None:
         stats = self.stats
         used = [False] * n
         worklist: List[int] = []
         for index in range(n):
-            if not state.fired[index]:
+            if not fired[index]:
                 continue
             op = block.instructions[index].op
             if op is TOp.STORE or op is TOp.NULL or op in _EXIT_SET:
@@ -383,7 +369,7 @@ class CycleSimulator:
                     worklist.append(producer)
         useful = 0
         for index in range(n):
-            if not state.fired[index]:
+            if not fired[index]:
                 stats.fetched_not_executed += 1
             elif block.instructions[index].op is TOp.MOV:
                 pass

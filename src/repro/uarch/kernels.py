@@ -1,18 +1,12 @@
-"""Execution-kernel backends for the cycle simulator.
+"""The cycle simulator's execution kernel.
 
-A kernel owns the simulator's hot inner loop: one block activation's
-dataflow wake-up, operand routing, memory access, and commit
-bookkeeping (see :class:`repro.uarch.components.ExecutionKernel`).
-:class:`ScalarKernel` is the reference backend — the original
-closure-based event-driven loop, moved here verbatim from
-``CycleSimulator._execute_block`` so alternate backends (a vectorized
-wavefront scheduler, ROADMAP item 1) can be dropped in behind the same
-seam and checked bit-for-bit against it.
-
-Kernels are *performance* variants only: every backend must produce
-identical results and statistics for the same configuration.  The
-``repro perf`` suite benchmarks them against each other
-(``repro perf run --kernel-backend NAME``).
+:class:`BatchedKernel` owns the simulator's hot inner loop: one block
+activation's dataflow wake-up, operand routing, memory access, and
+commit bookkeeping.  ``docs/KERNELS.md`` documents its performance
+model and its equivalence contract: every run must match the golden
+digests in ``tests/data/cycle_goldens.json`` (cycles, statistics, OPN
+traffic and trace streams), which ``tools/cycle_goldens.py`` checks and
+regenerates.
 """
 
 from __future__ import annotations
@@ -29,351 +23,26 @@ from repro.isa.instructions import (
 )
 from repro.trips.functional import NULL_TOKEN, _BINOPS, _as_int, _compute
 from repro.trips.placement import Placement
-from repro.trips.regalloc import bank_of
+from repro.trips.regalloc import NUM_BANKS, bank_of
 
-from repro.uarch.components import ExecutionKernel, KERNELS
+from repro.uarch.caches import L1DataBanks
 
 _EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
 
-class _TimedBlock:
-    """Per-activation dataflow state with timestamps."""
-
-    __slots__ = ("values", "times", "pred_val", "pred_time", "arrived",
-                 "fired", "mispredicated")
-
-    def __init__(self, n: int) -> None:
-        self.values: List[Dict[Slot, object]] = [None] * n
-        self.times: List[Dict[Slot, int]] = [None] * n
-        self.pred_val: List[object] = [None] * n
-        self.pred_time: List[int] = [0] * n
-        self.arrived = [0] * n
-        self.fired = [False] * n
-        self.mispredicated = [False] * n
+def pow2_shift_mask(line_bytes: int,
+                    banks: int) -> Optional[Tuple[int, int]]:
+    """``(shift, mask)`` so that ``(addr >> shift) & mask`` equals
+    ``(addr // line_bytes) % banks``, or ``None`` when the geometry is
+    not a power of two and the division form must be kept."""
+    if line_bytes <= 0 or banks <= 0:
+        return None
+    if line_bytes & (line_bytes - 1) or banks & (banks - 1):
+        return None
+    return line_bytes.bit_length() - 1, banks - 1
 
 
-class ScalarKernel(ExecutionKernel):
-    """The reference event-driven scalar backend.
-
-    One Python-level event per operand delivery and per instruction
-    fire, with dataflow state held in per-activation lists.  This is
-    the original simulator inner loop — the correctness baseline all
-    other backends are differenced against.
-    """
-
-    name = "scalar"
-
-    def __init__(self, config=None) -> None:
-        self.config = config
-
-    def execute_block(self, sim, block: TripsBlock, placement: Placement,
-                      fetch_done: int) -> Tuple[TInst, int, int]:
-        config = sim.config
-        stats = sim.stats
-        tracer = sim.tracer
-        topology = sim.topology
-        block_label = block.label
-        n = len(block.instructions)
-        state = _TimedBlock(n)
-        dispatch_base = fetch_done + config.fetch_to_dispatch_cycles
-        dispatch = [dispatch_base + i // config.dispatch_bandwidth
-                    for i in range(n)]
-
-        need = [operand_count(i.op) for i in block.instructions]
-        preds = [i.predicate for i in block.instructions]
-        ready: List[int] = []
-        parked: List[int] = []
-        resolved_stores: Dict[int, int] = {}      # lsid -> resolve time
-        store_addr_time: Dict[int, Tuple[int, int, int]] = {}
-        store_buffer: Dict[int, Tuple[int, object, TInst]] = {}
-        store_lsids = sorted(block.store_lsids)
-        write_values: Dict[int, Tuple[object, int]] = {}
-        write_producers: Dict[int, int] = {}
-        used_feed: List[List[int]] = [[] for _ in range(n)]
-        exit_taken: Optional[TInst] = None
-        exit_time = 0
-        load_flush_penalty = 0
-
-        def tile_of(index: int):
-            return topology.et_coord(placement.tiles[index])
-
-        def deliver(value, when: int, targets, producer_index: int,
-                    src_coord) -> None:
-            nonlocal exit_taken, exit_time
-            for target in targets:
-                if is_write_target(target):
-                    slot = write_slot_of(target)
-                    write = block.writes[slot]
-                    bank = bank_of(write.reg)
-                    arrive = sim.opn.send(src_coord, topology.rt_coord(bank),
-                                          when,
-                                          sim._class_of(src_coord, "rt"))
-                    port = sim.rt_write_ports.claim(bank, arrive)
-                    write_values[slot] = (value, port)
-                    if producer_index >= 0:
-                        write_producers[slot] = producer_index
-                    continue
-                index = target.inst
-                if state.fired[index] or state.mispredicated[index]:
-                    continue
-                dst = tile_of(index)
-                arrive = sim.opn.send(src_coord, dst, when,
-                                      sim._class_of(src_coord, "et"))
-                if target.slot is Slot.PRED:
-                    if state.pred_val[index] is None:
-                        actual = 1 if value and value is not NULL_TOKEN else 0
-                        state.pred_val[index] = actual
-                        state.pred_time[index] = sim._predicate_arrival(
-                            block.label, index, actual, arrive,
-                            dispatch[index])
-                        if producer_index >= 0:
-                            used_feed[index].append(producer_index)
-                        check_ready(index)
-                    continue
-                slots = state.values[index]
-                if slots is None:
-                    slots = state.values[index] = {}
-                    state.times[index] = {}
-                if target.slot in slots:
-                    continue
-                slots[target.slot] = value
-                state.times[index][target.slot] = arrive
-                state.arrived[index] += 1
-                if producer_index >= 0:
-                    used_feed[index].append(producer_index)
-                check_ready(index)
-
-        def check_ready(index: int) -> None:
-            if state.fired[index] or state.mispredicated[index]:
-                return
-            if state.arrived[index] < need[index]:
-                return
-            predicate = preds[index]
-            if predicate is not None:
-                arrived = state.pred_val[index]
-                if arrived is None:
-                    return
-                wanted = 1 if predicate == "T" else 0
-                if arrived != wanted:
-                    state.mispredicated[index] = True
-                    inst = block.instructions[index]
-                    if inst.op is TOp.STORE:
-                        resolved_stores[inst.lsid] = state.pred_time[index]
-                        unpark()
-                    return
-            ready.append(index)
-
-        def stores_resolved_below(lsid: int) -> Tuple[bool, int]:
-            latest = 0
-            for s in store_lsids:
-                if s >= lsid:
-                    break
-                if s not in resolved_stores:
-                    return False, 0
-                latest = max(latest, resolved_stores[s])
-            return True, latest
-
-        def unpark() -> None:
-            if parked:
-                ready.extend(parked)
-                parked.clear()
-
-        def ready_time(index: int) -> int:
-            times = state.times[index] or {}
-            t = dispatch[index]
-            for slot_time in times.values():
-                t = max(t, slot_time)
-            if preds[index] is not None:
-                t = max(t, state.pred_time[index])
-            return t
-
-        def fire(index: int) -> None:
-            nonlocal exit_taken, exit_time, load_flush_penalty
-            inst = block.instructions[index]
-            state.fired[index] = True
-            stats.executed += 1
-            tile = placement.tiles[index]
-            coord = topology.et_coord(tile)
-            t_ready = ready_time(index)
-            issue = sim.et_issue.claim(tile, t_ready)
-            latency = TRIPS_LATENCY.get(inst.op, 1)
-            done = issue + latency
-            slots = state.values[index] or {}
-            op = inst.op
-            # Loads may still park below (unresolved earlier stores), so
-            # their issue event is emitted after the disambiguation check.
-            if tracer is not None and op is not TOp.LOAD:
-                tracer.emit("inst_issue", issue, label=block_label,
-                            index=index, op=op.value, tile=tile)
-
-            if op is TOp.LOAD:
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                ok, barrier = stores_resolved_below(inst.lsid)
-                if not ok:
-                    # The LSQ cannot disambiguate against unresolved
-                    # earlier stores: hold the load until their addresses
-                    # are known (a conservative LSQ; the dependence
-                    # predictor below charges flushes when a load's data
-                    # actually came from an in-flight store).
-                    parked.append(index)
-                    state.fired[index] = False
-                    stats.executed -= 1
-                    return
-                stats.loads += 1
-                stats.l1d_bytes += inst.width
-                if tracer is not None:
-                    tracer.emit("inst_issue", issue, label=block_label,
-                                index=index, op=op.value, tile=tile)
-                bank = sim.hierarchy.l1d.bank_of(address)
-                depart = sim.opn.send(coord, topology.dt_coord(bank), done,
-                                      "ET-DT")
-                value, forwarded_from = sim._load_forwarded(
-                    address, inst, store_buffer)
-                finish = sim.hierarchy.l1d.access(address, depart)
-                back = sim.opn.send(topology.dt_coord(bank), coord, finish,
-                                    "ET-DT")
-                if forwarded_from >= 0:
-                    # The load consumed an in-flight store's data: had it
-                    # issued speculatively it would have flushed.  Train
-                    # the load-wait table; charge a flush the first time.
-                    when, _addr, _w = store_addr_time[forwarded_from]
-                    back = max(back, when + sim.config.l1d_hit_cycles)
-                    static_id = hash((block.label, index)) & 0xFFFF
-                    if static_id not in sim.lwt:
-                        sim.lwt.add(static_id)
-                        stats.load_flushes += 1
-                        load_flush_penalty += \
-                            sim.config.load_violation_flush_cycles
-                        if tracer is not None:
-                            tracer.emit(
-                                "load_flush", back, label=block_label,
-                                index=index,
-                                penalty=sim.config
-                                .load_violation_flush_cycles)
-                if tracer is not None:
-                    if forwarded_from >= 0:
-                        tracer.emit("load_forward", back, label=block_label,
-                                    index=index, lsid=inst.lsid,
-                                    supplier=forwarded_from,
-                                    address=address)
-                    tracer.emit("inst_retire", back, label=block_label,
-                                index=index, op=op.value, tile=tile)
-                deliver(value, back, inst.targets, index,
-                        topology.dt_coord(bank))
-                return
-            if op is TOp.STORE:
-                stats.stores += 1
-                stats.l1d_bytes += inst.width
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                value = slots[Slot.OP1]
-                bank = sim.hierarchy.l1d.bank_of(address)
-                arrive = sim.opn.send(coord, topology.dt_coord(bank), done,
-                                      "ET-DT")
-                # The store enters the DT's write buffer on arrival; a
-                # miss is absorbed there and written back off the critical
-                # path.  The bank's timing state still advances.
-                sim.hierarchy.l1d.access(address, arrive, is_store=True)
-                finish = arrive + sim.config.l1d_hit_cycles
-                store_buffer[inst.lsid] = (address, value, inst)
-                resolved_stores[inst.lsid] = finish
-                store_addr_time[inst.lsid] = (finish, address, inst.width)
-                if tracer is not None:
-                    tracer.emit("inst_retire", finish, label=block_label,
-                                index=index, op=op.value, tile=tile)
-                unpark()
-                return
-            if op is TOp.NULL:
-                if inst.lsid >= 0:
-                    resolved_stores[inst.lsid] = done
-                    unpark()
-                if tracer is not None:
-                    tracer.emit("inst_retire", done, label=block_label,
-                                index=index, op=op.value, tile=tile)
-                deliver(NULL_TOKEN, done, inst.targets, index, coord)
-                return
-            if op in _EXIT_SET:
-                if exit_taken is not None:
-                    raise TrapError(f"{block.label}: two exits fired")
-                exit_taken = inst
-                exit_time = sim.opn.send(coord, topology.gt_coord, done,
-                                         "ET-GT")
-                if tracer is not None:
-                    tracer.emit("inst_retire", exit_time, label=block_label,
-                                index=index, op=op.value, tile=tile)
-                return
-            if op in TEST_OPS:
-                pass
-            elif op is TOp.MOV:
-                stats.moves += 1
-            value = _compute(op, inst, slots)
-            if tracer is not None:
-                tracer.emit("inst_retire", done, label=block_label,
-                            index=index, op=op.value, tile=tile)
-            deliver(value, done, inst.targets, index, coord)
-
-        # Register reads: RT bank ports, then routed to consumers.
-        for read in block.reads:
-            bank = bank_of(read.reg)
-            when = sim.rt_read_ports.claim(
-                bank, max(dispatch_base, sim.reg_ready[read.reg]))
-            deliver(sim.regs[read.reg], when, read.targets, -1,
-                    topology.rt_coord(bank))
-
-        for index in range(n):
-            if need[index] == 0 and preds[index] is None:
-                ready.append(index)
-
-        guard = 0
-        while ready:
-            index = ready.pop()
-            if state.fired[index] or state.mispredicated[index]:
-                continue
-            guard += 1
-            if guard > 40 * n + 1000:
-                raise TrapError(f"{block.label}: execution livelock")
-            fire(index)
-
-        done_time = exit_time
-        for slot, write in enumerate(block.writes):
-            if slot not in write_values:
-                raise TrapError(f"{block.label}: write w{slot} missing")
-            value, when = write_values[slot]
-            if value is not NULL_TOKEN:
-                sim.regs[write.reg] = value
-            sim.reg_ready[write.reg] = when
-            done_time = max(done_time, when)
-        for lsid in store_lsids:
-            if lsid not in resolved_stores:
-                raise TrapError(f"{block.label}: store {lsid} unresolved")
-            done_time = max(done_time, resolved_stores[lsid])
-        # Commit buffered stores to memory in load/store-ID order — the
-        # LSQ's sequential-memory-semantics guarantee.
-        for lsid in sorted(store_buffer):
-            address, value, inst = store_buffer[lsid]
-            sim._store_value(address, value, inst)
-        if exit_taken is None:
-            raise TrapError(f"{block.label}: no exit fired")
-        done_time += load_flush_penalty
-
-        # Statistics: composition and usage closure.
-        sim._account(block, state, used_feed, write_producers, n)
-        stats.blocks_committed += 1
-        stats.fetched += n
-        residency = max(1, done_time - dispatch_base)
-        stats.window_inst_cycles += residency * n
-        useful_count = sim._last_useful
-        stats.window_useful_cycles += residency * useful_count
-        return exit_taken, exit_time, done_time
-
-
-KERNELS.register("scalar", lambda config=None: ScalarKernel(config))
-
-
-# ---------------------------------------------------------------------------
-# Batched backend
-# ---------------------------------------------------------------------------
-
-#: Instruction kind codes for the batched kernel's dispatch table.
+#: Instruction kind codes for the kernel's dispatch table.
 _K_COMPUTE, _K_LOAD, _K_STORE, _K_NULL, _K_EXIT = range(5)
 
 #: "No operand delivered yet" sentinel for the flat operand arrays
@@ -388,8 +57,8 @@ class _BlockStatics:
     """Per-label static decode of one block, cached by BatchedKernel.
 
     Everything here is a pure function of (block, placement, topology,
-    config): it is computed once per label — with numpy when available
-    (see :mod:`repro.uarch.vectors`) — and reused by every activation.
+    config): it is computed once per label and reused by every
+    activation.
     """
 
     __slots__ = ("placement", "n", "insts", "need", "pred_want", "kinds",
@@ -399,94 +68,38 @@ class _BlockStatics:
                  "exit_send", "has_senders")
 
 
-class _FiredView:
-    """Adapter giving ``CycleSimulator._account`` the one field it
-    reads from the scalar kernel's state object."""
+class BatchedKernel:
+    """The block-execution engine: skip-ahead timing + cached decode.
 
-    __slots__ = ("fired",)
+    One kernel serves one :class:`~repro.uarch.core.CycleSimulator`,
+    which builds it last in its constructor.  The speed comes from
+    three mechanisms that cannot change any timing decision:
 
-    def __init__(self, fired: List[bool]) -> None:
-        self.fired = fired
-
-
-class BatchedKernel(ExecutionKernel):
-    """Throughput-optimized backend: skip-ahead timing + cached decode.
-
-    Produces bit-identical cycles, statistics, and trace events to
-    :class:`ScalarKernel` (the differential goldens pin this); the
-    speed comes from three mechanisms that cannot change any timing
-    decision:
-
-    * **event-driven skip-ahead** — at attach time every resource pool
-      (register ports, ET issue slots, OPN links, cache-bank ports,
-      DRAM channels) is swapped for interval-based
-      :class:`~repro.uarch.resources.SkipAheadPool` arbitration, which
-      jumps over a busy run of cycles in one bisect instead of probing
-      it cycle by cycle;
+    * **event-driven skip-ahead** — every resource pool (register
+      ports, ET issue slots, OPN links, cache-bank ports, DRAM
+      channels) is a :class:`~repro.uarch.resources.SkipAheadPool`,
+      which jumps over a busy run of cycles in one bisect instead of
+      probing it cycle by cycle;
     * **static decode caching** — operand counts, predicate wants,
       dispatch offsets, tile coordinates, decoded target lists, and
-      latencies are computed once per block label (vectorized with
-      numpy when importable, pure Python otherwise) instead of on
-      every activation;
-    * **cached operand routing** — deliveries go through
-      :meth:`~repro.uarch.opn.OperandNetwork.send_cached`, which holds
-      each (src, dst) route and its link resources materialized.
+      latencies are computed once per block label instead of on every
+      activation;
+    * **pre-bound operand routing** — deliveries from a static source
+      go through :meth:`~repro.uarch.opn.OperandNetwork.sender`
+      closures that hold the route and its channel resources; the rest
+      go through :meth:`~repro.uarch.opn.OperandNetwork.send`, which
+      caches the same materialized routes.
 
-    ``docs/KERNELS.md`` documents the performance model and the
-    equivalence contract in detail.
+    The kernel keeps no reference to its simulator (``execute_block``
+    receives it per call), so a finished simulator and its memory image
+    are freed as soon as the caller drops them, without waiting for the
+    cyclic garbage collector.
     """
 
-    name = "batched"
-
-    def __init__(self, config=None) -> None:
-        self.config = config
-        self._attached_to = None
-        self._statics: Dict[str, _BlockStatics] = {}
-        self._use_numpy = False
-        self._bank_shift_mask = None
-        self._rt_read_claims: Tuple = ()
-        self._rt_write_claims: Tuple = ()
-        self._rt_coords: Tuple = ()
-        self._dt_coords: Tuple = ()
-        self._gt_coord = (0, 0)
-        self._cls_from_et = ("ET-ET", "ET-RT")
-        self._cls_from_dt = ("ET-DT", "DT-RT")
-        self._cls_from_rt = ("ET-RT", "RT-RT")
-
-    # -- capabilities / wiring -------------------------------------------
-
-    def capabilities(self) -> Dict[str, bool]:
-        from repro.uarch.vectors import numpy_available
-        return {"vectorized": numpy_available(), "skip_ahead": True}
-
-    def attach(self, sim) -> None:
-        """Swap in skip-ahead pools and precompute simulator-wide
-        tables.  Pools are only replaced while still empty, so calling
-        this on a simulator that already ran is safe (a no-op for the
-        pools, which then stay scalar but remain correct)."""
-        from repro.trips.regalloc import NUM_BANKS
-        from repro.uarch.caches import L1DataBanks
-        from repro.uarch.resources import SkipAheadPool
-        from repro.uarch.vectors import numpy_available, pow2_shift_mask
-
-        self._attached_to = sim
-        self._statics = {}
-        self._use_numpy = numpy_available()
-
-        for name in ("rt_read_ports", "rt_write_ports", "et_issue"):
-            if not getattr(sim, name).resources:
-                setattr(sim, name, SkipAheadPool())
-        if not sim.opn.links.resources:
-            sim.opn.links = SkipAheadPool()
-        for owner in (getattr(sim.hierarchy, "l1d", None),
-                      getattr(sim.hierarchy, "l2", None),
-                      getattr(sim.hierarchy, "dram", None)):
-            pool = getattr(owner, "_ports", None)
-            if pool is not None and not pool.resources:
-                owner._ports = SkipAheadPool()
-
+    def __init__(self, sim) -> None:
         topology = sim.topology
         config = sim.config
+        self._statics: Dict[str, _BlockStatics] = {}
         self._rt_read_claims = tuple(sim.rt_read_ports.resource(bank).claim
                                      for bank in range(NUM_BANKS))
         self._rt_write_claims = tuple(
@@ -506,9 +119,7 @@ class BatchedKernel(ExecutionKernel):
         self._cls_from_rt = (class_of((1, 0), "et"), class_of((1, 0), "rt"))
         # Power-of-two L1-D geometry admits a shift/mask bank lookup;
         # only trusted when the hierarchy uses the stock interleave.
-        l1d = getattr(sim.hierarchy, "l1d", None)
-        if l1d is not None and \
-                type(l1d).bank_of is L1DataBanks.bank_of:
+        if type(sim.hierarchy.l1d).bank_of is L1DataBanks.bank_of:
             self._bank_shift_mask = pow2_shift_mask(
                 config.l1d_line_bytes, config.l1d_banks)
         else:
@@ -556,7 +167,6 @@ class BatchedKernel(ExecutionKernel):
 
     def _build(self, sim, block: TripsBlock,
                placement: Placement) -> _BlockStatics:
-        from repro.uarch.vectors import dispatch_offsets, initial_ready
         topology = sim.topology
         insts = list(block.instructions)
         n = len(insts)
@@ -585,9 +195,13 @@ class BatchedKernel(ExecutionKernel):
         st.is_mov = [inst.op is TOp.MOV and inst.op not in TEST_OPS
                      for inst in insts]
         st.latency = [TRIPS_LATENCY.get(inst.op, 1) for inst in insts]
-        st.disp_off = dispatch_offsets(n, sim.config.dispatch_bandwidth)
-        st.static_ready = initial_ready(
-            st.need, [want is not None for want in st.pred_want])
+        bandwidth = sim.config.dispatch_bandwidth
+        st.disp_off = [i // bandwidth for i in range(n)]
+        # Ready at dispatch: zero operands and no predicate guard, in
+        # ascending order (see the seeding note in execute_block).
+        st.static_ready = tuple(
+            i for i in range(n)
+            if st.need[i] == 0 and st.pred_want[i] is None)
         st.store_lsids = tuple(sorted(block.store_lsids))
         st.tiles = [placement.tiles[i] for i in range(n)]
         st.coords = [topology.et_coord(tile) for tile in st.tiles]
@@ -664,8 +278,6 @@ class BatchedKernel(ExecutionKernel):
 
     def execute_block(self, sim, block: TripsBlock, placement: Placement,
                       fetch_done: int) -> Tuple[TInst, int, int]:
-        if self._attached_to is not sim:
-            self.attach(sim)
         st = self._statics.get(block.label)
         if st is None or st.placement is not placement:
             st = self._statics[block.label] = \
@@ -674,7 +286,7 @@ class BatchedKernel(ExecutionKernel):
         config = sim.config
         stats = sim.stats
         tracer = sim.tracer
-        send = sim.opn.send_cached
+        send = sim.opn.send
         lwt = sim.lwt
         regs = sim.regs
         reg_ready = sim.reg_ready
@@ -788,8 +400,7 @@ class BatchedKernel(ExecutionKernel):
             """Delivery over the pre-resolved sender closures (static
             source; tracer off).  Timing-identical to :func:`deliver` —
             the send still happens before operand dedup, because a
-            duplicate operand occupies the network in the scalar kernel
-            too."""
+            duplicate operand occupies the network too."""
             for entry in decoded:
                 tag = entry[0]
                 if tag == 2:
@@ -1038,7 +649,7 @@ class BatchedKernel(ExecutionKernel):
 
         # Zero-operand, unpredicated instructions become ready *after*
         # the read deliveries: the worklist is a LIFO, so seeding order
-        # is part of the timing contract with the scalar kernel.
+        # is part of the timing contract the goldens pin.
         ready.extend(st.static_ready)
 
         guard = 0
@@ -1078,8 +689,7 @@ class BatchedKernel(ExecutionKernel):
             raise TrapError(f"{block_label}: no exit fired")
         done_time += load_flush_penalty
 
-        sim._account(block, _FiredView(fired), used_feed,
-                     write_producers, n)
+        sim._account(block, fired, used_feed, write_producers, n)
         stats.blocks_committed += 1
         stats.fetched += n
         residency = done_time - dispatch_base
@@ -1088,6 +698,3 @@ class BatchedKernel(ExecutionKernel):
         stats.window_inst_cycles += residency * n
         stats.window_useful_cycles += residency * sim._last_useful
         return exit_taken, exit_time, done_time
-
-
-KERNELS.register("batched", lambda config=None: BatchedKernel(config))

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.uarch.resources import SkipAheadPool
+
 Coord = Tuple[int, int]
 
 
@@ -138,48 +140,44 @@ class OperandNetwork:
 
     Routing, traffic classes, and link width come from the configured
     :class:`~repro.uarch.components.OpnTopology`; the default is the
-    prototype's 5x5 mesh, which makes this model (and its resource-pool
-    keys) identical to the pre-registry network.
+    prototype's 5x5 mesh.
+
+    Each (src, dst) route is materialized once, with every hop's channel
+    resources held directly, so a send is just the per-hop claims plus
+    the statistics increments.  A multi-channel link probes its channels
+    in order and claims the earliest free one, ties to the lowest
+    channel (deterministic).
     """
 
     def __init__(self, hop_cycles: int = 1, tracer=None,
                  topology=None) -> None:
-        from repro.uarch.resources import ResourcePool
         if topology is None:
             from repro.uarch.topologies import MeshTopology
             topology = MeshTopology()
         self.topology = topology
         self.hop_cycles = hop_cycles
-        self.links = ResourcePool()
+        self.links = SkipAheadPool()
         self.stats = OpnStats(classes=topology.traffic_classes,
                               hop_buckets=topology.hop_buckets)
-        # (src, dst) -> ((link, resource), ...): materialized routes for
-        # the cached fast path (see send_cached).  Built lazily, so it
-        # always captures resources from the *current* links pool — the
-        # batched kernel swaps the pool before the first packet flows.
-        self._route_cache: Dict[Tuple[Coord, Coord], tuple] = {}
+        # (src, dst) -> ((link, (channel resource, ...)), ...).
+        self._routes: Dict[Tuple[Coord, Coord], tuple] = {}
         #: Optional :class:`repro.trace.Tracer`; ``None`` (the default)
         #: skips all event construction.
         self.tracer = tracer
 
-    def _claim_link(self, link, time: int) -> int:
-        """Reserve the earliest slot on the best channel of ``link``.
-
-        Single-channel links keep the bare link tuple as the pool key
-        (bit-identical with the pre-registry network); wider links probe
-        every channel and take the earliest free slot, ties to the
-        lowest channel index (deterministic).
-        """
-        channels = self.topology.link_channels
-        if channels == 1:
-            return self.links.claim(link, time)
-        best_channel = 0
-        best_start = self.links.probe((link, 0), time)
-        for channel in range(1, channels):
-            start = self.links.probe((link, channel), time)
-            if start < best_start:
-                best_channel, best_start = channel, start
-        return self.links.claim((link, best_channel), time)
+    def _hops(self, src: Coord, dst: Coord) -> tuple:
+        """The route ``src -> dst`` as ``(link, channels)`` pairs, each
+        hop's channel resources materialized (pool key
+        ``(link, channel)``)."""
+        hops = self._routes.get((src, dst))
+        if hops is None:
+            channels = range(self.topology.link_channels)
+            resource = self.links.resource
+            hops = self._routes[(src, dst)] = tuple(
+                (link, tuple(resource((link, channel))
+                             for channel in channels))
+                for link in self.topology.route(src, dst))
+        return hops
 
     def send(self, src: Coord, dst: Coord, ready: int, klass: str) -> int:
         """Deliver one operand; returns its arrival time.
@@ -191,55 +189,14 @@ class OperandNetwork:
         if src == dst:
             self.stats.record(klass, 0, 0)
             return ready
-        time = ready
-        queued = 0
-        hops = 0
-        tracer = self.tracer
-        for link in self.topology.route(src, dst):
-            start = self._claim_link(link, time)
-            if tracer is not None:
-                (sx, sy), (dx, dy) = link
-                tracer.emit("opn_hop", start, klass=klass, sx=sx, sy=sy,
-                            dx=dx, dy=dy, wait=start - time)
-            queued += start - time
-            time = start + self.hop_cycles
-            hops += 1
-        self.stats.record(klass, hops, queued)
-        return time
-
-    def send_cached(self, src: Coord, dst: Coord, ready: int,
-                    klass: str) -> int:
-        """:meth:`send` with the route and its link resources cached.
-
-        Timing-identical to :meth:`send` (same claims in the same
-        order, same statistics, same ``opn_hop`` emissions) but the
-        dimension-order route is materialized once per (src, dst) pair
-        as a tuple of ``(link, resource)`` entries, so the steady state
-        skips route recomputation, per-hop pool lookups, and the
-        statistics call.  Used by the batched kernel; multi-channel
-        topologies fall back to :meth:`send` because channel choice
-        depends on dynamic occupancy.
-        """
-        stats = self.stats
-        if src == dst:
-            stats.packets[klass] = stats.packets.get(klass, 0) + 1
-            stats.hops[klass] = stats.hops.get(klass, 0) + 0
-            key = (klass, 0)
-            histogram = stats.hop_histogram
-            histogram[key] = histogram.get(key, 0) + 1
-            return ready
-        cached = self._route_cache.get((src, dst))
-        if cached is None:
-            if self.topology.link_channels != 1:
-                return self.send(src, dst, ready, klass)
-            cached = self._route_cache[(src, dst)] = tuple(
-                (link, self.links.resource(link))
-                for link in self.topology.route(src, dst))
+        hops = self._hops(src, dst)
         time = ready
         queued = 0
         tracer = self.tracer
         hop_cycles = self.hop_cycles
-        for link, resource in cached:
+        for link, channels in hops:
+            resource = channels[0] if len(channels) == 1 \
+                else _earliest(channels, time)
             start = resource.claim(time)
             if tracer is not None:
                 (sx, sy), (dx, dy) = link
@@ -247,28 +204,21 @@ class OperandNetwork:
                             dx=dx, dy=dy, wait=start - time)
             queued += start - time
             time = start + hop_cycles
-        hops = len(cached)
-        stats.packets[klass] = stats.packets.get(klass, 0) + 1
-        stats.hops[klass] = stats.hops.get(klass, 0) + hops
-        key = (klass, hops if hops < stats.hop_buckets else stats.hop_buckets)
-        histogram = stats.hop_histogram
-        histogram[key] = histogram.get(key, 0) + 1
-        stats.queue_cycles += queued
+        self.stats.record(klass, len(hops), queued)
         return time
 
     def sender(self, src: Coord, dst: Coord, klass: str):
         """A bound ``ready -> arrival`` closure for one fixed packet shape.
 
-        The fastest delivery path: the route, its link resources, the
+        The fastest delivery path: the route, its channel resources, the
         hop count, and the histogram key are all resolved at creation,
-        so each call is just the per-link claims plus the statistics
+        so each call is just the per-hop claims plus the statistics
         increments — timing- and statistics-identical to :meth:`send`.
         Statistics keys are created on first *use*, not creation, so a
         sender that never fires leaves no zero entries behind.
 
         Only valid while ``self.tracer is None`` (there is no per-hop
-        event emission); callers with a tracer must use :meth:`send` or
-        :meth:`send_cached`.
+        event emission); callers with a tracer must use :meth:`send`.
         """
         stats = self.stats
         packets = stats.packets
@@ -284,23 +234,35 @@ class OperandNetwork:
                 return ready
 
             return send_local
-        if self.topology.link_channels != 1:
-            def send_multi(ready: int) -> int:
-                return self.send(src, dst, ready, klass)
-
-            return send_multi
-        claims = tuple(self.links.resource(link).claim
-                       for link in self.topology.route(src, dst))
-        hops = len(claims)
+        route = tuple(channels for _link, channels in self._hops(src, dst))
+        hops = len(route)
         histkey = (klass,
                    hops if hops < stats.hop_buckets else stats.hop_buckets)
         hop_cycles = self.hop_cycles
 
-        def send_fast(ready: int) -> int:
+        if self.topology.link_channels == 1:
+            claims = tuple(channels[0].claim for channels in route)
+
+            def send_fast(ready: int) -> int:
+                time = ready
+                queued = 0
+                for claim in claims:
+                    start = claim(time)
+                    queued += start - time
+                    time = start + hop_cycles
+                packets[klass] = packets.get(klass, 0) + 1
+                total_hops[klass] = total_hops.get(klass, 0) + hops
+                histogram[histkey] = histogram.get(histkey, 0) + 1
+                stats.queue_cycles += queued
+                return time
+
+            return send_fast
+
+        def send_multi(ready: int) -> int:
             time = ready
             queued = 0
-            for claim in claims:
-                start = claim(time)
+            for channels in route:
+                start = _earliest(channels, time).claim(time)
                 queued += start - time
                 time = start + hop_cycles
             packets[klass] = packets.get(klass, 0) + 1
@@ -309,4 +271,16 @@ class OperandNetwork:
             stats.queue_cycles += queued
             return time
 
-        return send_fast
+        return send_multi
+
+
+def _earliest(channels, time: int):
+    """The channel whose first free cycle at or after ``time`` comes
+    first; ties go to the lowest channel."""
+    best = channels[0]
+    best_start = best.probe(time)
+    for resource in channels[1:]:
+        start = resource.probe(time)
+        if start < best_start:
+            best, best_start = resource, start
+    return best

@@ -1,84 +1,43 @@
 """Cycle-accurate single-server resource arbitration.
 
-A ``CycleResource`` models a resource that can serve one request per cycle
-(a register-file port, an ET issue slot, an OPN link, a cache bank port).
-``claim(t)`` returns the first cycle >= t at which the resource is free
-and marks it used.
+A :class:`SkipAheadResource` models a resource that can serve one
+request per cycle (a register-file port, an ET issue slot, an OPN link,
+a cache bank port, a DRAM channel).  ``claim(t)`` returns the first
+cycle >= t at which the resource is free and marks it used.
 
 A naive "busy-until" counter is wrong for out-of-order claim patterns: a
 request at cycle 700 must not delay an unrelated request at cycle 450
-that arrives later in simulation order.  ``CycleResource`` therefore
-tracks the *set* of claimed cycles, with periodic pruning of the distant
-past to bound memory (requests are never issued for cycles far behind the
-maximum seen, so pruning below a trailing horizon is safe in practice).
+that arrives later in simulation order.  The resource therefore tracks
+every claimed cycle, with periodic pruning of the distant past to bound
+memory (requests are never issued for cycles far behind the maximum
+seen, so pruning below a trailing horizon is safe in practice).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Set
+from typing import List
 
-#: Prune when the claimed set exceeds this size...
+#: Prune when the claimed population exceeds this size...
 _PRUNE_LIMIT = 8192
 #: ...removing everything more than this many cycles behind the max.
 _HORIZON = 4096
 
 
-class CycleResource:
-    """One-request-per-cycle resource with out-of-order claims."""
-
-    __slots__ = ("claimed", "floor", "max_seen")
-
-    def __init__(self) -> None:
-        self.claimed: Set[int] = set()
-        self.floor = 0          # cycles below this are considered busy
-        self.max_seen = 0
-
-    def claim(self, cycle: int) -> int:
-        """Reserve the first free cycle >= ``cycle``; returns it."""
-        t = max(cycle, self.floor)
-        claimed = self.claimed
-        while t in claimed:
-            t += 1
-        claimed.add(t)
-        if t > self.max_seen:
-            self.max_seen = t
-        if len(claimed) > _PRUNE_LIMIT:
-            horizon = self.max_seen - _HORIZON
-            self.claimed = {c for c in claimed if c >= horizon}
-            self.floor = max(self.floor, horizon)
-        return t
-
-    def probe(self, cycle: int) -> int:
-        """First free cycle >= ``cycle`` *without* reserving it.
-
-        Lets a caller compare several equivalent resources (e.g. the
-        channels of a double-width OPN link) before committing to one
-        with :meth:`claim`.
-        """
-        t = max(cycle, self.floor)
-        while t in self.claimed:
-            t += 1
-        return t
-
-
 class SkipAheadResource:
-    """Interval-based :class:`CycleResource` that jumps over busy runs.
+    """One-request-per-cycle resource with out-of-order claims.
 
-    Semantically identical to :class:`CycleResource` — same claims, same
-    results, same pruning horizon — but the claimed cycles are stored as
-    sorted disjoint runs ``[start, end)`` instead of a hash set.  A claim
-    landing inside a busy run advances to the run's end in **one bisect**
-    instead of walking it cycle by cycle; this is the event-driven
-    skip-ahead the batched kernel's contended resources (OPN links under
+    The claimed cycles are stored as sorted disjoint maximal runs
+    ``[start, end)``.  A claim landing inside a busy run advances to the
+    run's end in **one bisect** instead of walking it cycle by cycle;
+    this is the skip-ahead that contended resources (OPN links under
     operand bursts, DRAM channel occupancy) benefit from.
 
-    The equivalence hinges on the pruning bookkeeping: ``count`` tracks
-    the total claimed-cycle population (equal to the scalar set's size,
-    since the runs are disjoint), so pruning triggers on exactly the
-    same claim, computes the same horizon, and therefore advances
-    ``floor`` identically — the only way pruning can influence a later
-    claim's result.
+    Pruning is part of the timing contract, because it is the only way
+    history can influence a later claim's result: ``count`` tracks the
+    claimed-cycle population, pruning triggers once it exceeds
+    ``_PRUNE_LIMIT``, and everything more than ``_HORIZON`` cycles
+    behind the newest claim then becomes the busy ``floor``.
     """
 
     __slots__ = ("starts", "ends", "floor", "max_seen", "count")
@@ -86,7 +45,7 @@ class SkipAheadResource:
     def __init__(self) -> None:
         self.starts: List[int] = []
         self.ends: List[int] = []
-        self.floor = 0
+        self.floor = 0          # cycles below this are considered busy
         self.max_seen = 0
         self.count = 0
 
@@ -153,7 +112,12 @@ class SkipAheadResource:
         return t
 
     def probe(self, cycle: int) -> int:
-        """First free cycle >= ``cycle`` *without* reserving it."""
+        """First free cycle >= ``cycle`` *without* reserving it.
+
+        Lets a caller compare several equivalent resources (the channels
+        of a double-width OPN link) before committing to one with
+        :meth:`claim`.
+        """
         t = max(cycle, self.floor)
         i = bisect_right(self.starts, t) - 1
         if i >= 0 and t < self.ends[i]:
@@ -161,53 +125,26 @@ class SkipAheadResource:
         return t
 
 
-class ResourcePool:
-    """A lazily populated family of :class:`CycleResource` by key."""
+class SkipAheadPool:
+    """A lazily populated family of :class:`SkipAheadResource` by key."""
 
     __slots__ = ("resources",)
-
-    #: Resource type new keys materialize (subclasses override).
-    resource_class = CycleResource
 
     def __init__(self) -> None:
         self.resources = {}
 
     def claim(self, key, cycle: int) -> int:
-        resource = self.resources.get(key)
-        if resource is None:
-            resource = self.resources[key] = self.resource_class()
-        return resource.claim(cycle)
+        return self.resource(key).claim(cycle)
 
-    def probe(self, key, cycle: int) -> int:
-        """First free cycle >= ``cycle`` on ``key``, without reserving.
-
-        An untouched key is entirely free, so the answer is ``cycle``
-        itself and no resource is materialized.
-        """
-        resource = self.resources.get(key)
-        return cycle if resource is None else resource.probe(cycle)
-
-    def resource(self, key):
+    def resource(self, key) -> SkipAheadResource:
         """Materialize and return the resource behind ``key``.
 
-        Hot paths that claim the same key many times (the batched
-        kernel's cached OPN routes) hold the resource object directly
-        and skip the per-claim dictionary lookup.
+        Hot paths that claim the same key many times (the kernel's
+        register ports and issue slots, the OPN's cached routes) hold
+        the resource object directly and skip the per-claim dictionary
+        lookup.
         """
         resource = self.resources.get(key)
         if resource is None:
-            resource = self.resources[key] = self.resource_class()
+            resource = self.resources[key] = SkipAheadResource()
         return resource
-
-
-class SkipAheadPool(ResourcePool):
-    """A :class:`ResourcePool` of interval-based skip-ahead resources.
-
-    Drop-in for :class:`ResourcePool` (the batched kernel swaps the
-    simulator's pools for these at attach time, before any claims
-    exist); every claim returns the same cycle the scalar pool would.
-    """
-
-    __slots__ = ()
-
-    resource_class = SkipAheadResource

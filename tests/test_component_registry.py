@@ -24,7 +24,7 @@ from repro.uarch.topologies import (
 #: tests stay green when CI runs the suite under a REPRO_UARCH_COMPONENTS
 #: override (the defaults are env-sensitive by design).
 DEFAULT_COMPONENTS = dict(opn_topology="mesh", predictor_kind="tournament",
-                          memory_kind="trips", kernel_backend="scalar")
+                          memory_kind="trips")
 
 #: (cycles, useful instructions) of the seed simulator, O2 + hyperblocks.
 GOLDENS = {
@@ -78,7 +78,6 @@ class TestRegistry:
         assert set(component_names("predictor")) >= {"tournament",
                                                      "gshare"}
         assert set(component_names("memory")) >= {"trips", "perfect-l1"}
-        assert set(component_names("kernel")) >= {"scalar"}
 
     def test_validate_selection(self):
         validate_selection("topology", "torus")
@@ -253,11 +252,3 @@ class TestSweepAndCli:
         assert main(["config", "show", "--config",
                      "opn_topology=taurus"]) == 2
         assert "did you mean" in capsys.readouterr().err
-
-    def test_perf_suite_kernel_backend(self):
-        from repro.perf.suite import default_suite
-        specs = default_suite(["cycle-sim"], kernel_backend="scalar")
-        assert specs[0].name == "cycle-sim"
-        assert "kernel=scalar" in specs[0].description
-        with pytest.raises(ValueError, match="unknown execution kernel"):
-            default_suite(kernel_backend="vector")

@@ -10,31 +10,31 @@ from repro.uarch import (
 )
 from repro.uarch.caches import L1DataBanks, MemoryHierarchy, NucaL2
 from repro.uarch.opn import GT_COORD
-from repro.uarch.resources import CycleResource, ResourcePool
+from repro.uarch.resources import SkipAheadResource
 
 
-class TestCycleResource:
+class TestSkipAheadResource:
     def test_in_order_claims_serialize(self):
-        r = CycleResource()
+        r = SkipAheadResource()
         assert r.claim(5) == 5
         assert r.claim(5) == 6
         assert r.claim(5) == 7
 
     def test_out_of_order_claims_fill_gaps(self):
-        r = CycleResource()
+        r = SkipAheadResource()
         assert r.claim(700) == 700
         assert r.claim(450) == 450     # must not queue behind cycle 700
         assert r.claim(450) == 451
 
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=300))
     def test_claims_unique_and_ordered(self, requests):
-        r = CycleResource()
+        r = SkipAheadResource()
         granted = [r.claim(t) for t in requests]
         assert len(set(granted)) == len(granted)
         assert all(g >= t for g, t in zip(granted, requests))
 
     def test_pruning_keeps_recent_busy(self):
-        r = CycleResource()
+        r = SkipAheadResource()
         for t in range(9000):
             r.claim(t)
         # After pruning, old cycles are considered busy via the floor.
