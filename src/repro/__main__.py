@@ -26,13 +26,12 @@ Subcommands:
   records match an uninterrupted run — the crash-safety drill.
 * ``sweep SPEC`` — design-space exploration: expand a declarative
   sweep spec (named preset or JSON/TOML file) into a validated grid of
-  design points, simulate them under supervision (``--jobs N``,
-  cache-resumable, failed points become annotated holes), and write
-  per-point JSONL, a per-axis sensitivity table, a Pareto frontier
-  CSV, a markdown summary, the fsync'd execution journal, and an
-  attested repro pack (``docs/SWEEP.md``).  A killed sweep resumes
-  with ``--resume``; ``--shards N --shard-id K`` runs one
-  lease-coordinated shard of the grid with work stealing.
+  design points, simulate them under supervision (in process on one
+  shared pipeline, or ``--jobs N`` worker processes; cache-resumable,
+  failed points become annotated holes), and write per-point JSONL, a
+  per-axis sensitivity table, a Pareto frontier CSV, a markdown
+  summary, the fsync'd execution journal, and an attested repro pack
+  (``docs/SWEEP.md``).  A killed sweep resumes with ``--resume``.
 * ``frontier SWEEP_DIR`` — re-analyze a finished sweep directory:
   print the (IPC, cost) Pareto frontier without re-simulating.
 * ``pack verify|create SWEEP_DIR`` — attest or audit a sweep
@@ -44,13 +43,15 @@ Subcommands:
   (``docs/PERF.md`` documents the schema, the baseline workflow, and
   the exit codes).
 
-Pipeline options (on ``run``, ``asm``, and ``report``):
+Pipeline options (on ``run``, ``trace``, ``asm``, ``report``, ``chaos``,
+and ``sweep``):
 
 * ``--cache-dir PATH`` — artifact store location (default:
   ``.repro-cache/`` at the repo root, or ``$REPRO_CACHE_DIR``).
 * ``--no-cache`` — disable the on-disk store for this invocation.
-* ``--trace FILE`` — append one JSON line per pipeline event (stage,
-  hit/miss, wall time) to FILE.
+* ``--spans FILE`` — append one JSON span per stage resolution (stage,
+  key, outcome, digest, wall time), sweep point, and supervised
+  attempt to FILE (``docs/OBSERVABILITY.md``).
 * ``--profile`` — print a per-stage hit/miss/latency summary afterwards.
 """
 
@@ -498,7 +499,6 @@ def _cmd_sweep(args, runner) -> int:
 
     from repro.explore import (
         JournalError, expand, preset_names, preset_spec, run_sweep,
-        run_sweep_batched,
     )
     from repro.explore.spec import SpecError
     from repro.robust import FaultPlan, RetryPolicy
@@ -519,21 +519,6 @@ def _cmd_sweep(args, runner) -> int:
     except SpecError as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
-    if args.batch and (args.faults or args.jobs != 1):
-        print("--batch runs all points in this process: it cannot "
-              "combine with --jobs or --faults", file=sys.stderr)
-        return 2
-    if args.batch and args.shards:
-        print("--shards coordinates supervised drivers: it cannot "
-              "combine with --batch", file=sys.stderr)
-        return 2
-    if args.shard_id is not None and not args.shards:
-        print("--shard-id requires --shards", file=sys.stderr)
-        return 2
-    if args.no_steal and args.shard_id is None:
-        print("--no-steal requires --shard-id (a preferred shard to "
-              "stop after)", file=sys.stderr)
-        return 2
     faults = None
     if args.faults:
         try:
@@ -543,53 +528,24 @@ def _cmd_sweep(args, runner) -> int:
             return 2
 
     out_dir = Path(args.out) if args.out else Path("sweeps") / spec.name
-    if args.shards:
-        mode = f"shards={args.shards}" + (
-            f" shard-id={args.shard_id}" if args.shard_id is not None
-            else "")
-    else:
-        mode = "batch" if args.batch else f"jobs={args.jobs}"
     print(f"sweep {spec.name}: {len(points)} points over "
           f"{len(spec.benchmarks)} benchmark(s) x "
           f"{' x '.join(f'{name}[{len(values)}]' for name, values in spec.axes)}"
-          f", {mode}", file=sys.stderr)
+          f", jobs={args.jobs}", file=sys.stderr)
     policy = RetryPolicy(max_attempts=args.retries + 1,
                          seed=args.seed if args.faults else 0)
     progress = lambda label: print(f"done {label}", file=sys.stderr)
     try:
-        if args.shards:
-            from repro.explore import run_sweep_sharded
-            from repro.explore.shard import DEFAULT_TTL
-
-            sharded = run_sweep_sharded(
-                spec, cache_dir=runner.pipeline.store.base,
-                out_dir=out_dir, shards=args.shards,
-                shard_id=args.shard_id, steal=not args.no_steal,
-                jobs=args.jobs, policy=policy,
-                stage_timeout=args.stage_timeout,
-                telemetry=runner.pipeline.telemetry, progress=progress,
-                ttl=args.lease_ttl or DEFAULT_TTL)
-            print(sharded.summary_line())
-            if sharded.merged is None:
-                return 0       # progressed; another driver will merge
-            result = sharded.merged
-        elif args.batch:
-            result = run_sweep_batched(
-                spec, cache_dir=runner.pipeline.store.base,
-                out_dir=out_dir, resume=args.resume,
-                telemetry=runner.pipeline.telemetry, progress=progress)
-            print(result.summary_line())
-        else:
-            result = run_sweep(
-                spec, cache_dir=runner.pipeline.store.base,
-                out_dir=out_dir, jobs=args.jobs, policy=policy,
-                stage_timeout=args.stage_timeout, faults=faults,
-                telemetry=runner.pipeline.telemetry, progress=progress,
-                resume=args.resume)
-            print(result.summary_line())
+        result = run_sweep(
+            spec, cache_dir=runner.pipeline.store.base,
+            out_dir=out_dir, jobs=args.jobs, policy=policy,
+            stage_timeout=args.stage_timeout, faults=faults,
+            telemetry=runner.pipeline.telemetry, progress=progress,
+            resume=args.resume)
     except JournalError as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
+    print(result.summary_line())
 
     names = ", ".join(sorted(p.name for p in result.artifacts.values()))
     print(f"wrote {result.out_dir}/{{{names}}}")
@@ -959,8 +915,30 @@ def _cmd_serve(args, runner) -> int:
     return 0 if clean else 1
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``, so
+    a bad count exits 2 at parse time on every subcommand alike."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+#: ``--jobs`` counts worker processes/threads; ``--retries`` counts
+#: extra attempts.
+_JOBS = _int_at_least(1)
+_RETRIES = _int_at_least(0)
+
+
 def _add_robust_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--retries", type=int, default=2, metavar="N",
+    parser.add_argument("--retries", type=_RETRIES, default=2, metavar="N",
                         help="worker attempts per benchmark unit beyond the "
                              "first, before degrading to in-process "
                              "execution (default 2)")
@@ -976,8 +954,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                              "(default: .repro-cache at the repo root)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent artifact cache")
-    parser.add_argument("--trace", default=None, metavar="FILE",
-                        help="append JSONL pipeline events to FILE")
     parser.add_argument("--spans", default=None, metavar="FILE",
                         help="append JSONL spans to FILE (stage "
                              "resolutions, sweep points, supervised "
@@ -1043,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("experiment", nargs="?", default="table1")
     report_p.add_argument("--list", action="store_true",
                           help="list experiment keys")
-    report_p.add_argument("--jobs", type=int, default=1, metavar="N",
+    report_p.add_argument("--jobs", type=_JOBS, default=1, metavar="N",
                           help="warm the artifact cache with N worker "
                                "processes before rendering")
     report_p.add_argument("--heatmaps", action="store_true",
@@ -1071,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --sweep: the drilled sweep's "
                               "output directory (default "
                               "sweeps/chaos-<spec>)")
-    chaos_p.add_argument("--jobs", type=int, default=2, metavar="N",
+    chaos_p.add_argument("--jobs", type=_JOBS, default=2, metavar="N",
                          help="warm worker processes (default 2)")
     chaos_p.add_argument("--seed", type=int, default=0, metavar="N",
                          help="seed for the fault plan and retry backoff")
@@ -1085,13 +1061,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(see docs/SWEEP.md)")
     sweep_p.add_argument("--list-presets", action="store_true",
                          help="list the built-in sweep presets")
-    sweep_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="simulate points with N worker processes")
-    sweep_p.add_argument("--batch", action="store_true",
-                         help="advance all points lock-step in one "
-                              "process through a shared pipeline "
-                              "(fastest for uarch-only sweeps; "
-                              "incompatible with --jobs/--faults)")
+    sweep_p.add_argument("--jobs", type=_JOBS, default=1, metavar="N",
+                         help="1 (default): run every point in this "
+                              "process on one shared pipeline, so each "
+                              "program compiles once; N > 1: simulate "
+                              "points in a supervised pool of N worker "
+                              "processes")
     sweep_p.add_argument("--points", action="append", default=None,
                          metavar="AXIS=V1,V2",
                          help="restrict or add an axis to the listed "
@@ -1110,24 +1085,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "execute only unfinished points (hard "
                               "error if the journal belongs to a "
                               "different spec)")
-    sweep_p.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="split the grid N ways and run as a "
-                              "lease-coordinated sharded driver "
-                              "(docs/SWEEP.md); incompatible with "
-                              "--batch")
-    sweep_p.add_argument("--shard-id", type=int, default=None,
-                         metavar="K",
-                         help="with --shards: claim shard K first "
-                              "(0-based), then steal others")
-    sweep_p.add_argument("--no-steal", action="store_true",
-                         help="with --shards/--shard-id: run only the "
-                              "preferred shard, leaving the rest to "
-                              "other drivers")
-    sweep_p.add_argument("--lease-ttl", type=float, default=None,
-                         metavar="SECONDS",
-                         help="heartbeat TTL before a shard lease is "
-                              "considered stale and reclaimable "
-                              "(default 120)")
     _add_robust_options(sweep_p)
     _add_pipeline_options(sweep_p)
 
@@ -1169,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8651,
                          help="bind port; 0 picks a free one "
                               "(default 8651)")
-    serve_p.add_argument("--jobs", type=int, default=2, metavar="N",
+    serve_p.add_argument("--jobs", type=_JOBS, default=2, metavar="N",
                          help="batch-executor worker threads (default 2)")
     serve_p.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="artifact cache location (default: "
@@ -1312,16 +1269,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_runner(args):
     """Build the command's Runner from the pipeline options."""
     from repro.eval.runner import Runner
-    from repro.pipeline import (
-        Pipeline, TraceLog, cache_enabled, default_cache_dir,
-    )
+    from repro.pipeline import Pipeline, cache_enabled, default_cache_dir
 
     if getattr(args, "no_cache", False) or not cache_enabled():
         cache_dir = None
     else:
         cache_dir = args.cache_dir or default_cache_dir()
-    trace = TraceLog(args.trace) if getattr(args, "trace", None) else None
-    return Runner(pipeline=Pipeline(cache_dir=cache_dir, trace=trace))
+    return Runner(pipeline=Pipeline(cache_dir=cache_dir))
 
 
 #: Commands the epilogue records into the run index.  ``sweep`` (and
@@ -1415,16 +1369,13 @@ def main(argv=None) -> int:
         code = handler(args, runner)
         return code
     finally:
-        if runner is not None:
-            if getattr(args, "profile", False):
-                from repro.eval.report import format_table
-                headers, rows = runner.pipeline.telemetry.profile()
-                print()
-                print(format_table("Pipeline profile", headers, rows,
-                                   "mem/disk hits vs computed misses per "
-                                   "stage; seconds are wall-clock."))
-            if runner.pipeline.trace is not None:
-                runner.pipeline.trace.close()
+        if runner is not None and getattr(args, "profile", False):
+            from repro.eval.report import format_table
+            headers, rows = runner.pipeline.telemetry.profile()
+            print()
+            print(format_table("Pipeline profile", headers, rows,
+                               "mem/disk hits vs computed misses per "
+                               "stage; seconds are wall-clock."))
         _record_invocation(args, runner, code, started_wall,
                            _time.perf_counter() - started_clock)
 

@@ -16,29 +16,27 @@ the subsystem that runs such studies wholesale:
   (``speculation-depth``, ``ideal-ilp``, ``predictor-budget``,
   ``smoke``).
 * :mod:`repro.explore.engine` — supervised, content-addressed
-  execution: per-point caching via :mod:`repro.pipeline`, crash/hang
-  recovery via :mod:`repro.robust`, failed points recorded as holes.
+  execution (in process on one shared pipeline, or over a process pool
+  with ``--jobs N``): per-point caching via :mod:`repro.pipeline`,
+  crash/hang recovery via :mod:`repro.robust`, failed points recorded
+  as holes.
 * :mod:`repro.explore.analyze` — per-axis sensitivity, Pareto
   frontiers over (IPC, cost), CSV/JSONL artifacts, markdown summary.
 * :mod:`repro.explore.journal` — the append-only, fsync'd sweep
   journal behind ``repro sweep --resume``: a killed driver loses no
   terminal outcome.
-* :mod:`repro.explore.shard` — lease-coordinated sharded execution
-  (``--shards N --shard-id K``) with work stealing and a merge step.
 * :mod:`repro.explore.pack` — attested repro packs (``pack.json``)
   verified end-to-end by ``repro pack verify``.
 
 See ``docs/SWEEP.md`` for the spec schema and worked examples, and
-``docs/ROBUSTNESS.md`` for the journal/lease/pack protocols.
+``docs/ROBUSTNESS.md`` for the journal and pack protocols.
 """
 
 from repro.explore.analyze import (
     aggregate_configs, load_points, pareto_frontier, point_cost,
     sensitivity_rows, write_artifacts,
 )
-from repro.explore.engine import (
-    SweepResult, run_sweep, run_sweep_batched, warm_point,
-)
+from repro.explore.engine import SweepResult, run_sweep, warm_point
 from repro.explore.grid import DesignPoint, MAX_POINTS, expand
 from repro.explore.journal import (
     JOURNAL_FILE, JournalError, JournalState, SweepJournal, read_journal,
@@ -48,9 +46,6 @@ from repro.explore.pack import (
     PACK_FILE, PackError, build_manifest, verify_pack, write_pack,
 )
 from repro.explore.presets import PRESETS, preset_names, preset_spec
-from repro.explore.shard import (
-    Lease, ShardedSweepResult, merge_shards, run_sweep_sharded,
-)
 from repro.explore.spec import (
     IDEAL_AXES, SpecError, SweepSpec, load_spec, parse_overrides,
     validate_settings,
@@ -62,12 +57,10 @@ __all__ = [
     "JOURNAL_FILE",
     "JournalError",
     "JournalState",
-    "Lease",
     "MAX_POINTS",
     "PACK_FILE",
     "PRESETS",
     "PackError",
-    "ShardedSweepResult",
     "SpecError",
     "SweepJournal",
     "SweepResult",
@@ -77,7 +70,6 @@ __all__ = [
     "expand",
     "load_points",
     "load_spec",
-    "merge_shards",
     "pareto_frontier",
     "parse_overrides",
     "point_cost",
@@ -86,8 +78,6 @@ __all__ = [
     "read_journal",
     "records_equal",
     "run_sweep",
-    "run_sweep_batched",
-    "run_sweep_sharded",
     "sensitivity_rows",
     "spec_fingerprint",
     "validate_settings",

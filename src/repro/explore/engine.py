@@ -25,10 +25,14 @@ unclaimed/unfinished points execute.  Replay is by record, not by
 cache: a resumed sweep re-simulates nothing for journal-terminal
 points even against an empty cache.
 
-Execution is the same two-phase shape as ``report all``: workers warm
-the shared on-disk store (one point per task), then the parent process
-collects every artifact — all disk hits — into per-point records as
-each unit resolves.
+``jobs`` is the one executor choice.  At ``jobs <= 1`` every point
+runs in this process on the sweep's one :class:`Pipeline`, so the
+compiler front end (bench decoding, IR optimization, TRIPS lowering)
+runs once per (benchmark, variant) and a point's marginal cost is its
+simulation alone.  At ``jobs > 1`` the run is the same two-phase shape
+as ``report all``: pool workers warm the shared on-disk store (one
+point per task), then the sweep pipeline collects every artifact — all
+disk hits — into per-point records as each unit resolves.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import runctx
 from repro.explore.analyze import write_artifacts
@@ -51,13 +55,13 @@ from repro.explore.spec import SweepSpec
 from repro.pipeline.core import Pipeline
 from repro.pipeline.observe import Telemetry
 from repro.robust import (
-    COMPLETED, FAILED, FaultPlan, RetryPolicy, RunReport,
-    apply_driver_fault, apply_unit_faults, supervise_units,
+    FAILED, FaultPlan, RetryPolicy, RunReport, apply_driver_fault,
+    apply_unit_faults, supervise_units,
 )
 from repro.uarch.config import TripsConfig
 
 __all__ = ["SweepResult", "point_artifact", "point_metrics", "run_sweep",
-           "run_sweep_batched", "warm_point"]
+           "warm_point"]
 
 #: Pipeline stages whose computes count as "simulations" in the sweep
 #: summary (the CI smoke job asserts the warm rerun reports zero).
@@ -76,26 +80,40 @@ def _point_artifact(pipeline: Pipeline, payload: Dict[str, Any]):
                           window, dispatch_cost)
 
 
+def _attempt_point(pipeline: Pipeline, payload: Dict[str, Any],
+                   faults: Optional[FaultPlan], attempt: int,
+                   in_worker: bool) -> None:
+    """One attempt at one point on ``pipeline``: the unit faults fire,
+    the store's ``corrupt-cache-entry`` faults are armed for this
+    attempt only, and the artifact is resolved under a ``sweep.point``
+    span when spans are on."""
+    apply_unit_faults(faults, payload["label"], attempt, in_worker)
+    store = pipeline.store
+    store.fault_plan, store.fault_attempt = faults, attempt
+    try:
+        if obs_spans.spans_active():
+            # Workers inherit $REPRO_SPANS, so every pool process
+            # appends its point spans to the same timeline as the driver.
+            with obs_spans.span("sweep.point", cat="sweep",
+                                point=payload["label"], attempt=attempt):
+                _point_artifact(pipeline, payload)
+        else:
+            _point_artifact(pipeline, payload)
+    finally:
+        store.fault_plan, store.fault_attempt = None, 0
+
+
 def warm_point(payload: Dict[str, Any], cache_dir: str,
                faults: Optional[FaultPlan] = None, attempt: int = 0,
                in_worker: bool = False) -> Dict[str, Dict[str, float]]:
     """Compute one design point's artifact into ``cache_dir``.
 
-    Module-level and picklable: runs in pool workers and in the
-    in-process degrade path alike.  Returns the telemetry counters so
-    the parent can fold them into the sweep profile.
+    Module-level and picklable: the pool executor's task.  Returns the
+    telemetry counters so the parent can fold them into the sweep
+    profile.
     """
-    apply_unit_faults(faults, payload["label"], attempt, in_worker)
-    pipeline = Pipeline(cache_dir=cache_dir, fault_plan=faults,
-                        fault_attempt=attempt)
-    if obs_spans.spans_active():
-        # Workers inherit $REPRO_SPANS, so every pool process appends
-        # its point spans to the same timeline as the driver.
-        with obs_spans.span("sweep.point", cat="sweep",
-                            point=payload["label"], attempt=attempt):
-            _point_artifact(pipeline, payload)
-    else:
-        _point_artifact(pipeline, payload)
+    pipeline = Pipeline(cache_dir=cache_dir)
+    _attempt_point(pipeline, payload, faults, attempt, in_worker)
     return pipeline.telemetry.as_dict()
 
 
@@ -164,41 +182,39 @@ class SweepResult:
 
 
 def _open_journal(out_dir: Path, spec: SweepSpec, run_id: str,
-                  resume: bool, known_labels,
-                  fsync: bool) -> "tuple[SweepJournal, Dict[str, Any]]":
+                  resume: bool) -> "tuple[SweepJournal, Dict[str, Any]]":
     """Create (fresh) or resume (``--resume``) the sweep journal.
 
     Returns the open journal plus the replayed terminal records, keyed
-    by label and filtered to the points this invocation covers.  A
-    fresh sweep truncates any previous journal — rerunning without
-    ``--resume`` deliberately means "this run's ledger starts here"
-    (the artifact cache, not the journal, carries warm reuse).
+    by label.  A fresh sweep truncates any previous journal —
+    rerunning without ``--resume`` deliberately means "this run's
+    ledger starts here" (the artifact cache, not the journal, carries
+    warm reuse).
     """
     path = out_dir / JOURNAL_FILE
     if not resume:
-        return SweepJournal.create(path, spec, run_id, fsync=fsync), {}
+        return SweepJournal.create(path, spec, run_id), {}
     state = read_journal(path)          # JournalError propagates: the
     state.validate_spec(spec)           # caller asked for *this* journal
-    replayed = {label: record for label, record in state.outcomes.items()
-                if label in known_labels}
-    return (SweepJournal.resume(path, spec, run_id, state, fsync=fsync),
-            replayed)
+    return (SweepJournal.resume(path, spec, run_id, state),
+            dict(state.outcomes))
 
 
 def _terminal_record(payload: Dict[str, Any], run_id: str, outcome,
-                     collector: Pipeline) -> Dict[str, Any]:
+                     pipeline: Pipeline) -> Dict[str, Any]:
     """Build one point's ``points.jsonl`` record from its outcome.
 
-    ``ok`` outcomes load the warmed artifact (a disk hit — the worker
-    or inline attempt just stored it); a load that *still* fails is
-    recorded as a hole rather than crashing the sweep.  Every record
-    carries the full attempt history (``attempts``, ``causes``) so a
-    resumed sweep reports cumulative retries, not just the last word.
+    ``ok`` outcomes load the artifact on the sweep pipeline (a memory
+    hit after an in-process attempt, a disk hit after a pool worker
+    stored it); a load that *still* fails is recorded as a hole rather
+    than crashing the sweep.  Every record carries the full attempt
+    history (``attempts``, ``causes``) so a resumed sweep reports
+    cumulative retries, not just the last word.
     """
     record = dict(payload)
     # Every point record names the invocation that produced it, so a
-    # ``points.jsonl`` line correlates with the same run's trace
-    # JSONL, report.json, and BENCH files.
+    # ``points.jsonl`` line correlates with the same run's spans,
+    # report.json, and BENCH files.
     record["run_id"] = run_id
     record["attempts"] = outcome.attempts
     record["causes"] = list(outcome.causes)
@@ -209,7 +225,7 @@ def _terminal_record(payload: Dict[str, Any], run_id: str, outcome,
         record["metrics"] = None
         return record
     try:
-        artifact = _point_artifact(collector, record)
+        artifact = _point_artifact(pipeline, record)
     except Exception as exc:
         cause = f"{type(exc).__name__}: {exc}"
         record["status"] = "failed"
@@ -225,10 +241,8 @@ def _terminal_record(payload: Dict[str, Any], run_id: str, outcome,
 
 def _finish(spec: SweepSpec, points, records, report: RunReport,
             out_dir, telemetry: Telemetry, replayed_ok: int,
-            replayed: int, started: float,
-            cache_dir=None) -> SweepResult:
-    """Counts, artifacts, the attested pack, and the run-index row —
-    shared by both engines."""
+            replayed: int, started: float, cache_dir) -> SweepResult:
+    """Counts, artifacts, the attested pack, and the run-index row."""
     for record in records:
         if record["status"] != "ok":
             report.annotate(f"hole: {record['label']}: {record['error']}")
@@ -252,24 +266,23 @@ def _finish(spec: SweepSpec, points, records, report: RunReport,
         out_dir, spec, records, report.as_dict(), result.simulated,
         result.reused)
     result.artifacts["pack.json"] = write_pack(out_dir)
-    if cache_dir is not None:
-        # One queryable row per sweep, whichever engine (or the serve
-        # service) ran it; a failed index write never fails the sweep.
-        run = runctx.current()
-        obs_runindex.record_run(
-            run.run_id, "sweep",
-            index_path=obs_runindex.default_index_path(cache_dir),
-            label=spec.name, git_sha=run.git_sha,
-            source_digest=run.source_digest,
-            spec_digest=spec_fingerprint(spec),
-            wall_s=result.seconds,
-            outcome="ok" if result.ok else "holes",
-            artifacts={"out_dir": str(result.out_dir)},
-            metrics={"points": len(result.records),
-                     "holes": len(result.holes),
-                     "simulated": result.simulated,
-                     "reused": result.reused,
-                     "replayed": result.replayed})
+    # One queryable row per sweep, whichever executor (or the serve
+    # service) ran it; a failed index write never fails the sweep.
+    run = runctx.current()
+    obs_runindex.record_run(
+        run.run_id, "sweep",
+        index_path=obs_runindex.default_index_path(cache_dir),
+        label=spec.name, git_sha=run.git_sha,
+        source_digest=run.source_digest,
+        spec_digest=spec_fingerprint(spec),
+        wall_s=result.seconds,
+        outcome="ok" if result.ok else "holes",
+        artifacts={"out_dir": str(result.out_dir)},
+        metrics={"points": len(result.records),
+                 "holes": len(result.holes),
+                 "simulated": result.simulated,
+                 "reused": result.reused,
+                 "replayed": result.replayed})
     return result
 
 
@@ -282,8 +295,7 @@ def run_sweep(spec: SweepSpec, cache_dir, out_dir,
               progress: Optional[Callable[[str], None]] = None,
               sleep: Callable[[float], None] = time.sleep,
               resume: bool = False,
-              labels: Optional[Sequence[str]] = None,
-              fsync: bool = True,
+              pipeline: Optional[Pipeline] = None,
               ) -> SweepResult:
     """Expand, execute, collect, and analyze one sweep.
 
@@ -293,12 +305,20 @@ def run_sweep(spec: SweepSpec, cache_dir, out_dir,
     Failed points become annotated holes; the function never raises for
     a point failure.
 
+    ``jobs`` picks the executor (see the module docstring); either way
+    every attempt is claimed in the journal first, retried per
+    ``policy``, and subject to ``faults``.  Points that run in this
+    process — all of them at ``jobs <= 1``, degraded ones otherwise —
+    run on the sweep pipeline: ``pipeline`` when given (an
+    already-warm :class:`Pipeline` over the same ``cache_dir``;
+    ``repro serve`` passes a :meth:`~repro.pipeline.core.Pipeline.fork`
+    of its long-lived one), else a fresh one.  Its counters reach
+    ``telemetry`` once, at the end, so it must carry fresh telemetry:
+    the computed/reused accounting reads them.
+
     ``resume=True`` replays the journal already in ``out_dir`` (hard
     error if it belongs to a different spec) and executes only the
-    points without a terminal outcome.  ``labels`` restricts the sweep
-    to a subset of point labels — the sharded driver
-    (:mod:`repro.explore.shard`) uses this to give each shard its own
-    slice and journal.  ``fsync=False`` is for benchmarks only.
+    points without a terminal outcome.
     """
     if cache_dir is None:
         raise ValueError("sweeps require the artifact cache "
@@ -306,20 +326,17 @@ def run_sweep(spec: SweepSpec, cache_dir, out_dir,
     started = time.perf_counter()
     telemetry = telemetry if telemetry is not None else Telemetry()
     points = expand(spec)
-    if labels is not None:
-        wanted = set(labels)
-        points = [point for point in points if point.label in wanted]
     payloads = {point.label: point.payload() for point in points}
     cache_dir = str(cache_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport()
     run_id = runctx.current().run_id
+    if pipeline is None:
+        pipeline = Pipeline(cache_dir=cache_dir)
 
-    journal, replayed = _open_journal(out_dir, spec, run_id, resume,
-                                      payloads, fsync)
+    journal, replayed = _open_journal(out_dir, spec, run_id, resume)
     records_by_label: Dict[str, Dict[str, Any]] = dict(replayed)
-    collector = Pipeline(cache_dir=cache_dir)
 
     def submit(pool, label: str, attempt: int):
         journal.claim(label, attempt)
@@ -330,15 +347,15 @@ def run_sweep(spec: SweepSpec, cache_dir, out_dir,
     def run_inline(label: str, attempt: int):
         journal.claim(label, attempt)
         apply_driver_fault(faults, label, attempt)
-        return warm_point(payloads[label], cache_dir, faults, attempt,
-                          False)
+        _attempt_point(pipeline, payloads[label], faults, attempt, False)
+        return None         # counted with the pipeline's, below
 
     def on_outcome(label: str, outcome) -> None:
         # Terminal means durable: the record reaches the fsync'd
         # journal before the supervisor moves on, so a driver killed
         # at *any* instant can replay everything that finished.
         record = _terminal_record(payloads[label], run_id, outcome,
-                                  collector)
+                                  pipeline)
         records_by_label[label] = record
         journal.outcome(record)
 
@@ -353,107 +370,9 @@ def run_sweep(spec: SweepSpec, cache_dir, out_dir,
     finally:
         journal.close()
 
-    telemetry.merge(collector.telemetry)
+    telemetry.merge(pipeline.telemetry)
     records = [records_by_label[point.label] for point in points]
     replayed_ok = sum(1 for label in replayed
                       if records_by_label[label]["status"] == "ok")
     return _finish(spec, points, records, report, out_dir, telemetry,
-                   replayed_ok, len(replayed), started,
-                   cache_dir=cache_dir)
-
-
-def run_sweep_batched(spec: SweepSpec, cache_dir, out_dir,
-                      telemetry: Optional[Telemetry] = None,
-                      progress: Optional[Callable[[str], None]] = None,
-                      resume: bool = False,
-                      fsync: bool = True,
-                      pipeline: Optional[Pipeline] = None,
-                      ) -> SweepResult:
-    """Execute every design point lock-step in one process
-    (``repro sweep --batch``).
-
-    All points advance through one shared :class:`Pipeline`, so the
-    front of the pipeline — bench decoding, IR optimization, TRIPS
-    lowering — runs once per (benchmark, variant) and every config
-    point reuses it from the in-memory stage cache; the marginal cost
-    of a point is its cycle simulation alone.  For sweeps that vary
-    only microarchitecture settings (the common case) this beats the
-    process-pool engine whenever worker startup and artifact
-    (de)serialization dominate, and the ``sweep-batched`` perf
-    benchmark tracks exactly that margin.
-
-    Artifact store keys are identical to :func:`run_sweep`'s, so batch
-    and supervised sweeps are interchangeable and resume from the same
-    cache, and the records/artifacts they produce are equal point for
-    point.  A failed point becomes an annotated hole, never an aborted
-    sweep — batch mode trades :mod:`repro.robust`'s crash/hang
-    recovery (no workers, no retries, no fault injection) for the
-    shared-setup speedup.  The journal is written all the same, and
-    ``resume=True`` replays it, so the two engines can even resume
-    *each other's* killed runs.
-
-    ``pipeline`` lets a caller supply an already-warm
-    :class:`Pipeline` over the same ``cache_dir`` (``repro serve``
-    passes a :meth:`~repro.pipeline.core.Pipeline.fork` of its
-    long-lived one); it must carry fresh telemetry, since the sweep's
-    computed/reused accounting reads this pipeline's counters.
-    """
-    if cache_dir is None:
-        raise ValueError("sweeps require the artifact cache "
-                         "(drop --no-cache / REPRO_CACHE=0)")
-    started = time.perf_counter()
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    points = expand(spec)
-    report = RunReport()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run_id = runctx.current().run_id
-    labels = {point.label for point in points}
-    journal, replayed = _open_journal(out_dir, spec, run_id, resume,
-                                      labels, fsync)
-    if pipeline is None:
-        pipeline = Pipeline(cache_dir=str(cache_dir))
-    records: List[Dict[str, Any]] = []
-    try:
-        for point in points:
-            if point.label in replayed:
-                records.append(replayed[point.label])
-                continue
-            record = point.payload()
-            record["run_id"] = run_id
-            journal.claim(point.label)
-            try:
-                if obs_spans.spans_active():
-                    with obs_spans.span("sweep.point", cat="sweep",
-                                        point=point.label):
-                        artifact = _point_artifact(pipeline, record)
-                else:
-                    artifact = _point_artifact(pipeline, record)
-            except Exception as exc:  # a hole, never an aborted sweep
-                report.record_attempt(point.label, exc)
-                outcome = report.resolve(point.label, FAILED)
-                record["status"] = "failed"
-                record["error"] = f"{type(exc).__name__}: {exc}"
-                record["metrics"] = None
-            else:
-                outcome = report.resolve(point.label, COMPLETED)
-                record["status"] = "ok"
-                record["metrics"] = _metrics(point.system, artifact)
-                record["error"] = None
-            record["attempts"] = outcome.attempts
-            record["causes"] = list(outcome.causes)
-            journal.outcome(record)
-            if progress is not None:
-                # Holes advance the progress display too — a stalled
-                # bar and a failing point are different news.
-                progress(point.label)
-            records.append(record)
-    finally:
-        journal.close()
-    telemetry.merge(pipeline.telemetry)
-
-    replayed_ok = sum(1 for label in replayed
-                      if replayed[label]["status"] == "ok")
-    return _finish(spec, points, records, report, out_dir,
-                   pipeline.telemetry, replayed_ok, len(replayed),
-                   started, cache_dir=cache_dir)
+                   replayed_ok, len(replayed), started, cache_dir)

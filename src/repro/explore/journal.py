@@ -213,8 +213,8 @@ def read_journal(path) -> JournalState:
 
 
 class SweepJournal:
-    """The append side: one writer per sweep directory (lease-guarded
-    in sharded mode), every line fsync'd before execution proceeds.
+    """The append side: one writer per sweep directory, every line
+    fsync'd before execution proceeds.
 
     ``fsync=False`` exists for the host-perf benchmark (measuring the
     encode/replay cost, not the disk) — real sweeps always sync.

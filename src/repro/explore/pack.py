@@ -7,8 +7,7 @@ this code" — and a claim is only as good as its audit trail.  The
 * identity of the producing run (run id, git SHA, source digest);
 * the spec digest (same fingerprint the journal header carries);
 * a SHA-256 per artifact file — ``points.jsonl``, the CSVs,
-  ``summary.md``, ``report.json``, ``spec.json`` — plus the journal
-  (top-level and any shard journals);
+  ``summary.md``, ``report.json``, ``spec.json`` — plus the journal;
 * a per-point digest of every record's *comparison form*
   (:func:`~repro.explore.journal.strip_volatile`), so a single edited
   metric is localized to its point label, not just "the file changed";
@@ -18,10 +17,9 @@ this code" — and a claim is only as good as its audit trail.  The
   flagging internally-inconsistent edits.
 
 ``repro pack verify DIR`` re-derives all of it and exits non-zero on
-any byte of drift.  Both sweep engines (and the shard merge) write the
-pack as their final act, after the journal is closed and the artifact
-set is complete — the pack attests the directory exactly as a reader
-will find it.
+any byte of drift.  The sweep engine writes the pack as its final act,
+after the journal is closed and the artifact set is complete — the
+pack attests the directory exactly as a reader will find it.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ PACK_FILE = "pack.json"
 PACK_VERSION = 1
 
 #: Artifact files attested when present (a partial directory — e.g. a
-#: shard that only has its journal yet — packs what exists; *verify*
-#: then holds the directory to exactly that inventory).
+#: killed sweep that only has its journal yet — packs what exists;
+#: *verify* then holds the directory to exactly that inventory).
 ATTESTED_FILES = (POINTS_FILE, FRONTIER_FILE, SENSITIVITY_FILE,
                   REPORT_FILE, SUMMARY_FILE, SPEC_FILE)
 
@@ -67,14 +65,6 @@ def _file_sha(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _journal_paths(sweep_dir: Path) -> List[Path]:
-    paths = []
-    if (sweep_dir / JOURNAL_FILE).exists():
-        paths.append(sweep_dir / JOURNAL_FILE)
-    paths.extend(sorted(sweep_dir.glob(f"shards/*/{JOURNAL_FILE}")))
-    return paths
 
 
 def _point_digests(sweep_dir: Path) -> Dict[str, str]:
@@ -109,8 +99,8 @@ def build_manifest(sweep_dir) -> Dict[str, Any]:
                 :_DIGEST_WIDTH]
     files = {name: _file_sha(sweep_dir / name) for name in ATTESTED_FILES
              if (sweep_dir / name).exists()}
-    for path in _journal_paths(sweep_dir):
-        files[path.relative_to(sweep_dir).as_posix()] = _file_sha(path)
+    if (sweep_dir / JOURNAL_FILE).exists():
+        files[JOURNAL_FILE] = _file_sha(sweep_dir / JOURNAL_FILE)
     manifest: Dict[str, Any] = {
         "pack_version": PACK_VERSION,
         "created": round(time.time(), 3),

@@ -16,8 +16,6 @@ benchmark                 what it times
 ``cache-hierarchy``       L1-D -> NUCA L2 -> DRAM access path
 ``pipeline-cold``         full stage compute into an empty artifact store
 ``pipeline-warm``         warm resolution (disk hit + checksum verify)
-``trace-emit``            buffered ``TraceLog`` JSONL emission
-``sweep-batched``         lock-step multi-point sweep (``sweep --batch``)
 ``sweep-journal``         journal append + replay (checksummed JSONL)
 ``serve-roundtrip``       warm ``POST /v1/run`` over the serve HTTP API
 ========================  ==================================================
@@ -45,7 +43,6 @@ _PIPELINE_BENCH = "vadd"
 #: Microbenchmark sizes.
 _OPN_SENDS = 12000
 _CACHE_ACCESSES = 30000
-_TRACE_RECORDS = 5000
 
 
 # -- simulator benchmarks ---------------------------------------------------
@@ -188,55 +185,11 @@ def _run_pipeline_warm(state):
     return artifact
 
 
-def _setup_trace_emit():
-    root = Path(tempfile.mkdtemp(prefix="repro-perf-trace-"))
-    return SimpleNamespace(root=root, iteration=0)
+# -- sweep benchmarks -------------------------------------------------------
 
-
-def _run_trace_emit(state):
-    from repro.pipeline.observe import TraceLog
-    state.iteration += 1
-    path = state.root / f"trace-{state.iteration}.jsonl"
-    log = TraceLog(path)
-    digest = "deadbeefdeadbeef"
-    for i in range(_TRACE_RECORDS):
-        log.emit("trips-cycles", "memory-hit", 0.000123, digest,
-                 ("bench", i))
-    log.close()
-    path.unlink()
-    return _TRACE_RECORDS
-
-
-# -- batched-backend benchmarks ---------------------------------------------
-
-#: Sweep shape for ``sweep-batched``: one benchmark, two config points
-#: — small enough for CI, but the shared decode/lowering is still the
-#: majority of a cold per-point run, so the batch engine's sharing is
-#: what the number measures.
+#: Journal shape for ``sweep-journal``: one benchmark, two config points.
 _SWEEP_BENCH = _CYCLE_BENCH
 _SWEEP_AXIS = ("max_blocks_in_flight", (4, 8))
-
-
-def _setup_sweep_batched():
-    root = Path(tempfile.mkdtemp(prefix="repro-perf-sweep-"))
-    return SimpleNamespace(root=root, iteration=0)
-
-
-def _run_sweep_batched(state):
-    # Fresh store per sample: shared decode + lowering once, then one
-    # cycle simulation per design point (the `sweep --batch` cold path).
-    from repro.explore.engine import run_sweep_batched
-    from repro.explore.spec import SweepSpec
-    state.iteration += 1
-    base = state.root / f"iter-{state.iteration}"
-    spec = SweepSpec(name="perf-sweep-batched", system="cycles",
-                     benchmarks=(_SWEEP_BENCH,), axes=(_SWEEP_AXIS,))
-    result = run_sweep_batched(spec, cache_dir=base / "cache",
-                               out_dir=base / "out")
-    if not result.ok:
-        raise RuntimeError(f"sweep-batched benchmark produced holes: "
-                           f"{result.holes}")
-    return result.simulated
 
 
 #: Points appended + replayed per ``sweep-journal`` sample — sized so
@@ -340,14 +293,6 @@ _SUITE: List[BenchSpec] = [
     BenchSpec("pipeline-warm", "pipeline",
               f"warm stage resolution ({_PIPELINE_BENCH} disk hit)",
               _setup_pipeline_warm, _run_pipeline_warm, _teardown_tmpdir),
-    BenchSpec("trace-emit", "pipeline",
-              f"TraceLog JSONL emission, {_TRACE_RECORDS} records",
-              _setup_trace_emit, _run_trace_emit, _teardown_tmpdir),
-    BenchSpec("sweep-batched", "explore",
-              f"lock-step batch sweep: {_SWEEP_BENCH} x "
-              f"{_SWEEP_AXIS[0]}[{len(_SWEEP_AXIS[1])}], cold store",
-              _setup_sweep_batched, _run_sweep_batched,
-              _teardown_tmpdir),
     BenchSpec("sweep-journal", "explore",
               f"sweep journal: {_JOURNAL_POINTS} checksummed "
               f"claim+outcome appends (fsync off) + crash-recovery "

@@ -1,7 +1,7 @@
 """Staged, content-addressed artifact pipeline for the evaluation harness.
 
 See :mod:`repro.pipeline.core` for the stage table, keying and cache
-semantics, :mod:`repro.pipeline.observe` for telemetry/tracing, and
+semantics, :mod:`repro.pipeline.observe` for telemetry, and
 :mod:`repro.pipeline.parallel` for the process-pool warm fan-out used by
 ``repro report all --jobs N``.
 """
@@ -14,7 +14,7 @@ from repro.pipeline.core import (
 from repro.pipeline.keys import (
     artifact_digest, config_digest, source_digest, stable_digest,
 )
-from repro.pipeline.observe import CORRUPT, StageCounters, Telemetry, TraceLog
+from repro.pipeline.observe import CORRUPT, StageCounters, Telemetry
 from repro.pipeline.store import (
     SCHEMA_VERSION, ArtifactStore, cache_enabled, default_cache_dir,
 )
@@ -32,7 +32,6 @@ __all__ = [
     "SIMULATION_STAGES",
     "StageCounters",
     "Telemetry",
-    "TraceLog",
     "TraceSummary",
     "VARIANT_LEVEL",
     "artifact_digest",

@@ -60,7 +60,7 @@ from repro.uarch import (
 from repro.obs import spans as obs_spans
 from repro.pipeline.keys import artifact_digest, config_digest
 from repro.pipeline.observe import (
-    COMPUTE, DISK_HIT, MEMORY_HIT, STORE, Telemetry, TraceLog,
+    COMPUTE, DISK_HIT, MEMORY_HIT, STORE, Telemetry,
 )
 from repro.pipeline.store import (
     SCHEMA_VERSION, ArtifactStore, cache_enabled, default_cache_dir,
@@ -140,23 +140,23 @@ class Pipeline:
 
     ``cache_dir=None`` gives a memory-only pipeline (the historical
     :class:`Runner` behaviour); pass a path to persist the heavyweight
-    stages across processes.  ``telemetry`` and ``trace`` hook in the
-    observability layer (see :mod:`repro.pipeline.observe`).
+    stages across processes.  ``telemetry`` counts every stage
+    resolution (see :mod:`repro.pipeline.observe`); with spans on,
+    each resolution is also a ``stage.<name>`` span
+    (:mod:`repro.obs.spans`).
     """
 
     def __init__(self, cache_dir=None, telemetry: Optional[Telemetry] = None,
-                 trace: Optional[TraceLog] = None, fault_plan=None,
-                 fault_attempt: int = 0) -> None:
+                 fault_plan=None, fault_attempt: int = 0) -> None:
         from repro import runctx
         #: Invocation identity (shared across pool workers via
-        #: ``$REPRO_RUN_ID``); stamped into trace records, run reports,
-        #: sweep points, and perf BENCH files.
+        #: ``$REPRO_RUN_ID``); stamped into spans, run reports, sweep
+        #: points, and perf BENCH files.
         self.run = runctx.current()
         self.telemetry = telemetry or Telemetry()
         self.store = ArtifactStore(
             cache_dir, telemetry=self.telemetry, fault_plan=fault_plan,
             fault_attempt=fault_attempt) if cache_dir else None
-        self.trace = trace
         self._memory: Dict[Tuple[str, str], Any] = {}
         #: Golden interpreter results by benchmark name.  A plain dict so
         #: tests can sabotage a checksum and assert the guard fires.
@@ -190,18 +190,14 @@ class Pipeline:
 
     # -- generic stage resolution ------------------------------------------
 
-    def _emit(self, stage: str, event: str, seconds: float, digest: str,
-              key: Any) -> None:
-        self.telemetry.record(stage, event, seconds)
-        if self.trace is not None:
-            self.trace.emit(stage, event, seconds, digest, key)
-
     def _materialize(self, stage: str, key: Any, compute: Callable[[], Any],
                      persist: bool = False) -> Any:
         # Span wrap is two-tier so the off path (the perf-guarded hot
-        # cache path) pays one boolean check and no allocation.
+        # cache path) pays one boolean check and no allocation.  The
+        # recorder reprs whatever part of ``key`` JSON cannot encode.
         if obs_spans.spans_active():
-            with obs_spans.span("stage." + stage, cat="pipeline") as live:
+            with obs_spans.span("stage." + stage, cat="pipeline",
+                                key=key) as live:
                 return self._resolve(stage, key, compute, persist, live)
         return self._resolve(stage, key, compute, persist, None)
 
@@ -210,7 +206,7 @@ class Pipeline:
         digest = artifact_digest(SCHEMA_VERSION, stage, key)
         memory_key = (stage, digest)
         if memory_key in self._memory:
-            self._emit(stage, MEMORY_HIT, 0.0, digest, key)
+            self.telemetry.record(stage, MEMORY_HIT, 0.0)
             if live is not None:
                 live.note(outcome=MEMORY_HIT, digest=digest[:12])
             return self._memory[memory_key]
@@ -218,22 +214,22 @@ class Pipeline:
             start = time.perf_counter()
             found, value = self.store.load(stage, digest)
             if found:
-                self._emit(stage, DISK_HIT, time.perf_counter() - start,
-                           digest, key)
+                self.telemetry.record(stage, DISK_HIT,
+                                      time.perf_counter() - start)
                 if live is not None:
                     live.note(outcome=DISK_HIT, digest=digest[:12])
                 self._memory[memory_key] = value
                 return value
         start = time.perf_counter()
         value = compute()
-        self._emit(stage, COMPUTE, time.perf_counter() - start, digest, key)
+        self.telemetry.record(stage, COMPUTE, time.perf_counter() - start)
         if live is not None:
             live.note(outcome=COMPUTE, digest=digest[:12])
         self._memory[memory_key] = value
         if persist and self.store is not None:
             start = time.perf_counter()
             self.store.store(stage, digest, value)
-            self._emit(stage, STORE, time.perf_counter() - start, digest, key)
+            self.telemetry.record(stage, STORE, time.perf_counter() - start)
         return value
 
     # -- golden model -------------------------------------------------------

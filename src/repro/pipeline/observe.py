@@ -1,5 +1,4 @@
-"""Per-stage observability: counters, wall-clock timers, and an optional
-JSONL structured event log.
+"""Per-stage observability: counters and wall-clock timers.
 
 The :class:`Telemetry` object is the single aggregation point; every
 stage resolution (memory hit, disk hit, or compute) records one event
@@ -12,14 +11,9 @@ depending on :mod:`repro.eval`.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import runctx
 from repro.obs.registry import default_registry, format_metric_key
 
 #: Event kinds recorded per stage.
@@ -81,60 +75,6 @@ class StageCounters:
 #: contract for cross-version telemetry dicts (see ``merge_dict``).
 _COUNTER_FIELDS = frozenset(
     f.name for f in dataclasses.fields(StageCounters))
-
-
-class TraceLog:
-    """Structured JSONL event writer (the CLI's ``--trace FILE``).
-
-    One JSON object per line: timestamp, run id, writer pid, stage,
-    event kind, wall-clock milliseconds, the artifact digest, and the
-    human-readable key.  The run id comes from
-    :func:`repro.runctx.current` and the pid is sampled per record, so
-    lines written by ``--jobs N`` worker processes into a shared file
-    are attributable to both their invocation and their worker.
-
-    Writes are buffered: the handle is flushed every ``flush_every``
-    records and on :meth:`close`/:meth:`flush`, not after every line
-    (per-line flushing dominated emit cost on hot cache-hit paths —
-    the ``trace-emit`` benchmark in ``repro perf`` measures this).
-    """
-
-    def __init__(self, destination, flush_every: int = 64) -> None:
-        self._owned = False
-        if isinstance(destination, (str, Path)):
-            self._fh: TextIO = open(destination, "a", encoding="utf-8")
-            self._owned = True
-        else:
-            self._fh = destination
-        self._flush_every = max(1, flush_every)
-        self._pending = 0
-        self._run_id = runctx.current().run_id
-
-    def emit(self, stage: str, event: str, seconds: float,
-             digest: str = "", key: object = None) -> None:
-        record = {
-            "ts": round(time.time(), 6),
-            "run": self._run_id,
-            "pid": os.getpid(),
-            "stage": stage,
-            "event": event,
-            "ms": round(seconds * 1000.0, 3),
-            "digest": digest[:16],
-            "key": key,
-        }
-        self._fh.write(json.dumps(record, default=repr) + "\n")
-        self._pending += 1
-        if self._pending >= self._flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        self._pending = 0
-        self._fh.flush()
-
-    def close(self) -> None:
-        self.flush()
-        if self._owned:
-            self._fh.close()
 
 
 class Telemetry:

@@ -1,12 +1,12 @@
 """Unified run identity: one :class:`RunContext` per invocation tree.
 
-Before this module the repository had three telemetry islands — the
-pipeline's ``--trace`` JSONL, the fault layer's
+The span JSONL (``--spans``), the fault layer's
 :class:`~repro.robust.RunReport`, and the sweep engine's
-``points.jsonl`` — none of which could be correlated after the fact:
-nothing said *which invocation* produced a given artifact.  A
-:class:`RunContext` stamps every one of them (plus the ``repro perf``
-``BENCH_*.json`` files) with the same three facts:
+``points.jsonl`` are separate records; without a shared stamp none of
+them could be correlated after the fact: nothing would say *which
+invocation* produced a given artifact.  A :class:`RunContext` stamps
+every one of them (plus the ``repro perf`` ``BENCH_*.json`` files)
+with the same three facts:
 
 ``run_id``
     A short random identifier minted once per process tree.  The first

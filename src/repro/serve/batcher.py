@@ -5,7 +5,7 @@ thread.  Leaders enqueue a :class:`WorkItem`; a small pool of batch
 workers drains the queue and hands over **whole groups** of compatible
 items — same ``(system, benchmark, variant)``, i.e. the same compiled
 front-end — to the executor in one pass.  That is exactly the sharing
-contract of ``repro sweep --batch`` (one warm pipeline, shared
+contract of an in-process ``repro sweep`` (one warm pipeline, shared
 decode/lowering, per-point cycle simulation), applied to whatever
 happens to be queued at drain time: under concurrent load, N
 compatible requests cost one front-end resolution plus N cycle

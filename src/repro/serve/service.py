@@ -44,9 +44,7 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import runctx
-from repro.explore.engine import (
-    point_artifact, point_metrics, run_sweep_batched,
-)
+from repro.explore.engine import point_artifact, point_metrics, run_sweep
 from repro.obs.events import EventBus
 from repro.obs.dashboard import render_dashboard
 from repro.obs.runindex import RunIndex, default_index_path
@@ -56,7 +54,7 @@ from repro.explore.spec import (
 from repro.pipeline.core import Pipeline
 from repro.pipeline.keys import artifact_digest, canonicalize, config_digest
 from repro.pipeline.store import SCHEMA_VERSION
-from repro.robust.faults import FaultPlan, apply_unit_faults
+from repro.robust import FaultPlan, RetryPolicy, apply_unit_faults
 from repro.serve.batcher import Batcher, WorkItem
 from repro.serve.dedup import InFlightTable
 from repro.serve.metrics import ServeMetrics
@@ -378,8 +376,8 @@ class SimService:
 
     def _execute_group(self, group: List[WorkItem]) -> None:
         """One coalesced pass: resolve every item of a compatible group
-        over the shared warm pipeline (the ``sweep --batch`` sharing
-        contract, applied to whatever was queued)."""
+        over the shared warm pipeline (the sharing an in-process sweep
+        gets, applied to whatever was queued)."""
         self.metrics.record_batch(len(group))
         batched = len(group) > 1
         for item in group:
@@ -427,15 +425,16 @@ class SimService:
     def handle_sweep(self, body: Any,
                      progress: Optional[Callable[[Dict[str, Any]], None]]
                      = None) -> Tuple[int, Dict[str, Any]]:
-        """Run a journaled batch sweep from a spec document.
+        """Run a journaled sweep from a spec document.
 
         ``progress`` (the streaming handler's chunk writer) receives
         one event dict per finished point.  The sweep executes in the
         calling thread over a fork of the warm pipeline, so the
         computed/reused accounting is per-request while the front-end
-        stays warm; the journal, artifact set, and attested pack land
-        in the spool exactly as a CLI ``sweep --batch`` would write
-        them.
+        stays warm, with one attempt per point so the request thread
+        never sleeps on retry backoff; the journal, artifact set, and
+        attested pack land in the spool exactly as a CLI ``repro
+        sweep`` would write them.
         """
         self._refuse_if_draining()
         if not isinstance(body, dict):
@@ -472,10 +471,11 @@ class SimService:
                 if progress is not None:
                     progress({"event": "point", "label": label})
 
-            result = run_sweep_batched(
+            result = run_sweep(
                 spec, cache_dir=self.pipeline.store.base,
                 out_dir=out_dir, progress=on_point,
-                pipeline=self.pipeline.fork())
+                pipeline=self.pipeline.fork(),
+                policy=RetryPolicy(max_attempts=1))
             self.events.publish("sweep.done", name=spec.name,
                                 run_id=run_id, ok=result.ok,
                                 points=len(result.records),

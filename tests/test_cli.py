@@ -48,19 +48,29 @@ class TestRun:
             main(["run", "crc", "--system", "not-a-system"])
 
     def test_profile_and_trace(self, cache_dir, tmp_path, capsys):
-        trace = tmp_path / "events.jsonl"
-        assert main(["run", "crc", "--system", "cycles",
-                     "--cache-dir", cache_dir,
-                     "--trace", str(trace), "--profile"]) == 0
+        from repro.obs import uninstall_recorder
+
+        trace = tmp_path / "spans.jsonl"
+        try:
+            assert main(["run", "crc", "--system", "cycles",
+                         "--cache-dir", cache_dir,
+                         "--spans", str(trace), "--profile"]) == 0
+        finally:
+            uninstall_recorder()
         out = capsys.readouterr().out
         assert "Pipeline profile" in out
-        events = [json.loads(line) for line in
-                  trace.read_text().splitlines()]
-        assert events
-        assert {"stage", "event", "ms"} <= set(events[0])
+        stages = [event for event in (json.loads(line) for line in
+                                      trace.read_text().splitlines())
+                  if event["name"].startswith("stage.")]
+        assert stages
+        assert {"outcome", "digest", "key"} <= set(stages[0]["args"])
+        assert {"dur_ms", "pid", "run"} <= set(stages[0])
+        cycles = [event for event in stages
+                  if event["name"] == "stage.trips-cycles"]
+        assert cycles and cycles[0]["args"]["key"][0] == "crc"
         # Everything was cached by the earlier cycles run.
-        assert all(e["event"] != "compute" for e in events
-                   if e["stage"] == "trips-cycles")
+        assert all(event["args"]["outcome"] != "compute"
+                   for event in cycles)
 
 
 class TestTrace:
@@ -219,6 +229,40 @@ class TestSweep:
     def test_frontier_on_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["frontier", str(tmp_path / "nope")]) == 2
         assert "not a sweep directory" in capsys.readouterr().err
+
+
+class TestCountOptions:
+    """``--jobs`` below 1 and ``--retries`` below 0 are refused at parse
+    time (exit 2) on every subcommand that has them."""
+
+    CHAOS = ["chaos", "crc", "--faults", "flaky-stage:crc"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "smoke", "--jobs", "0"],
+        ["sweep", "smoke", "--jobs", "-2"],
+        ["sweep", "smoke", "--retries", "-1"],
+        ["report", "table1", "--jobs", "0"],
+        ["report", "table1", "--retries", "-1"],
+        CHAOS + ["--jobs", "0"],
+        CHAOS + ["--retries", "-1"],
+        ["serve", "--jobs", "0"],
+        ["sweep", "smoke", "--jobs", "two"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_bad_count_exits_2(self, argv, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err or "--retries" in err
+
+    def test_smallest_counts_parse(self):
+        from repro.__main__ import build_parser
+
+        args = build_parser().parse_args(
+            ["sweep", "smoke", "--jobs", "1", "--retries", "0"])
+        assert (args.jobs, args.retries) == (1, 0)
 
 
 class TestSubprocessSmoke:

@@ -1,4 +1,4 @@
-"""Crash-safe sweeps end to end: resume, shards, leases, packs.
+"""Crash-safe sweeps end to end: resume, the kill-driver drill, packs.
 
 Integration-level pins for the crash-safety contracts
 ``docs/ROBUSTNESS.md`` advertises:
@@ -8,9 +8,6 @@ Integration-level pins for the crash-safety contracts
 * a SIGKILLed driver (the ``kill-driver`` chaos drill, run through the
   real CLI) resumes to records byte-identical to an uninterrupted
   sweep, modulo run ids;
-* sharded execution splits the grid round-robin, fences shards with
-  heartbeat leases, and merges to the same records a plain sweep
-  produces;
 * the attested repro pack verifies clean and catches any tamper.
 """
 
@@ -21,13 +18,12 @@ import pytest
 from repro.__main__ import main
 from repro.explore import (
     SweepSpec, preset_spec, read_journal, records_equal, run_sweep,
-    run_sweep_batched, run_sweep_sharded, verify_pack,
+    verify_pack,
 )
 from repro.explore import engine
 from repro.explore.grid import expand
 from repro.explore.journal import JOURNAL_FILE
 from repro.explore.pack import PACK_FILE, load_pack
-from repro.explore.shard import DEFAULT_TTL, Lease, shard_labels
 from repro.pipeline.observe import Telemetry
 from repro.robust import FaultPlan, RetryPolicy
 
@@ -63,11 +59,15 @@ class TestResume:
         """Kill-at-halfway simulation: journal holds 2 of 4 terminal
         outcomes; resume must simulate exactly the other 2."""
         spec = preset_spec("smoke")
-        labels = [p.label for p in expand(spec)]
         cache, out = tmp_path / "cache", tmp_path / "out"
-        first = run_sweep(spec, cache_dir=cache, out_dir=out,
-                          labels=labels[:2], sleep=_no_sleep)
-        assert len(first.records) == 2 and first.simulated == 2
+        run_sweep(spec, cache_dir=cache, out_dir=out, sleep=_no_sleep)
+        # Cut the journal back to just after its second outcome line,
+        # as if the driver had died there.
+        journal = out / JOURNAL_FILE
+        lines = journal.read_text().splitlines(keepends=True)
+        outcomes = [index for index, line in enumerate(lines)
+                    if json.loads(line)["kind"] == "outcome"]
+        journal.write_text("".join(lines[:outcomes[1] + 1]))
 
         telemetry = Telemetry()
         resumed = run_sweep(spec, cache_dir=tmp_path / "cache2",
@@ -122,17 +122,6 @@ class TestResume:
         assert after.entries == before.entries     # rewritten, not doubled
         assert all(count == 1 for count in after.claims.values())
 
-    def test_batched_engine_journals_and_resumes_too(self, warm_cache,
-                                                     tmp_path):
-        cache, _out, spec, reference = warm_cache
-        out = tmp_path / "out"
-        first = run_sweep_batched(spec, cache_dir=cache, out_dir=out)
-        assert records_equal(first.records, reference.records)
-        resumed = run_sweep_batched(spec, cache_dir=cache, out_dir=out,
-                                    resume=True)
-        assert resumed.replayed == 4 and resumed.simulated == 0
-        assert records_equal(resumed.records, reference.records)
-
 
 # -- the kill-driver chaos drill (real SIGKILL, real CLI) --------------------
 
@@ -182,25 +171,29 @@ class TestRecordEnrichment:
     def test_batched_progress_fires_for_failed_points(self, warm_cache,
                                                       tmp_path,
                                                       monkeypatch):
+        """In-process execution: a point that fails every attempt still
+        advances progress, and its hole records each attempt."""
         cache, _out, spec, _result = warm_cache
         bad = "crc/max_blocks_in_flight=1"
         real = engine._point_artifact
 
         def flaky(pipeline, payload):
             if payload["label"] == bad:
-                raise RuntimeError("injected batched failure")
+                raise RuntimeError("injected point failure")
             return real(pipeline, payload)
 
         monkeypatch.setattr(engine, "_point_artifact", flaky)
+        policy = RetryPolicy(max_attempts=2)
         seen = []
-        result = run_sweep_batched(spec, cache_dir=cache,
-                                   out_dir=tmp_path / "out",
-                                   progress=seen.append)
+        result = run_sweep(spec, cache_dir=cache, out_dir=tmp_path / "out",
+                           policy=policy, progress=seen.append,
+                           sleep=_no_sleep)
         assert sorted(seen) == sorted(p.label for p in expand(spec))
         hole = result.holes[0]
         assert hole["label"] == bad
-        assert hole["attempts"] == 1
-        assert hole["causes"] == ["RuntimeError: injected batched failure"]
+        assert hole["attempts"] == policy.max_attempts
+        assert hole["causes"] == \
+            ["RuntimeError: injected point failure"] * policy.max_attempts
 
     def test_supervised_hole_lists_every_attempt_cause(self, tmp_path):
         spec = preset_spec("smoke").with_benchmarks(["crc"]) \
@@ -234,100 +227,6 @@ class TestRecordEnrichment:
         assert result.reused == 0
         assert any("telemetry drift" in note
                    for note in result.report.annotations)
-
-
-# -- sharded execution -------------------------------------------------------
-
-class TestSharding:
-    def test_shard_labels_round_robin(self):
-        points = expand(preset_spec("smoke"))
-        assignment = shard_labels(points, 3)
-        assert sorted(sum(assignment, [])) == \
-            sorted(p.label for p in points)
-        for k, labels in enumerate(assignment):
-            for label in labels:
-                point = next(p for p in points if p.label == label)
-                assert point.index % 3 == k
-
-    def test_no_steal_leaves_work_then_second_driver_merges(
-            self, warm_cache, tmp_path):
-        cache, _out, spec, reference = warm_cache
-        out = tmp_path / "out"
-        first = run_sweep_sharded(spec, cache_dir=cache, out_dir=out,
-                                  shards=2, shard_id=0, steal=False,
-                                  sleep=_no_sleep)
-        assert first.merged is None
-        assert first.executed == [0]
-        assert 1 in first.pending and first.pending[1]
-        assert "pending" in first.summary_line()
-
-        second = run_sweep_sharded(spec, cache_dir=cache, out_dir=out,
-                                   shards=2, shard_id=1, sleep=_no_sleep)
-        assert second.merged is not None and second.merged.ok
-        assert "[merged from 2 shards]" in second.summary_line()
-        assert records_equal(second.merged.records, reference.records)
-        assert verify_pack(out) == []
-
-    def test_single_driver_steals_every_shard(self, warm_cache, tmp_path):
-        cache, _out, spec, reference = warm_cache
-        out = tmp_path / "out"
-        result = run_sweep_sharded(spec, cache_dir=cache, out_dir=out,
-                                   shards=3, shard_id=1, sleep=_no_sleep)
-        assert result.merged is not None
-        assert sorted(result.executed) == [0, 1, 2]
-        assert records_equal(result.merged.records, reference.records)
-
-    def test_held_lease_skips_the_shard(self, warm_cache, tmp_path):
-        cache, _out, spec, _result = warm_cache
-        out = tmp_path / "out"
-        out.mkdir()
-        blocker = Lease.acquire(out, 0, holder="other-driver")
-        assert blocker is not None
-        result = run_sweep_sharded(spec, cache_dir=cache, out_dir=out,
-                                   shards=2, shard_id=0, sleep=_no_sleep)
-        assert result.held == [0]
-        assert result.executed == [1]
-        assert result.merged is None            # shard 0 never ran
-
-
-class TestLease:
-    def test_live_lease_blocks_second_acquirer(self, tmp_path):
-        now = [1000.0]
-        first = Lease.acquire(tmp_path, 0, holder="a", ttl=60,
-                              clock=lambda: now[0])
-        assert first is not None
-        now[0] += 30                             # within TTL
-        assert Lease.acquire(tmp_path, 0, holder="b", ttl=60,
-                             clock=lambda: now[0]) is None
-
-    def test_expired_lease_is_reclaimed(self, tmp_path):
-        now = [1000.0]
-        first = Lease.acquire(tmp_path, 0, holder="a", ttl=60,
-                              clock=lambda: now[0])
-        now[0] += 61                             # past TTL: stale
-        second = Lease.acquire(tmp_path, 0, holder="b", ttl=60,
-                               clock=lambda: now[0])
-        assert second is not None and second.holder == "b"
-        # The dead driver's renew sees the new holder and backs off.
-        assert first.renew(force=True) is False
-
-    def test_renew_is_throttled_then_beats(self, tmp_path):
-        now = [1000.0]
-        lease = Lease.acquire(tmp_path, 0, holder="a", ttl=60,
-                              clock=lambda: now[0])
-        beat = lease.last_beat
-        now[0] += 5                              # < ttl/3: throttled
-        assert lease.renew() is True
-        assert lease.last_beat == beat
-        now[0] += 30                             # past ttl/3: real beat
-        assert lease.renew() is True
-        assert lease.last_beat > beat
-
-    def test_release_frees_the_shard(self, tmp_path):
-        lease = Lease.acquire(tmp_path, 0, holder="a", ttl=DEFAULT_TTL)
-        lease.release()
-        again = Lease.acquire(tmp_path, 0, holder="b", ttl=DEFAULT_TTL)
-        assert again is not None and again.holder == "b"
 
 
 # -- attested repro packs ----------------------------------------------------
@@ -385,21 +284,6 @@ class TestPack:
 # -- CLI flag validation -----------------------------------------------------
 
 class TestCliValidation:
-    def test_shard_id_requires_shards(self, tmp_path):
-        assert main(["sweep", "smoke", "--shard-id", "0",
-                     "--out", str(tmp_path / "out"),
-                     "--cache-dir", str(tmp_path / "cache")]) == 2
-
-    def test_no_steal_requires_shard_id(self, tmp_path):
-        assert main(["sweep", "smoke", "--shards", "2", "--no-steal",
-                     "--out", str(tmp_path / "out"),
-                     "--cache-dir", str(tmp_path / "cache")]) == 2
-
-    def test_batch_and_shards_conflict(self, tmp_path):
-        assert main(["sweep", "smoke", "--batch", "--shards", "2",
-                     "--out", str(tmp_path / "out"),
-                     "--cache-dir", str(tmp_path / "cache")]) == 2
-
     def test_resume_of_a_different_spec_is_refused(self, warm_cache,
                                                    tmp_path):
         cache, _out, spec, _result = warm_cache

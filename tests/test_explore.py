@@ -333,6 +333,31 @@ class TestEngine:
         points = load_points(tmp_path / "out")
         assert sum(1 for r in points if r["status"] == "failed") == 1
 
+    def test_in_process_sweep_lowers_each_program_once(self, tmp_path):
+        """``jobs=1`` runs every point on one pipeline: the compiler
+        front end runs once per program, not once per point."""
+        telemetry = Telemetry()
+        result = run_sweep(preset_spec("smoke"), cache_dir=tmp_path / "cache",
+                           out_dir=tmp_path / "out", jobs=1,
+                           telemetry=telemetry, sleep=_no_sleep)
+        assert result.ok and result.simulated == 4
+        assert telemetry.counters("trips-lowering").computes == 2
+
+    def test_corrupt_cache_fault_applies_in_process(self, tmp_path):
+        """A ``corrupt-cache-entry`` fault fires on the attempt's store
+        write on the sweep pipeline too: the next load quarantines it."""
+        from repro.explore.engine import point_artifact
+        spec = preset_spec("smoke").with_benchmarks(["crc"]) \
+            .with_axes({"max_blocks_in_flight": [1]})
+        faults = FaultPlan.parse("corrupt-cache-entry:trips-cycles:1")
+        cache = tmp_path / "cache"
+        result = run_sweep(spec, cache_dir=cache, out_dir=tmp_path / "out",
+                           jobs=1, faults=faults, sleep=_no_sleep)
+        assert result.ok
+        reader = Pipeline(cache_dir=cache)
+        point_artifact(reader, result.records[0])
+        assert reader.telemetry.counters("trips-cycles").corrupt_entries == 1
+
     def test_killed_worker_is_retried_to_success(self, tmp_path):
         spec = preset_spec("smoke").with_benchmarks(["crc"]) \
             .with_axes({"max_blocks_in_flight": [1]})

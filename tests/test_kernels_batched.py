@@ -209,49 +209,52 @@ class TestSkipAheadResource:
 
 
 class TestBatchedSweep:
-    def test_batch_records_equal_per_point_engine(self, tmp_path):
-        from repro.explore.engine import run_sweep, run_sweep_batched
+    """The sweep executors: ``jobs=1`` runs every point in process on
+    one shared pipeline, ``jobs=2`` warms points in pool workers.  Both
+    must produce the same records from the same cache keys."""
+
+    @staticmethod
+    def _spec(name):
         from repro.explore.spec import SweepSpec
-        spec = SweepSpec(
-            name="batch-equality", system="cycles",
-            benchmarks=("rspeed",),
+        return SweepSpec(
+            name=name, system="cycles", benchmarks=("rspeed",),
             axes=(("max_blocks_in_flight", (4, 8)),))
-        per_point = run_sweep(
+
+    def test_batch_records_equal_per_point_engine(self, tmp_path):
+        from repro.explore.engine import run_sweep
+        spec = self._spec("executor-equality")
+        in_process = run_sweep(
             spec, cache_dir=tmp_path / "cache-a",
-            out_dir=tmp_path / "out-a")
-        batched = run_sweep_batched(
+            out_dir=tmp_path / "out-a", jobs=1)
+        pooled = run_sweep(
             spec, cache_dir=tmp_path / "cache-b",
-            out_dir=tmp_path / "out-b")
-        assert batched.ok and per_point.ok
-        assert batched.simulated == per_point.simulated == 2
+            out_dir=tmp_path / "out-b", jobs=2)
+        assert in_process.ok and pooled.ok
+        assert in_process.simulated == pooled.simulated == 2
 
         def strip(records):
             return [{k: v for k, v in r.items() if k != "run_id"}
                     for r in records]
 
-        assert strip(batched.records) == strip(per_point.records)
-        assert (batched.out_dir / "points.jsonl").exists()
+        assert strip(in_process.records) == strip(pooled.records)
+        assert (in_process.out_dir / "points.jsonl").exists()
 
     def test_batch_resumes_from_shared_cache(self, tmp_path):
-        from repro.explore.engine import run_sweep_batched
-        from repro.explore.spec import SweepSpec
-        spec = SweepSpec(
-            name="batch-resume", system="cycles",
-            benchmarks=("rspeed",),
-            axes=(("max_blocks_in_flight", (4, 8)),))
-        cold = run_sweep_batched(spec, cache_dir=tmp_path / "cache",
-                                 out_dir=tmp_path / "out")
-        warm = run_sweep_batched(spec, cache_dir=tmp_path / "cache",
-                                 out_dir=tmp_path / "out")
+        from repro.explore.engine import run_sweep
+        spec = self._spec("executor-warm")
+        cold = run_sweep(spec, cache_dir=tmp_path / "cache",
+                         out_dir=tmp_path / "out")
+        warm = run_sweep(spec, cache_dir=tmp_path / "cache",
+                         out_dir=tmp_path / "out")
         assert cold.simulated == 2
         assert warm.simulated == 0 and warm.reused == 2
 
     def test_failed_point_becomes_hole(self, tmp_path, monkeypatch):
         from repro.explore import engine
-        from repro.explore.spec import SweepSpec
         # A point whose simulation dies must become an annotated hole,
         # never an aborted sweep (grid expansion already rejects bad
-        # configs, so fail the artifact stage itself).
+        # configs, so fail the artifact stage itself).  Pool workers
+        # fork after the patch, so both executors see it.
         real = engine._point_artifact
         poisoned = "rspeed/max_blocks_in_flight=4"
 
@@ -261,16 +264,15 @@ class TestBatchedSweep:
             return real(pipeline, payload)
 
         monkeypatch.setattr(engine, "_point_artifact", sometimes_fails)
-        spec = SweepSpec(
-            name="batch-holes", system="cycles",
-            benchmarks=("rspeed",),
-            axes=(("max_blocks_in_flight", (4, 8)),))
-        result = engine.run_sweep_batched(
-            spec, cache_dir=tmp_path / "cache", out_dir=tmp_path / "out")
-        statuses = sorted(r["status"] for r in result.records)
-        assert statuses == ["failed", "ok"]
-        assert len(result.holes) == 1
-        assert "injected point failure" in result.holes[0]["error"]
-        assert any("hole" in note
-                   for note in result.report.annotations)
-        assert result.report.failed
+        for jobs in (1, 2):
+            result = engine.run_sweep(
+                self._spec("executor-holes"), cache_dir=tmp_path / "cache",
+                out_dir=tmp_path / f"out-{jobs}", jobs=jobs,
+                sleep=lambda _seconds: None)
+            statuses = sorted(r["status"] for r in result.records)
+            assert statuses == ["failed", "ok"], jobs
+            assert len(result.holes) == 1
+            assert "injected point failure" in result.holes[0]["error"]
+            assert any("hole" in note
+                       for note in result.report.annotations)
+            assert result.report.failed

@@ -1,16 +1,15 @@
-"""Observability-layer coverage: Telemetry counters/merging, the
-buffered TraceLog, and the RunContext stamp unifying the telemetry
-islands (trace JSONL, run reports, sweep points, BENCH files)."""
+"""Observability-layer coverage: Telemetry counters/merging and the
+RunContext stamp unifying the telemetry islands (span JSONL, run
+reports, sweep points, BENCH files)."""
 
 import dataclasses
-import io
 import json
 import os
 
 import pytest
 
 from repro import runctx
-from repro.pipeline.observe import StageCounters, Telemetry, TraceLog
+from repro.pipeline.observe import StageCounters, Telemetry
 from repro.robust import RunReport
 
 
@@ -114,48 +113,6 @@ class TestProfileTable:
             telemetry.record("b", "compute", 0.1)
         _headers, rows = telemetry.profile()
         assert rows[-1][5] == pytest.approx(25.0)   # 1 hit / 4 requests
-
-
-class TestTraceLog:
-    def _records(self, text):
-        return [json.loads(line) for line in text.splitlines() if line]
-
-    def test_records_carry_pid_and_run_id(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        log = TraceLog(path)
-        log.emit("stage", "compute", 0.001, "ab" * 16, ("k",))
-        log.close()
-        (record,) = self._records(path.read_text())
-        assert record["pid"] == os.getpid()
-        assert record["run"] == runctx.current().run_id
-
-    def test_buffered_then_flushed_on_close(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        log = TraceLog(path, flush_every=1000)
-        for i in range(5):
-            log.emit("stage", "memory-hit", 0.0, key=i)
-        log.close()
-        assert len(self._records(path.read_text())) == 5
-
-    def test_flushes_every_n_records(self):
-        sink = io.StringIO()
-        flushes = []
-        sink.flush = lambda: flushes.append(len(sink.getvalue()))
-        log = TraceLog(sink, flush_every=3)
-        for i in range(7):
-            log.emit("stage", "compute", 0.0, key=i)
-        assert len(flushes) == 2                      # at records 3 and 6
-        log.close()
-        assert len(flushes) == 3                      # close drains the rest
-        assert len(self._records(sink.getvalue())) == 7
-
-    def test_unowned_handle_flushed_but_not_closed(self):
-        sink = io.StringIO()
-        log = TraceLog(sink, flush_every=100)
-        log.emit("stage", "compute", 0.0)
-        log.close()
-        assert not sink.closed
-        assert len(self._records(sink.getvalue())) == 1
 
 
 class TestRunContext:

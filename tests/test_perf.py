@@ -268,11 +268,11 @@ class TestPerfCli:
     def test_quick_run_writes_valid_bench_file(self, tmp_path, capsys):
         out_file = tmp_path / "BENCH_cli.json"
         assert main(["perf", "run", "--quick",
-                     "--only", "trace-emit,opn-route",
+                     "--only", "sweep-journal,opn-route",
                      "--out", str(out_file)]) == 0
         payload = perf.load_bench(out_file)           # validates schema
         assert payload["quick"] is True
-        assert set(payload["results"]) == {"trace-emit", "opn-route"}
+        assert set(payload["results"]) == {"sweep-journal", "opn-route"}
         assert payload["run"]["run_id"] == runctx.current().run_id
         for stats in payload["results"].values():
             assert stats["repeats"] == 3 and stats["warmup"] == 1

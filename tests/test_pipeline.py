@@ -11,7 +11,6 @@ The two acceptance properties of the pipeline are covered here:
   memory-only run.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -25,7 +24,7 @@ from repro.eval.report import format_table
 from repro.eval.runner import Runner
 from repro.pipeline import (
     ArtifactStore, Pipeline, SCHEMA_VERSION, SIMULATION_STAGES, Telemetry,
-    TraceLog, artifact_digest, config_digest, stable_digest,
+    artifact_digest, config_digest, stable_digest,
 )
 from repro.pipeline.parallel import warm_benchmarks
 from repro.uarch import TripsConfig
@@ -121,19 +120,6 @@ class TestObservability:
         b.merge_dict(a.as_dict())
         assert b.counters("s").computes == 2
         assert b.counters("s").compute_seconds == pytest.approx(2.0)
-
-    def test_trace_log_is_jsonl(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = TraceLog(path)
-        log.emit("stage", "compute", 0.25, "deadbeef" * 8, ("key", 1))
-        log.emit("stage", "store", 0.0, "deadbeef" * 8, ("key", 1))
-        log.close()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        event = json.loads(lines[0])
-        assert event["stage"] == "stage"
-        assert event["event"] == "compute"
-        assert event["ms"] == 250.0
 
     def test_pipeline_records_hits_and_misses(self):
         pipeline = Pipeline()

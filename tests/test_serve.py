@@ -312,6 +312,26 @@ def test_http_run_sweep_trace_artifact_status_metrics(tmp_path, server):
     assert metrics["endpoints"]["run"]["count"] == 1
 
 
+def test_http_sweep_records_equal_a_direct_run_sweep(tmp_path, server):
+    """``/v1/sweep`` runs on :func:`run_sweep`: the records it spools
+    match a CLI-style sweep of the same spec, point for point."""
+    from repro.explore import (
+        SweepSpec, load_points, records_equal, run_sweep,
+    )
+
+    document = {"name": "parity", "benchmarks": [BENCH],
+                "axes": {"max_blocks_in_flight": [1, 2]}}
+    client = ServeClient(server.url, client_id="tests")
+    summary = client.sweep(document)
+    assert summary["ok"] is True
+    direct = run_sweep(SweepSpec.from_dict(document, name="parity"),
+                       cache_dir=tmp_path / "direct-cache",
+                       out_dir=tmp_path / "direct-out")
+    served = load_points(summary["out_dir"])
+    assert len(served) == 2
+    assert records_equal(served, direct.records)
+
+
 def test_http_errors_are_structured(server):
     client = ServeClient(server.url, client_id="tests")
     with pytest.raises(ServeError) as excinfo:
