@@ -850,7 +850,7 @@ def _cmd_serve(args, runner) -> int:
     The HTTP listener runs in a daemon thread; the main thread parks
     on an event that SIGTERM/SIGINT set, then performs the graceful
     drain — refuse new work with 503, finish in-flight requests (their
-    sweep journals close with them), stop the batch workers, write the
+    sweep journals close with them), stop the run executor, write the
     final metrics snapshot to the spool.
     """
     import signal
@@ -873,9 +873,9 @@ def _cmd_serve(args, runner) -> int:
     config = ServeConfig(
         host=args.host, port=args.port, jobs=args.jobs,
         cache_dir=Path(args.cache_dir or default_cache_dir()),
-        spool_dir=Path(args.spool), batch_window=args.batch_window,
-        max_queue=args.max_queue, rate=args.rate, burst=args.burst,
-        faults=faults, warm_benchmarks=warm)
+        spool_dir=Path(args.spool), max_queue=args.max_queue,
+        rate=args.rate, burst=args.burst, faults=faults,
+        warm_benchmarks=warm)
     try:
         server = ReproServer(config)
     except OSError as exc:
@@ -1127,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind port; 0 picks a free one "
                               "(default 8651)")
     serve_p.add_argument("--jobs", type=_JOBS, default=2, metavar="N",
-                         help="batch-executor worker threads (default 2)")
+                         help="run-executor threads (default 2)")
     serve_p.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="artifact cache location (default: "
                               ".repro-cache at the repo root; serve "
@@ -1136,13 +1136,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for HTTP-submitted sweep "
                               "journals/packs and the drain metrics "
                               "snapshot (default serve-spool)")
-    serve_p.add_argument("--batch-window", type=float, default=0.005,
-                         metavar="SECONDS",
-                         help="micro-batch coalescing window "
-                              "(default 0.005)")
-    serve_p.add_argument("--max-queue", type=int, default=64, metavar="N",
-                         help="bounded run-queue depth; past it the "
-                              "service sheds with 503 (default 64)")
+    serve_p.add_argument("--max-queue", type=_int_at_least(1), default=64,
+                         metavar="N",
+                         help="runs that may wait for an executor thread; "
+                              "past it the service sheds with 503 "
+                              "(default 64)")
     serve_p.add_argument("--rate", type=float, default=20.0, metavar="R",
                          help="per-client token-bucket refill, "
                               "requests/second; 0 disables rate "

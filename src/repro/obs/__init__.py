@@ -34,7 +34,7 @@ none of them survived the process or answered "what ran last week?".
 
 :mod:`repro.obs.events` / :mod:`repro.obs.dashboard`
     The **live view**: a bounded in-process event bus behind the serve
-    service's ``GET /v1/events`` long-poll/SSE endpoint, and the
+    service's ``GET /v1/events`` long-poll endpoint, and the
     stdlib-rendered ``GET /v1/dashboard`` HTML page over the run index
     and a registry snapshot.
 

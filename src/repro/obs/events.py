@@ -2,9 +2,9 @@
 
 One :class:`EventBus` per service.  Producers (sweep progress
 callbacks, request accounting) call :meth:`EventBus.publish`;
-consumers (the long-poll/SSE handler) call :meth:`EventBus.after`
-with the last cursor they saw and block until something newer exists
-or the timeout lapses.
+consumers (the long-poll handler) call :meth:`EventBus.after` with
+the last cursor they saw and block until something newer exists or
+the timeout lapses.
 
 The buffer is a bounded deque: a slow consumer never applies
 backpressure to the service — old events fall off the left edge and

@@ -247,7 +247,7 @@ def _setup_serve_roundtrip():
     root = Path(tempfile.mkdtemp(prefix="repro-perf-serve-"))
     server = ReproServer(ServeConfig(
         host="127.0.0.1", port=0, cache_dir=root / "cache",
-        spool_dir=root / "spool", rate=0.0, batch_window=0.0)).start()
+        spool_dir=root / "spool", rate=0.0)).start()
     client = ServeClient(server.url, client_id="perf")
     # Pay the cold resolution once so every timed round-trip measures
     # the always-warm path: HTTP + validate + dedup + cache hit.

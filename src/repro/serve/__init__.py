@@ -12,31 +12,27 @@ pay marginal cost only.
 Layers, separately testable:
 
 * :mod:`repro.serve.service` — :class:`SimService`, the HTTP-free
-  core semantics: validation, dedup, batching, faults, drain.
+  core semantics: validation, dedup, the run executor, faults, drain.
 * :mod:`repro.serve.server` — the ``ThreadingHTTPServer`` adapter
   (:class:`ReproServer`), routing, rate limiting, request scoping.
 * :mod:`repro.serve.client` — :class:`ServeClient`, the stdlib
   urllib client used by tests, perf, and the CI smoke drill.
-* :mod:`repro.serve.dedup` / :mod:`~repro.serve.batcher` /
-  :mod:`~repro.serve.ratelimit` / :mod:`~repro.serve.metrics` — the
-  mechanisms: in-flight table keyed by artifact digest, micro-batch
-  coalescing, token buckets, latency histograms.
+* :mod:`repro.serve.dedup` / :mod:`~repro.serve.ratelimit` /
+  :mod:`~repro.serve.metrics` — the mechanisms: in-flight table keyed
+  by artifact digest, token buckets, counters and latency histograms.
 """
 
-from repro.serve.batcher import Batcher, WorkItem
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.dedup import InFlightEntry, InFlightTable
-from repro.serve.metrics import LatencyHistogram, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.ratelimit import RateLimiter
 from repro.serve.server import ReproServer
 from repro.serve.service import HttpError, ServeConfig, SimService
 
 __all__ = [
-    "Batcher",
     "HttpError",
     "InFlightEntry",
     "InFlightTable",
-    "LatencyHistogram",
     "RateLimiter",
     "ReproServer",
     "ServeClient",
@@ -44,5 +40,4 @@ __all__ = [
     "ServeError",
     "ServeMetrics",
     "SimService",
-    "WorkItem",
 ]

@@ -28,14 +28,13 @@ __all__ = ["InFlightEntry", "InFlightTable"]
 class InFlightEntry:
     """One in-flight execution: the leader's promise to its followers."""
 
-    __slots__ = ("key", "event", "result", "error", "followers")
+    __slots__ = ("key", "event", "result", "error")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.event = threading.Event()
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self.followers = 0
 
     def resolve(self, result: Any = None,
                 error: Optional[BaseException] = None) -> None:
@@ -59,7 +58,6 @@ class InFlightTable:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                entry.followers += 1
                 return False, entry
             entry = InFlightEntry(key)
             self._entries[key] = entry
@@ -77,8 +75,3 @@ class InFlightTable:
             if self._entries.get(entry.key) is entry:
                 del self._entries[entry.key]
         entry.resolve(result, error)
-
-    @property
-    def in_flight(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -29,22 +29,15 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.obs.registry import (
-    BUCKET_BOUNDS_MS, LogBucketHistogram, MetricsRegistry,
-)
+from repro.obs.registry import LogBucketHistogram, MetricsRegistry
 
-__all__ = ["LatencyHistogram", "STABLE_COUNTERS", "ServeMetrics"]
-
-#: The historical name, kept importable from :mod:`repro.serve`; the
-#: implementation is the registry's shared log-bucket histogram.
-LatencyHistogram = LogBucketHistogram
+__all__ = ["STABLE_COUNTERS", "ServeMetrics"]
 
 #: Service counters guaranteed present (at zero) in every snapshot —
 #: the stable-key contract documented in docs/SERVE.md.
 STABLE_COUNTERS: Tuple[str, ...] = (
-    "artifacts", "batch.batches", "batch.requests", "dedup.leaders",
-    "dedup.shared", "rate_limited", "runs.failed", "runs.ok", "shed",
-    "sweeps", "traces",
+    "artifacts", "dedup.leaders", "dedup.shared", "rate_limited",
+    "runs.failed", "runs.ok", "shed", "sweeps", "traces",
 )
 
 #: Exposition-key prefix for everything this class records.
@@ -71,8 +64,6 @@ class ServeMetrics:
         #: labeled registry counters, kept so ``snapshot()`` can render
         #: the legacy per-endpoint document without parsing keys.
         self._responses: Dict[Tuple[str, int], int] = {}
-        #: Largest micro-batch executed so far.
-        self.max_batch = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -87,13 +78,6 @@ class ServeMetrics:
 
     def count(self, name: str, delta: int = 1) -> None:
         self.registry.inc(_PREFIX + name, delta)
-
-    def record_batch(self, size: int) -> None:
-        self.registry.inc(_PREFIX + "batch.batches")
-        self.registry.inc(_PREFIX + "batch.requests", size)
-        with self._lock:
-            self.max_batch = max(self.max_batch, size)
-        self.registry.set_gauge(_PREFIX + "max_batch", self.max_batch)
 
     # -- reading -----------------------------------------------------------
 
@@ -118,13 +102,12 @@ class ServeMetrics:
             if key.startswith(_PREFIX) and "{" not in key}
         with self._lock:
             responses = dict(self._responses)
-            max_batch = self.max_batch
         endpoints: Dict[str, Dict[str, object]] = {}
         for endpoint in sorted({ep for ep, _status in responses}):
             histogram = self.registry.histogram(
                 _PREFIX + "latency", {"endpoint": endpoint})
             entry: Dict[str, object] = histogram.as_dict() \
-                if histogram is not None else LatencyHistogram().as_dict()
+                if histogram is not None else LogBucketHistogram().as_dict()
             entry["responses"] = {
                 str(status): count
                 for (ep, status), count in sorted(responses.items())
@@ -137,7 +120,6 @@ class ServeMetrics:
             "started": round(self.started, 3),
             "uptime_s": round(self._clock() - self.started, 3),
             "counters": counters,
-            "max_batch": max_batch,
             "endpoints": endpoints,
             "obs": exposition,
         }

@@ -41,10 +41,6 @@ MAX_BODY_BYTES = 1 << 20
 #: live views must keep working against an overloaded server.
 UNLIMITED_ENDPOINTS = ("status", "metrics", "events", "dashboard")
 
-#: Longest an SSE events stream stays open before the server closes it
-#: cleanly (clients reconnect with their cursor).
-SSE_MAX_SECONDS = 30.0
-
 
 def make_handler(service: SimService):
     """Build the request-handler class bound to one service instance."""
@@ -67,11 +63,19 @@ def make_handler(service: SimService):
             if length is None:
                 raise HttpError(411, "LengthRequired",
                                 "POST requires Content-Length")
-            size = int(length)
+            try:
+                size = int(length)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise HttpError(400, "BadRequest",
+                                f"Content-Length must be a non-negative "
+                                f"integer, got {length!r}")
             if size > MAX_BODY_BYTES:
                 raise HttpError(413, "PayloadTooLarge",
                                 f"body exceeds {MAX_BODY_BYTES} bytes")
             raw = self.rfile.read(size)
+            self._body_unread = False
             try:
                 return json.loads(raw.decode("utf-8") or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -89,8 +93,26 @@ def make_handler(service: SimService):
             if retry_after is not None:
                 self.send_header("Retry-After",
                                  str(max(1, int(round(retry_after)))))
+            if self._body_unread:
+                # A refusal that leaves the body on the socket closes
+                # the connection, or a keep-alive client's body would be
+                # parsed as its next request line.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        @staticmethod
+        def _query_number(query: Dict[str, Any], name: str, default: Any,
+                          cast=float) -> Any:
+            if name not in query:
+                return default
+            try:
+                return cast(query[name][0])
+            except ValueError:
+                raise HttpError(
+                    400, "BadRequest",
+                    f"query parameter {name!r} is not a valid "
+                    f"{cast.__name__}: {query[name][0]!r}") from None
 
         # -- chunked sweep stream ------------------------------------------
 
@@ -118,34 +140,6 @@ def make_handler(service: SimService):
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
-
-        # -- server-sent events --------------------------------------------
-
-        def _stream_sse(self, cursor: int, duration: float) -> None:
-            """Push events as SSE frames over chunked encoding until
-            ``duration`` lapses, then close cleanly (the client
-            reconnects with its cursor — standard SSE discipline)."""
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-store")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            deadline = time.monotonic() + duration
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                batch, cursor = service.events.after(
-                    cursor, timeout=min(remaining, 1.0))
-                for event in batch:
-                    frame = (f"id: {event['seq']}\n"
-                             "event: repro\n"
-                             f"data: {json.dumps(event, default=repr)}"
-                             "\n\n").encode("utf-8")
-                    self.wfile.write(f"{len(frame):x}\r\n".encode("ascii"))
-                    self.wfile.write(frame + b"\r\n")
-                    self.wfile.flush()
-            self._end_stream()
 
         # -- dispatch ------------------------------------------------------
 
@@ -176,6 +170,7 @@ def make_handler(service: SimService):
 
         def _dispatch(self, method: str) -> None:
             started = time.perf_counter()
+            self._body_unread = method == "POST"
             url = urlparse(self.path)
             endpoint = "?"
             status = 500
@@ -246,11 +241,10 @@ def make_handler(service: SimService):
                     raise HttpError(404, "NotFound",
                                     "expected /v1/trace/<benchmark>")
                 query = parse_qs(url.query)
-                buckets = query.get("buckets", [None])[0]
                 status, payload = service.handle_trace(
                     rest[0],
                     variant=query.get("variant", ["compiled"])[0],
-                    buckets=int(buckets) if buckets else None)
+                    buckets=self._query_number(query, "buckets", None, int))
                 self._send_json(status, payload)
                 return status
             if endpoint == "artifacts":
@@ -262,27 +256,10 @@ def make_handler(service: SimService):
                 return status
             if endpoint == "events":
                 query = parse_qs(url.query)
-
-                def _num(name: str, default: float, cast=float):
-                    try:
-                        return cast(query.get(name, [default])[0])
-                    except (TypeError, ValueError):
-                        raise HttpError(
-                            400, "BadRequest",
-                            f"query parameter {name!r} must be a number"
-                        ) from None
-
-                cursor = _num("cursor", 0, int)
-                accept = self.headers.get("Accept", "")
-                if query.get("stream", [""])[0] == "sse" \
-                        or "text/event-stream" in accept:
-                    self._stream_sse(
-                        cursor, min(SSE_MAX_SECONDS,
-                                    _num("timeout", SSE_MAX_SECONDS)))
-                    return 200
                 status, payload = service.events_payload(
-                    cursor, timeout=_num("timeout", 0.0),
-                    limit=_num("limit", 256, int))
+                    self._query_number(query, "cursor", 0, int),
+                    timeout=self._query_number(query, "timeout", 0.0),
+                    limit=self._query_number(query, "limit", 256, int))
                 self._send_json(status, payload)
                 return status
             if endpoint == "dashboard":

@@ -17,12 +17,12 @@ Request lifecycle for ``/v1/run``:
    idempotency key.
 3. **Dedup**: join the in-flight table.  Followers block on the
    leader's entry and share its result or error.
-4. **Batch**: leaders enqueue into the micro-batcher; compatible
-   queued requests execute as one coalesced pass over the shared warm
-   pipeline.  A full queue sheds with 503.
+4. **Execute**: each leader is one task on the run executor (``jobs``
+   threads over the one warm pipeline).  Once ``max_queue`` accepted
+   runs still wait for a thread, a new leader sheds with 503.
 5. **Respond** with the same metrics record a sweep point would carry
    (:func:`repro.explore.engine.point_metrics`), the digest, and the
-   dedup/batch/warm provenance flags.
+   dedup/warm provenance flags.
 
 Failures inside execution surface as structured 5xx bodies carrying
 the :mod:`repro.robust` error-taxonomy type name and cause — a
@@ -34,12 +34,14 @@ finish and journals close.
 from __future__ import annotations
 
 import collections
+import contextlib
 import difflib
 import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -55,8 +57,7 @@ from repro.pipeline.core import Pipeline
 from repro.pipeline.keys import artifact_digest, canonicalize, config_digest
 from repro.pipeline.store import SCHEMA_VERSION
 from repro.robust import FaultPlan, RetryPolicy, apply_unit_faults
-from repro.serve.batcher import Batcher, WorkItem
-from repro.serve.dedup import InFlightTable
+from repro.serve.dedup import InFlightEntry, InFlightTable
 from repro.serve.metrics import ServeMetrics
 from repro.serve.ratelimit import RateLimiter
 from repro.uarch.config import ConfigError, TripsConfig
@@ -68,6 +69,9 @@ DEFAULT_REQUEST_TIMEOUT = 300.0
 
 #: Sweeps bigger than this are refused over HTTP (run them via the CLI).
 DEFAULT_MAX_SWEEP_POINTS = 256
+
+#: Finest occupancy-timeline resolution ``/v1/trace`` renders.
+MAX_TRACE_BUCKETS = 1024
 
 
 class HttpError(Exception):
@@ -96,11 +100,10 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8651
-    jobs: int = 2                      # batch-executor worker threads
+    jobs: int = 2                      # run-executor threads
     cache_dir: Optional[Path] = None   # required: serve needs the store
     spool_dir: Path = Path("serve-spool")
-    batch_window: float = 0.005        # coalescing window, seconds
-    max_queue: int = 64                # bounded queue -> 503 past this
+    max_queue: int = 64                # runs waiting for a thread -> 503
     rate: float = 20.0                 # tokens/second per client
     burst: int = 40                    # bucket capacity per client
     faults: Optional[FaultPlan] = None
@@ -155,12 +158,13 @@ class SimService:
         self._index_writer.start()
         self.limiter = RateLimiter(config.rate, config.burst)
         self.table = InFlightTable()
-        self.batcher = Batcher(self._execute_group,
-                               workers=config.jobs,
-                               window=config.batch_window,
-                               max_queue=config.max_queue)
+        #: The run executor: each ``/v1/run`` leader is one task.
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.jobs, thread_name_prefix="repro-serve-run")
         self._lock = threading.Lock()
         self._active = 0               # HTTP work requests in flight
+        self._waiting = 0              # accepted runs not yet on a thread
+        self._running = 0              # runs on an executor thread
         self._fault_attempts: Dict[str, int] = {}
         self.draining = False
         self.drained = threading.Event()
@@ -184,7 +188,7 @@ class SimService:
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Graceful shutdown: refuse new work, finish in-flight requests
-        (their journals close with them), stop the batch workers, and
+        (their journals close with them), stop the run executor, and
         write the final metrics snapshot to the spool directory.
 
         Returns ``True`` if everything quiesced within ``timeout``."""
@@ -194,12 +198,14 @@ class SimService:
         while time.monotonic() < deadline:
             with self._lock:
                 active = self._active
-            if active == 0 and self.batcher.depth == 0:
+            if active == 0 and self.queue_depth == 0:
                 break
             time.sleep(0.02)
         else:
             clean = False
-        self.batcher.stop()
+        # Past the timeout, runs that never started are dropped and
+        # runs still executing finish on their threads after the drain.
+        self._executor.shutdown(wait=clean, cancel_futures=True)
         self.events.publish("drain", clean=clean)
         snapshot = self.metrics_payload()[1]
         snapshot["drained_clean"] = clean
@@ -220,20 +226,25 @@ class SimService:
         with self._lock:
             return self._active
 
+    @property
+    def queue_depth(self) -> int:
+        """Accepted runs waiting for or holding an executor thread."""
+        with self._lock:
+            return self._waiting + self._running
+
+    @contextlib.contextmanager
     def _track(self):
-        service = self
-
-        class _Tracker:
-            def __enter__(self):
-                with service._lock:
-                    service._active += 1
-
-            def __exit__(self, *exc):
-                with service._lock:
-                    service._active -= 1
-                return False
-
-        return _Tracker()
+        # Checked under the lock the drain reads ``_active`` with, so
+        # no request slips past a drain and submits to a stopped
+        # executor.
+        with self._lock:
+            self._refuse_if_draining()
+            self._active += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._active -= 1
 
     def _refuse_if_draining(self) -> None:
         if self.draining:
@@ -297,19 +308,23 @@ class SimService:
             leader, entry = self.table.join(digest)
             if leader:
                 self.metrics.count("dedup.leaders")
-                item = WorkItem(payload=payload, stage=stage,
-                                digest=digest, entry=entry)
-                if not self.batcher.submit(item):
+                with self._lock:
+                    full = self._waiting >= self.config.max_queue
+                    if not full:
+                        self._waiting += 1
+                if full:
                     overload = HttpError(
                         503, "Overloaded",
                         f"run queue is full "
-                        f"({self.batcher.max_queue} deep)",
+                        f"({self.config.max_queue} deep)",
                         retry_after=1.0)
                     # Followers that joined between claim and refusal
                     # must hear the same news.
                     self.table.resolve(entry, error=overload)
                     self.metrics.count("shed")
                     raise overload
+                self._executor.submit(self._execute, payload, stage,
+                                      digest, entry)
             else:
                 self.metrics.count("dedup.shared")
             if not entry.wait(self.config.request_timeout):
@@ -374,51 +389,56 @@ class SimService:
             if stopped:
                 return
 
-    def _execute_group(self, group: List[WorkItem]) -> None:
-        """One coalesced pass: resolve every item of a compatible group
-        over the shared warm pipeline (the sharing an in-process sweep
-        gets, applied to whatever was queued)."""
-        self.metrics.record_batch(len(group))
-        batched = len(group) > 1
-        for item in group:
-            started = time.perf_counter()
-            try:
-                if self.config.faults is not None:
-                    attempt = self._next_fault_attempt(item.digest)
-                    apply_unit_faults(self.config.faults,
-                                      item.payload["benchmark"],
-                                      attempt, in_worker=False)
-                warm = self.pipeline.cached(item.stage, item.digest)
-                artifact = point_artifact(self.pipeline, item.payload)
-            except Exception as exc:
-                self.metrics.count("runs.failed")
-                self.events.publish("run", benchmark=item.payload[
-                    "benchmark"], outcome="failed",
-                    error=type(exc).__name__)
-                self._index_record(
-                    "serve-run", label=item.payload["benchmark"],
-                    outcome="failed",
-                    wall_s=time.perf_counter() - started,
-                    metrics={"error": type(exc).__name__})
-                self.table.resolve(item.entry, error=exc)
-                continue
-            result = dict(item.payload)
-            result["digest"] = item.digest
-            result["warm"] = warm
-            result["batched"] = batched
-            result["metrics"] = point_metrics(item.payload["system"],
-                                              artifact)
-            self.metrics.count("runs.ok")
-            self.events.publish("run", benchmark=item.payload["benchmark"],
-                                digest=item.digest[:16], warm=warm,
-                                outcome="ok",
-                                runs_ok=self.metrics.counter("runs.ok"))
+    def _execute(self, payload: Dict[str, Any], stage: str, digest: str,
+                 entry: InFlightEntry) -> None:
+        """One leader's run, on an executor thread.  Every outcome
+        resolves ``entry``: an exception the accounting in
+        :meth:`_run_leader` does not expect still answers every waiter."""
+        with self._lock:
+            self._waiting -= 1
+            self._running += 1
+        try:
+            self._run_leader(payload, stage, digest, entry)
+        except Exception as exc:
+            if not entry.event.is_set():
+                self.table.resolve(entry, error=exc)
+        finally:
+            with self._lock:
+                self._running -= 1
+
+    def _run_leader(self, payload: Dict[str, Any], stage: str,
+                    digest: str, entry: InFlightEntry) -> None:
+        started = time.perf_counter()
+        try:
+            if self.config.faults is not None:
+                attempt = self._next_fault_attempt(digest)
+                apply_unit_faults(self.config.faults, payload["benchmark"],
+                                  attempt, in_worker=False)
+            warm = self.pipeline.cached(stage, digest)
+            artifact = point_artifact(self.pipeline, payload)
+        except Exception as exc:
+            self.metrics.count("runs.failed")
+            self.events.publish("run", benchmark=payload["benchmark"],
+                                outcome="failed", error=type(exc).__name__)
             self._index_record(
-                "serve-run", label=item.payload["benchmark"],
+                "serve-run", label=payload["benchmark"], outcome="failed",
                 wall_s=time.perf_counter() - started,
-                artifacts={"digest": item.digest},
-                metrics={"warm": warm, "batched": batched})
-            self.table.resolve(item.entry, result=result)
+                metrics={"error": type(exc).__name__})
+            self.table.resolve(entry, error=exc)
+            return
+        result = dict(payload)
+        result["digest"] = digest
+        result["warm"] = warm
+        result["metrics"] = point_metrics(payload["system"], artifact)
+        self.metrics.count("runs.ok")
+        self.events.publish("run", benchmark=payload["benchmark"],
+                            digest=digest[:16], warm=warm, outcome="ok",
+                            runs_ok=self.metrics.counter("runs.ok"))
+        self._index_record(
+            "serve-run", label=payload["benchmark"],
+            wall_s=time.perf_counter() - started,
+            artifacts={"digest": digest}, metrics={"warm": warm})
+        self.table.resolve(entry, result=result)
 
     # -- /v1/sweep ---------------------------------------------------------
 
@@ -511,6 +531,10 @@ class SimService:
             raise HttpError(400, "BadRequest",
                             f"variant must be 'compiled' or 'hand', "
                             f"got {variant!r}")
+        if buckets is not None and not 1 <= buckets <= MAX_TRACE_BUCKETS:
+            raise HttpError(400, "BadRequest",
+                            f"buckets must be from 1 to "
+                            f"{MAX_TRACE_BUCKETS}, got {buckets}")
         with self._track():
             from repro.trace import (
                 render_occupancy_timeline, render_opn_heatmap,
@@ -582,8 +606,8 @@ class SimService:
             "uptime_s": round(time.time() - self.metrics.started, 3),
             "draining": self.draining,
             "in_flight": self.in_flight,
-            "queue_depth": self.batcher.depth,
-            "max_queue": self.batcher.max_queue,
+            "queue_depth": self.queue_depth,
+            "max_queue": self.config.max_queue,
             "jobs": self.config.jobs,
             "cache_dir": str(self.config.cache_dir),
             "spool_dir": str(self.spool),
@@ -600,7 +624,7 @@ class SimService:
     def metrics_payload(self) -> Tuple[int, Dict[str, Any]]:
         extra = {
             "in_flight": self.in_flight,
-            "queue_depth": self.batcher.depth,
+            "queue_depth": self.queue_depth,
             "draining": self.draining,
             "events": self.events.stats(),
         }

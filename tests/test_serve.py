@@ -1,36 +1,47 @@
-"""The serve subsystem: dedup, batching, rate limits, faults, drain.
+"""The serve subsystem: dedup, the run executor, rate limits, faults,
+drain.
 
 Pins the contracts ``docs/SERVE.md`` advertises:
 
 * N identical concurrent ``POST /v1/run`` requests cost exactly one
   simulation — proven by the pipeline telemetry's compute counters,
   not by timing;
-* mixed compatible requests coalesce into one batched pass whose
-  results are bit-identical to solo runs (same stage calls, same
-  keys);
+* distinct requests run concurrently on the executor threads, with
+  results bit-identical to solo runs (same stage calls, same keys);
 * the rate limiter answers 429 with ``Retry-After``; a full queue
   sheds 503; a draining server refuses new work but finishes what it
   accepted, journals intact;
-* injected faults surface as structured 5xx bodies naming the
-  error-taxonomy type — to the leader *and* every deduped follower —
-  never as a hang;
+* injected faults and any other execution error surface as
+  structured 5xx bodies — to the leader *and* every deduped follower
+  — never as a hang;
+* malformed request framing and query parameters answer 400 before
+  any work runs;
 * each HTTP request runs under its own run id without touching the
   process environment (the one-run-per-process assumption is dead).
+
+The concurrency tests steer execution with a :class:`Gate`: a
+monkeypatched ``point_artifact`` that parks every run until the test
+opens it.
 """
 
 import json
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import runctx
 from repro.explore.engine import POINT_STAGES
+from repro.obs.registry import LogBucketHistogram
 from repro.robust import FaultPlan
 from repro.serve import (
-    LatencyHistogram, RateLimiter, ReproServer, ServeClient, ServeConfig,
-    ServeError, SimService,
+    RateLimiter, ReproServer, ServeClient, ServeConfig, ServeError,
+    SimService,
 )
-from repro.serve.service import HttpError
+from repro.serve import service as service_module
+from repro.serve.service import MAX_TRACE_BUCKETS, HttpError
 
 BENCH = "vadd"
 
@@ -39,9 +50,71 @@ def _config(tmp_path, **overrides):
     base = dict(host="127.0.0.1", port=0,
                 cache_dir=tmp_path / "cache",
                 spool_dir=tmp_path / "spool",
-                rate=0.0, batch_window=0.0)
+                rate=0.0)
     base.update(overrides)
     return ServeConfig(**base)
+
+
+class Gate:
+    """Stands in for ``point_artifact``: every run parks here until
+    :meth:`open`, after calling ``before`` (when set) first."""
+
+    def __init__(self, real):
+        self._real = real
+        self._open = threading.Event()
+        self._lock = threading.Lock()
+        self.parked = 0
+        self.before = None
+
+    def __call__(self, pipeline, payload):
+        with self._lock:
+            self.parked += 1
+        if self.before is not None:
+            self.before()
+        assert self._open.wait(timeout=60), "the gate never opened"
+        return self._real(pipeline, payload)
+
+    def open(self):
+        self._open.set()
+
+
+@pytest.fixture()
+def gate(monkeypatch):
+    instance = Gate(service_module.point_artifact)
+    monkeypatch.setattr(service_module, "point_artifact", instance)
+    yield instance
+    instance.open()         # never leave an executor thread parked
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _fire(service, bodies):
+    """Start one thread per body calling ``handle_run``; each outcome
+    lands in the returned list as ``(status, payload_or_error)``."""
+    outcomes = []
+
+    def call(body):
+        try:
+            outcomes.append(service.handle_run(dict(body)))
+        except HttpError as exc:
+            outcomes.append((exc.status, exc))
+
+    threads = [threading.Thread(target=call, args=(body,))
+               for body in bodies]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def _join(threads):
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 @pytest.fixture()
@@ -58,7 +131,7 @@ def _simulations(service):
 # -- mechanisms (no HTTP) ---------------------------------------------------
 
 def test_latency_histogram_percentiles():
-    histogram = LatencyHistogram()
+    histogram = LogBucketHistogram()
     for ms in (0.5, 3, 3, 40, 900):
         histogram.observe(ms)
     report = histogram.as_dict()
@@ -89,140 +162,163 @@ def test_rate_limiter_disabled_at_zero_rate():
 
 # -- service semantics ------------------------------------------------------
 
-def test_concurrent_identical_requests_cost_one_simulation(tmp_path):
-    service = SimService(_config(tmp_path, batch_window=0.02))
-    body = {"benchmark": BENCH,
-            "config": {"max_blocks_in_flight": 2}}
-    results, errors = [], []
-
-    def fire():
-        try:
-            results.append(service.handle_run(dict(body)))
-        except Exception as exc:  # pragma: no cover - failure detail
-            errors.append(exc)
-
-    threads = [threading.Thread(target=fire) for _ in range(6)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not errors
-    assert len(results) == 6
+def test_concurrent_identical_requests_cost_one_simulation(tmp_path,
+                                                           gate):
+    service = SimService(_config(tmp_path))
+    body = {"benchmark": BENCH, "config": {"max_blocks_in_flight": 2}}
+    threads, results = _fire(service, [body] * 6)
+    # The leader is parked in execution until all five followers joined.
+    _wait_until(lambda: service.metrics.counter("dedup.shared") == 5)
+    gate.open()
+    _join(threads)
+    assert [status for status, _ in results] == [200] * 6
     # The proof: telemetry says the cycle simulator ran exactly once.
     assert _simulations(service) == 1
-    digests = {payload["digest"] for _, payload in results}
-    assert len(digests) == 1
-    leaders = [payload for _, payload in results
-               if not payload["deduped"]]
-    followers = [payload for _, payload in results if payload["deduped"]]
-    assert len(leaders) >= 1 and len(followers) >= 1
-    assert service.metrics.counter("dedup.shared") == len(followers)
+    assert len({payload["digest"] for _, payload in results}) == 1
+    leaders = [p for _, p in results if not p["deduped"]]
+    followers = [p for _, p in results if p["deduped"]]
+    assert len(leaders) == 1 and len(followers) == 5
+    assert service.metrics.counter("dedup.leaders") == 1
     metrics_bodies = {json.dumps(p["metrics"], sort_keys=True)
                       for _, p in results}
     assert len(metrics_bodies) == 1
     service.drain(timeout=10.0)
 
 
-def test_batched_results_bit_identical_to_solo_runs(tmp_path):
-    # Solo truth: each point in its own fresh service.
-    solo = SimService(_config(tmp_path / "solo"))
+def test_concurrent_results_bit_identical_to_solo_runs(tmp_path, gate):
     points = [{"benchmark": BENCH, "config": {"max_blocks_in_flight": n}}
               for n in (1, 2, 4)]
-    solo_metrics = [solo.handle_run(dict(p))[1]["metrics"]
-                    for p in points]
+    service = SimService(_config(tmp_path / "concurrent"))
+    threads, results = _fire(service, points)
+    # All three are accepted before any of them executes.
+    _wait_until(lambda: service.metrics.counter("dedup.leaders") == 3)
+    gate.open()
+    _join(threads)
+    service.drain(timeout=10.0)
+    # Solo truth: one point at a time in a fresh service.
+    solo = SimService(_config(tmp_path / "solo"))
+    solo_metrics = [solo.handle_run(dict(p))[1]["metrics"] for p in points]
     solo.drain(timeout=10.0)
+    by_blocks = {p["settings"]["max_blocks_in_flight"]: p["metrics"]
+                 for _, p in results}
+    assert [by_blocks[n] for n in (1, 2, 4)] == solo_metrics
 
-    # Batched: pile all three up while the batcher is paused, then
-    # release — one drain, one compatible group, one coalesced pass.
-    service = SimService(_config(tmp_path / "batched"))
-    service.batcher.pause()
-    results = [None] * len(points)
 
-    def fire(index, body):
-        results[index] = service.handle_run(dict(body))[1]
-
-    threads = [threading.Thread(target=fire, args=(i, p))
-               for i, p in enumerate(points)]
-    for thread in threads:
-        thread.start()
-    while service.batcher.depth < len(points):
-        pass
-    service.batcher.resume()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert all(r is not None for r in results)
-    assert all(r["batched"] for r in results)
-    assert service.metrics.max_batch == len(points)
-    assert [r["metrics"] for r in results] == solo_metrics
+def test_distinct_leaders_run_concurrently(tmp_path, gate):
+    # Two leaders meet at a barrier inside execution: only concurrent
+    # executor threads get both through it.
+    barrier = threading.Barrier(2)
+    gate.before = lambda: barrier.wait(timeout=30)
+    gate.open()
+    service = SimService(_config(tmp_path, jobs=2))
+    threads, results = _fire(
+        service, [{"benchmark": BENCH, "config": {"max_blocks_in_flight": n}}
+                  for n in (1, 2)])
+    _join(threads)
+    assert [status for status, _ in results] == [200, 200]
+    assert len({payload["digest"] for _, payload in results}) == 2
     service.drain(timeout=10.0)
 
 
-def test_full_queue_sheds_with_503(tmp_path):
-    service = SimService(_config(tmp_path, max_queue=1))
-    service.batcher.pause()
-    threads = []
-    statuses = []
+def test_full_queue_sheds_with_503(tmp_path, gate):
+    service = SimService(_config(tmp_path, jobs=1, max_queue=1))
 
-    def fire(blocks):
-        try:
-            service.handle_run({"benchmark": BENCH,
-                                "config": {"max_blocks_in_flight": blocks}})
-            statuses.append(200)
-        except HttpError as exc:
-            statuses.append(exc.status)
+    def body(blocks):
+        return {"benchmark": BENCH,
+                "config": {"max_blocks_in_flight": blocks}}
 
-    # First fills the queue slot; the rest must shed.
-    first = threading.Thread(target=fire, args=(1,))
-    first.start()
-    while service.batcher.depth < 1:
-        pass
-    for blocks in (2, 4):
-        thread = threading.Thread(target=fire, args=(blocks,))
-        thread.start()
-        threads.append(thread)
-    for thread in threads:
-        thread.join(timeout=30)
-    service.batcher.resume()
-    first.join(timeout=60)
-    assert sorted(statuses) == [200, 503, 503]
+    # One runs (parked at the gate), one waits for the thread ...
+    running, outcomes = _fire(service, [body(1)])
+    _wait_until(lambda: gate.parked == 1)
+    waiting, queued = _fire(service, [body(2)])
+    _wait_until(lambda: service.queue_depth == 2)
+    # ... and every further leader sheds at once.
+    shed, refused = _fire(service, [body(4), body(8)])
+    _join(shed)
+    assert [status for status, _ in refused] == [503, 503]
+    assert all(exc.kind == "Overloaded" for _, exc in refused)
     assert service.metrics.counter("shed") == 2
+    gate.open()
+    _join(running + waiting)
+    assert [status for status, _ in outcomes + queued] == [200, 200]
     service.drain(timeout=10.0)
 
 
-def test_faults_answer_structured_errors_to_leader_and_followers(tmp_path):
+def test_executor_bookkeeping_survives_contention(tmp_path, monkeypatch):
+    """Many threads racing through dedup, submit and shed leave every
+    count balanced: a lost update would strand a non-zero queue depth
+    or a run nobody accounted for."""
+    monkeypatch.setattr(service_module, "point_artifact",
+                        lambda pipeline, payload: None)
+    monkeypatch.setattr(service_module, "point_metrics",
+                        lambda system, artifact: {"cycles": 1})
+    service = SimService(_config(tmp_path, jobs=4, max_queue=4))
+    bodies = [{"benchmark": BENCH,
+               "config": {"max_blocks_in_flight": 1 + index % 8}}
+              for index in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads, outcomes = _fire(service, bodies)
+        _join(threads)
+    finally:
+        sys.setswitchinterval(interval)
+    statuses = [status for status, _ in outcomes]
+    assert len(statuses) == 64 and set(statuses) <= {200, 503}
+    counter = service.metrics.counter
+    assert counter("dedup.leaders") + counter("dedup.shared") == 64
+    assert counter("runs.ok") == counter("dedup.leaders") - counter("shed")
+    assert statuses.count(503) >= counter("shed")
+    assert service.queue_depth == 0 and service.in_flight == 0
+    service.drain(timeout=10.0)
+
+
+def test_faults_answer_structured_errors_to_leader_and_followers(tmp_path,
+                                                                 gate):
     plan = FaultPlan.parse(f"flaky-stage:{BENCH}:1")
-    service = SimService(_config(tmp_path, faults=plan))
+    service = SimService(_config(tmp_path, jobs=1, faults=plan))
     body = {"benchmark": BENCH}
-    outcomes = []
-
-    def fire():
-        try:
-            service.handle_run(dict(body))
-            outcomes.append(("ok", None))
-        except HttpError as exc:
-            outcomes.append(("error", exc))
-
-    # Pause the batcher so all three requests join one in-flight entry
-    # (one leader, two followers) before the single faulted execution.
-    service.batcher.pause()
-    threads = [threading.Thread(target=fire) for _ in range(3)]
-    for thread in threads:
-        thread.start()
-    while service.metrics.counter("dedup.shared") < 2:
-        pass
-    service.batcher.resume()
-    for thread in threads:
-        thread.join(timeout=60)
-    kinds = [kind for kind, _ in outcomes]
+    # A run on another benchmark holds the only executor thread, so all
+    # three requests join one in-flight entry (one leader, two
+    # followers) before the single faulted execution.
+    blocker, _ = _fire(service, [{"benchmark": "crc"}])
+    _wait_until(lambda: gate.parked == 1)
+    threads, outcomes = _fire(service, [body] * 3)
+    _wait_until(lambda: service.metrics.counter("dedup.shared") == 2)
+    gate.open()
+    _join(blocker + threads)
     # One execution faulted; leader and followers all heard about it.
-    assert kinds.count("error") == 3
-    for _, exc in outcomes:
-        assert exc.status == 500
+    assert len(outcomes) == 3
+    for status, exc in outcomes:
+        assert status == 500
         assert exc.kind == "InjectedFault"
         assert BENCH in str(exc)
     # times=1 is spent: the retry succeeds.
     status, payload = service.handle_run(dict(body))
     assert status == 200 and payload["metrics"]["cycles"] > 0
+    service.drain(timeout=10.0)
+
+
+def test_execution_error_answers_every_waiter(tmp_path, gate,
+                                              monkeypatch):
+    def broken(system, artifact):
+        raise RuntimeError("metrics extraction failed")
+
+    monkeypatch.setattr(service_module, "point_metrics", broken)
+    service = SimService(_config(tmp_path, request_timeout=30.0))
+    started = time.monotonic()
+    threads, outcomes = _fire(service, [{"benchmark": BENCH}] * 2)
+    _wait_until(lambda: service.metrics.counter("dedup.shared") == 1)
+    gate.open()
+    _join(threads)
+    assert [status for status, _ in outcomes] == [500, 500]
+    assert all(exc.kind == "RuntimeError" for _, exc in outcomes)
+    assert time.monotonic() - started < 15.0
+    # The entry is retired: the next request runs afresh, not a replay.
+    with pytest.raises(HttpError) as excinfo:
+        service.handle_run({"benchmark": BENCH})
+    assert excinfo.value.status == 500
+    assert service.metrics.counter("dedup.leaders") == 2
     service.drain(timeout=10.0)
 
 
@@ -253,6 +349,40 @@ def test_draining_service_refuses_new_work(tmp_path):
     snapshot = json.loads(
         (service.spool / "metrics.json").read_text())
     assert snapshot["drained_clean"] is True
+
+
+def test_drain_finishes_accepted_runs(tmp_path, gate):
+    service = SimService(_config(tmp_path))
+    threads, outcomes = _fire(service, [{"benchmark": BENCH}])
+    _wait_until(lambda: gate.parked == 1)
+    drained = []
+    drainer = threading.Thread(
+        target=lambda: drained.append(service.drain(timeout=30.0)))
+    drainer.start()
+    _wait_until(lambda: service.draining)
+    assert drainer.is_alive()           # waiting on the parked run
+    gate.open()
+    _join(threads + [drainer])
+    assert [status for status, _ in outcomes] == [200]
+    assert drained == [True]
+    snapshot = json.loads((service.spool / "metrics.json").read_text())
+    assert snapshot["counters"]["runs.ok"] == 1
+    assert snapshot["drained_clean"] is True
+
+
+def test_jobs_defaults_to_two_executor_threads():
+    from repro.__main__ import build_parser
+
+    assert ServeConfig().jobs == 2
+    assert build_parser().parse_args(["serve"]).jobs == 2
+
+
+def test_max_queue_below_one_exits_2():
+    from repro.__main__ import build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["serve", "--max-queue", "0"])
+    assert excinfo.value.code == 2
 
 
 # -- per-request run contexts ----------------------------------------------
@@ -449,25 +579,47 @@ def test_http_events_observe_live_sweep_progress(server):
     assert point["done"] >= 1 and point["points"] == 2
 
 
-def test_http_events_sse_stream_and_bad_params(server):
-    import urllib.request
-
+def test_http_events_bad_params(server):
     client = ServeClient(server.url)
-    client.run(BENCH)                         # publishes a "run" event
-    request = urllib.request.Request(
-        server.url + "/v1/events?stream=sse&timeout=0.2",
-        headers={"Accept": "text/event-stream"})
-    with urllib.request.urlopen(request, timeout=10) as response:
-        assert response.headers["Content-Type"] == "text/event-stream"
-        body = response.read().decode("utf-8")
-    assert "event: repro" in body
-    frame = next(line for line in body.splitlines()
-                 if line.startswith("data: "))
-    event = json.loads(frame[len("data: "):])
-    assert event["kind"] == "run" and event["benchmark"] == BENCH
     with pytest.raises(ServeError) as excinfo:
         client._get_json("/v1/events?cursor=abc")
     assert excinfo.value.status == 400
+
+
+def test_http_trace_rejects_bad_buckets_without_simulating(server):
+    client = ServeClient(server.url)
+    for buckets in ("abc", 0, MAX_TRACE_BUCKETS + 1):
+        with pytest.raises(ServeError) as excinfo:
+            client.trace(BENCH, buckets=buckets)
+        assert excinfo.value.status == 400, buckets
+        assert excinfo.value.kind == "BadRequest"
+    assert server.service.pipeline.telemetry.computes() == 0
+
+
+@pytest.mark.parametrize("length,status", [
+    ("-1", 400), ("abc", 400), (str(1 << 21), 413), (None, 411)])
+def test_http_refused_body_answers_and_closes_connection(server, length,
+                                                         status):
+    """A request whose body the server refuses to read gets its answer
+    and then EOF, even on a keep-alive connection, so a body left on
+    the socket is never parsed as the next request."""
+    headers = "POST /v1/run HTTP/1.1\r\nHost: test\r\n" \
+              "Connection: keep-alive\r\n"
+    if length is not None:
+        headers += f"Content-Length: {length}\r\n"
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall((headers + "\r\n").encode("ascii"))
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)    # a timeout here fails the test
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii")), head
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"]["type"] in (
+        "BadRequest", "PayloadTooLarge", "LengthRequired")
 
 
 def test_http_dashboard_renders_html(server):
@@ -487,16 +639,23 @@ def test_serve_requests_land_in_run_index(tmp_path):
     server = ReproServer(_config(tmp_path)).start()
     try:
         client = ServeClient(server.url)
-        client.run(BENCH)
+        client.run(BENCH)                   # cold
+        client.run(BENCH)                   # warm
+        events = [event for event in client.events()["events"]
+                  if event["kind"] == "run"]
         client.sweep({"name": "indexed", "benchmarks": [BENCH],
                       "axes": {"max_blocks_in_flight": [1]}})
     finally:
         server.drain(timeout=10.0)
+    assert [event["warm"] for event in events] == [False, True]
+    assert all(event["benchmark"] == BENCH and event["outcome"] == "ok"
+               for event in events)
     index = RunIndex(default_index_path(tmp_path / "cache"))
     try:
         runs = index.query(kind="serve-run")
-        assert runs and runs[0]["label"] == BENCH
-        assert runs[0]["outcome"] == "ok"
+        assert len(runs) == 2
+        assert all(run["label"] == BENCH and run["outcome"] == "ok"
+                   for run in runs)
         sweeps = index.query(kind="sweep")
         assert sweeps and sweeps[0]["label"] == "indexed"
     finally:

@@ -74,7 +74,7 @@ def main() -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--cache-dir", str(cache_dir), "--spool", str(spool),
-         "--rate", "0", "--batch-window", "0.02"],
+         "--rate", "0"],
         cwd=REPO, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True)
     boot = proc.stdout.readline()
@@ -217,8 +217,7 @@ def main() -> int:
         metrics = client.metrics()
         if metrics.get("obs", {}).get("obs_schema") != 1:
             fail("metrics payload lacks the obs exposition", proc)
-        for key in ("dedup.leaders", "dedup.shared", "batch.batches",
-                    "batch.requests", "shed"):
+        for key in ("dedup.leaders", "dedup.shared", "shed"):
             if key not in metrics["counters"]:
                 fail(f"stable counter key {key} missing from metrics",
                      proc)
@@ -238,7 +237,7 @@ def main() -> int:
             fail("metrics snapshot says the drain was not clean")
         print(f"serve smoke: drained cleanly; "
               f"runs.ok={document['counters'].get('runs.ok')} "
-              f"batches={document['counters'].get('batch.batches')}")
+              f"deduped={document['counters'].get('dedup.shared')}")
         print(f"serve smoke: metrics snapshot at {snapshot}")
         print("serve smoke: OK")
         return 0
