@@ -937,6 +937,32 @@ _JOBS = _int_at_least(1)
 _RETRIES = _int_at_least(0)
 
 
+def _nonnegative_float(text: str) -> float:
+    """An argparse ``type``: a float no smaller than 0 (NaN refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 0, got {value:g}")
+    return value
+
+
+def _trace_buckets(text: str) -> int:
+    """An argparse ``type``: a timeline resolution from 1 to the
+    ``MAX_TRACE_BUCKETS`` bound ``/v1/trace`` enforces too.  Imported
+    here, so only a given ``--buckets`` pays for loading the tracer."""
+    from repro.trace import MAX_TRACE_BUCKETS
+
+    value = _int_at_least(1)(text)
+    if value > MAX_TRACE_BUCKETS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_TRACE_BUCKETS}, got {value}")
+    return value
+
+
 def _add_robust_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=_RETRIES, default=2, metavar="N",
                         help="worker attempts per benchmark unit beyond the "
@@ -1002,7 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--out", default=None, metavar="FILE",
                          help="write the compact delta-encoded event "
                               "stream to FILE")
-    trace_p.add_argument("--buckets", type=int, default=48, metavar="N",
+    trace_p.add_argument("--buckets", type=_trace_buckets, default=48,
+                         metavar="N",
                          help="window-occupancy timeline resolution")
     _add_pipeline_options(trace_p)
 
@@ -1175,7 +1202,8 @@ def build_parser() -> argparse.ArgumentParser:
     runs_list = runs_sub.add_parser(
         "list", parents=[runs_common],
         help="most recent indexed runs, as a table")
-    runs_list.add_argument("--limit", type=int, default=20, metavar="N",
+    runs_list.add_argument("--limit", type=_int_at_least(1), default=20,
+                           metavar="N",
                            help="rows to show (default 20)")
     runs_show = runs_sub.add_parser(
         "show", parents=[runs_common], help="one indexed run, as JSON")
@@ -1196,15 +1224,18 @@ def build_parser() -> argparse.ArgumentParser:
     runs_query.add_argument("--since-s", type=float, default=None,
                             metavar="SECONDS", dest="since_s",
                             help="only runs started in the last SECONDS")
-    runs_query.add_argument("--limit", type=int, default=50, metavar="N",
+    runs_query.add_argument("--limit", type=_int_at_least(1), default=50,
+                            metavar="N",
                             help="rows to return (default 50)")
     runs_compact = runs_sub.add_parser(
         "compact", parents=[runs_common],
         help="retention: drop old rows and vacuum")
-    runs_compact.add_argument("--keep", type=int, default=500, metavar="N",
+    runs_compact.add_argument("--keep", type=_int_at_least(0), default=500,
+                              metavar="N",
                               help="newest rows to keep (default 500)")
-    runs_compact.add_argument("--max-age-days", type=float, default=None,
-                              metavar="DAYS", dest="max_age_days",
+    runs_compact.add_argument("--max-age-days", type=_nonnegative_float,
+                              default=None, metavar="DAYS",
+                              dest="max_age_days",
                               help="also drop rows older than DAYS")
 
     spans_p = sub.add_parser(
@@ -1227,10 +1258,12 @@ def build_parser() -> argparse.ArgumentParser:
     perf_run.add_argument("--quick", action="store_true",
                           help="reduced repeats (1 warmup + 3 timed) for "
                                "smoke runs and CI")
-    perf_run.add_argument("--repeats", type=int, default=None, metavar="N",
+    perf_run.add_argument("--repeats", type=_int_at_least(1), default=None,
+                          metavar="N",
                           help="timed repeats per benchmark "
                                "(default 7, or 3 with --quick)")
-    perf_run.add_argument("--warmup", type=int, default=None, metavar="N",
+    perf_run.add_argument("--warmup", type=_int_at_least(0), default=None,
+                          metavar="N",
                           help="untimed warmup iterations "
                                "(default 2, or 1 with --quick)")
     perf_run.add_argument("--only", default=None, metavar="A,B",

@@ -9,14 +9,9 @@ and :mod:`repro.perf.benchfile` (host benchmark documents).  They
 correlated only through the shared run id (:mod:`repro.runctx`), and
 none of them survived the process or answered "what ran last week?".
 
-``repro.obs`` gives every layer one spine with four pieces:
-
-:mod:`repro.obs.registry`
-    A central metrics **registry** — counters, gauges, and log-bucket
-    histograms with labels, exposed in one schema-versioned format.
-    Sources either mutate registry primitives directly (the serve
-    metrics do) or register as *collectors* sampled at snapshot time
-    (pipeline telemetry does — zero overhead on the hot cache path).
+``repro.obs`` gives every layer one spine with three pieces; the
+service's counters and latency histograms stay with their only user,
+:class:`repro.serve.metrics.ServeMetrics`, behind ``GET /v1/metrics``.
 
 :mod:`repro.obs.spans`
     Cross-subsystem **spans**: ``with obs.span("stage.exec", ...)``
@@ -36,16 +31,12 @@ none of them survived the process or answered "what ran last week?".
     The **live view**: a bounded in-process event bus behind the serve
     service's ``GET /v1/events`` long-poll endpoint, and the
     stdlib-rendered ``GET /v1/dashboard`` HTML page over the run index
-    and a registry snapshot.
+    and the ``/v1/metrics`` document.
 
-``docs/OBSERVABILITY.md`` documents the registry exposition format,
-the span record, the index tables, and the dashboard walkthrough.
+``docs/OBSERVABILITY.md`` documents the span record, the index tables,
+and the dashboard walkthrough.
 """
 
-from repro.obs.registry import (
-    OBS_SCHEMA_VERSION, BUCKET_BOUNDS_MS, LogBucketHistogram,
-    MetricsRegistry, default_registry, count, format_metric_key,
-)
 from repro.obs.spans import (
     ENV_SPANS, SpanRecorder, export_chrome, install_recorder, span,
     spans_active, uninstall_recorder,
@@ -57,8 +48,6 @@ from repro.obs.runindex import (
 from repro.obs.events import EventBus
 
 __all__ = [
-    "OBS_SCHEMA_VERSION", "BUCKET_BOUNDS_MS", "LogBucketHistogram",
-    "MetricsRegistry", "default_registry", "count", "format_metric_key",
     "ENV_SPANS", "SpanRecorder", "export_chrome", "install_recorder",
     "span", "spans_active", "uninstall_recorder",
     "INDEX_FILE", "INDEX_SCHEMA_VERSION", "RunIndex", "annotate_run",

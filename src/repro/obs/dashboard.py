@@ -1,8 +1,9 @@
-"""Stdlib-rendered HTML dashboard over the run index and registry.
+"""Stdlib-rendered HTML dashboard over the run index and service metrics.
 
 ``GET /v1/dashboard`` on the serve service returns this page: stat
 tiles for the headline numbers, a recent-runs table over the index,
-and counter/latency tables from a registry snapshot.  Design rules
+and counter, per-endpoint latency and per-stage cache tables from the
+``/v1/metrics`` document.  Design rules
 (deliberately austere — no script, no external assets, degrades to
 plain tables):
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import html
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["render_dashboard"]
 
@@ -131,29 +132,38 @@ def _counters_table(counters: Dict[str, int]) -> str:
     return "".join(out)
 
 
-def _histograms_table(histograms: Dict[str, Dict[str, Any]]) -> str:
-    if not histograms:
-        return '<p class="dim">No latency series yet.</p>'
-    out = ["<table><tr><th>series</th><th class=num>count</th>"
-           "<th class=num>mean</th><th class=num>p50</th>"
-           "<th class=num>p95</th><th class=num>p99</th>"
-           "<th class=num>max</th></tr>"]
-    for key in sorted(histograms):
-        h = histograms[key]
-        out.append(
-            f"<tr><td class=mono>{_esc(key)}</td>"
-            f"<td class=num>{_esc(h.get('count', 0))}</td>"
-            f"<td class=num>{h.get('mean_ms', 0.0):g}ms</td>"
-            f"<td class=num>{h.get('p50_ms', 0.0):g}ms</td>"
-            f"<td class=num>{h.get('p95_ms', 0.0):g}ms</td>"
-            f"<td class=num>{h.get('p99_ms', 0.0):g}ms</td>"
-            f"<td class=num>{h.get('max_ms', 0.0):g}ms</td></tr>")
+#: ``(header, field, format)`` columns of the per-endpoint latency
+#: and per-stage cache tables.
+_LATENCY_COLUMNS = (
+    ("count", "count", "{}"), ("mean", "mean_ms", "{:g}ms"),
+    ("p50", "p50_ms", "{:g}ms"), ("p95", "p95_ms", "{:g}ms"),
+    ("p99", "p99_ms", "{:g}ms"), ("max", "max_ms", "{:g}ms"))
+_CACHE_COLUMNS = (
+    ("requests", "requests", "{}"), ("memory hits", "memory_hits", "{}"),
+    ("disk hits", "disk_hits", "{}"), ("computes", "computes", "{}"),
+    ("hit rate", "hit_rate", "{:.1%}"))
+
+
+def _keyed_table(entries: Dict[str, Dict[str, Any]], key_header: str,
+                 columns: Tuple[Tuple[str, str, str], ...],
+                 empty: str) -> str:
+    """One row per entry, sorted by key, one cell per column."""
+    if not entries:
+        return f'<p class="dim">{empty}</p>'
+    out = [f"<table><tr><th>{key_header}</th>"
+           + "".join(f"<th class=num>{header}</th>"
+                     for header, _field, _format in columns) + "</tr>"]
+    for key in sorted(entries):
+        entry = entries[key]
+        out.append(f"<tr><td class=mono>{_esc(key)}</td>" + "".join(
+            f"<td class=num>{_esc(fmt.format(entry.get(field, 0)))}</td>"
+            for _header, field, fmt in columns) + "</tr>")
     out.append("</table>")
     return "".join(out)
 
 
 def render_dashboard(runs: List[Dict[str, Any]],
-                     snapshot: Dict[str, Any],
+                     metrics: Dict[str, Any],
                      status: Optional[Dict[str, Any]] = None,
                      title: str = "repro dashboard",
                      refresh_s: int = 5,
@@ -161,27 +171,25 @@ def render_dashboard(runs: List[Dict[str, Any]],
     """The full dashboard page as an HTML string.
 
     ``runs`` are inflated run-index rows (most recent first),
-    ``snapshot`` a :meth:`MetricsRegistry.snapshot` document, and
+    ``metrics`` a ``/v1/metrics`` document
+    (:meth:`repro.serve.metrics.ServeMetrics.snapshot`), and
     ``status`` the serve status payload (optional — the page also
     serves as a cold offline report over just the index).
     """
     now = time.time() if now is None else now
     status = status or {}
-    counters: Dict[str, int] = dict(snapshot.get("counters") or {})
-    histograms: Dict[str, Dict[str, Any]] = \
-        dict(snapshot.get("histograms") or {})
+    counters: Dict[str, int] = dict(metrics.get("counters") or {})
     ok_runs = sum(1 for row in runs
                   if row.get("outcome") in ("ok", "pass"))
     tiles = [
         _tile(len(runs), "indexed runs shown"),
         _tile(ok_runs, "succeeded"),
         _tile(len(runs) - ok_runs, "not ok"),
-        _tile(len(counters), "counter series"),
+        _tile(len(counters), "counters"),
     ]
     if status:
         tiles.append(_tile(status.get("uptime_s", "—"), "uptime (s)"))
         tiles.append(_tile(status.get("inflight", 0), "in flight"))
-    generated = snapshot.get("generated")
     stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(now))
     return f"""<!doctype html>
 <html lang="en"><head><meta charset="utf-8">
@@ -189,9 +197,8 @@ def render_dashboard(runs: List[Dict[str, Any]],
 <title>{_esc(title)}</title>
 <style>{_STYLE}</style></head><body>
 <h1>{_esc(title)}</h1>
-<div class="sub">rendered {stamp} · registry snapshot
-{_esc(generated if generated is not None else "—")} · auto-refresh
-{int(refresh_s)}s · machine view: <span class=mono>/v1/metrics</span>,
+<div class="sub">rendered {stamp} · auto-refresh {int(refresh_s)}s ·
+machine view: <span class=mono>/v1/metrics</span>,
 <span class=mono>/v1/events</span></div>
 <div class="tiles">{"".join(tiles)}</div>
 <h2>Recent runs</h2>
@@ -199,6 +206,10 @@ def render_dashboard(runs: List[Dict[str, Any]],
 <h2>Counters</h2>
 {_counters_table(counters)}
 <h2>Latency</h2>
-{_histograms_table(histograms)}
+{_keyed_table(metrics.get("endpoints") or {}, "endpoint",
+              _LATENCY_COLUMNS, "No latency series yet.")}
+<h2>Pipeline cache</h2>
+{_keyed_table(metrics.get("cache") or {}, "stage", _CACHE_COLUMNS,
+              "No pipeline stages yet.")}
 </body></html>
 """

@@ -335,11 +335,9 @@ class Pipeline:
         are cached, keyed like ``trips-cycles`` plus the timeline
         resolution.
         """
-        from repro.trace import CollectingTracer, summarize
-        from repro.uarch.config import TripsConfig as _Config
+        from repro.trace import DEFAULT_BUCKETS, CollectingTracer, summarize
 
-        resolution = buckets if buckets is not None \
-            else (config or _Config()).trace_occupancy_buckets
+        resolution = buckets if buckets is not None else DEFAULT_BUCKETS
 
         def compute():
             lowered = self.trips_lowered(name, variant)
@@ -349,7 +347,7 @@ class Pipeline:
             return summarize(tracer.events, sim.stats.cycles,
                              buckets=resolution)
 
-        key = (name, variant, config_digest(config, _Config), resolution)
+        key = (name, variant, config_digest(config, TripsConfig), resolution)
         return self._materialize("trace-summary", key, compute, persist=True)
 
     def block_trace(self, name: str, variant: str = "compiled",

@@ -14,8 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import default_registry, format_metric_key
-
 #: Event kinds recorded per stage.
 MEMORY_HIT = "memory-hit"
 DISK_HIT = "disk-hit"
@@ -80,18 +78,12 @@ _COUNTER_FIELDS = frozenset(
 class Telemetry:
     """Per-stage counters for one pipeline (mergeable across processes).
 
-    Every instance registers itself (weakly) as a *collector* on the
-    process-wide :class:`repro.obs.MetricsRegistry`: the registry pulls
-    :meth:`collect_obs` at snapshot time, so the per-record hot path —
-    exercised once per cache probe — pays nothing for the unified
-    exposition.  Pass ``register=False`` for throwaway instances that
-    must stay out of shared snapshots (merge scratch space, tests).
+    ``register`` is accepted and ignored, for callers written against
+    the earlier signature (the e2e harness passes ``register=False``).
     """
 
     def __init__(self, register: bool = True) -> None:
         self.stages: Dict[str, StageCounters] = {}
-        if register:
-            default_registry().register_collector(self.collect_obs)
 
     def record(self, stage: str, event: str, seconds: float = 0.0) -> None:
         self.stages.setdefault(stage, StageCounters()).record(event, seconds)
@@ -125,34 +117,6 @@ class Telemetry:
             known = {key: value for key, value in fields.items()
                      if key in _COUNTER_FIELDS}
             self.counters(name).merge(StageCounters(**known))
-
-    # -- unified registry exposition --------------------------------------
-
-    def collect_obs(self):
-        """Metric families for :class:`repro.obs.MetricsRegistry`:
-        ``pipeline.stage.<counter>{stage=...}`` counters plus the two
-        wall-clock accumulators as gauges (seconds)."""
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        for name, c in list(self.stages.items()):
-            labels = {"stage": name}
-            counters[format_metric_key(
-                "pipeline.stage.memory_hits", labels)] = c.memory_hits
-            counters[format_metric_key(
-                "pipeline.stage.disk_hits", labels)] = c.disk_hits
-            counters[format_metric_key(
-                "pipeline.stage.computes", labels)] = c.computes
-            counters[format_metric_key(
-                "pipeline.stage.stores", labels)] = c.stores
-            counters[format_metric_key(
-                "pipeline.stage.corrupt", labels)] = c.corrupt_entries
-            gauges[format_metric_key(
-                "pipeline.stage.compute_seconds", labels)] = \
-                round(c.compute_seconds, 6)
-            gauges[format_metric_key(
-                "pipeline.stage.load_seconds", labels)] = \
-                round(c.load_seconds, 6)
-        return counters, gauges, {}
 
     # -- rendering --------------------------------------------------------
 

@@ -39,7 +39,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.obs import registry as obs_registry
 from repro.obs import spans as obs_spans
 from repro.robust.errors import StageTimeout, WorkerCrash
 from repro.robust.report import COMPLETED, DEGRADED, FAILED, RETRIED, \
@@ -92,14 +91,12 @@ def supervise_units(units: Sequence[str],
     """
     report = report if report is not None else RunReport()
     policy = policy or RetryPolicy()
-    obs = obs_registry.default_registry()
 
     def succeed(label: str, attempt: int, counters,
                 status: Optional[str] = None) -> None:
         if telemetry is not None and counters:
             telemetry.merge_dict(counters)
         status = status or (RETRIED if attempt else COMPLETED)
-        obs.inc(f"supervise.{status}")
         outcome = report.resolve(label, status, attempts=attempt + 1)
         if on_outcome:
             on_outcome(label, outcome)
@@ -107,7 +104,6 @@ def supervise_units(units: Sequence[str],
             progress(label)
 
     def fail(label: str, attempts: int) -> None:
-        obs.inc(f"supervise.{FAILED}")
         outcome = report.resolve(label, FAILED, attempts=attempts)
         if on_outcome:
             on_outcome(label, outcome)

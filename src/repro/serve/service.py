@@ -70,9 +70,6 @@ DEFAULT_REQUEST_TIMEOUT = 300.0
 #: Sweeps bigger than this are refused over HTTP (run them via the CLI).
 DEFAULT_MAX_SWEEP_POINTS = 256
 
-#: Finest occupancy-timeline resolution ``/v1/trace`` renders.
-MAX_TRACE_BUCKETS = 1024
-
 
 class HttpError(Exception):
     """An error with a definite HTTP status and structured body."""
@@ -132,11 +129,6 @@ class SimService:
         self.config = config
         self.pipeline = Pipeline(cache_dir=config.cache_dir)
         self.metrics = ServeMetrics()
-        # The warm pipeline's telemetry joins the service registry as a
-        # collector, so /v1/metrics' ``obs`` exposition carries the
-        # pipeline.stage.* families next to the serve.* counters.
-        self.metrics.registry.register_collector(
-            self.pipeline.telemetry.collect_obs)
         #: Live feed behind ``GET /v1/events`` (sweep progress, request
         #: outcomes, drain) — bounded, never applies backpressure.
         self.events = EventBus()
@@ -521,6 +513,11 @@ class SimService:
     def handle_trace(self, benchmark: str, variant: str = "compiled",
                      buckets: Optional[int] = None
                      ) -> Tuple[int, Dict[str, Any]]:
+        from repro.trace import (
+            MAX_TRACE_BUCKETS, render_occupancy_timeline,
+            render_opn_heatmap, render_tile_histogram,
+        )
+
         self._refuse_if_draining()
         if benchmark not in self._benchmarks:
             raise HttpError(
@@ -536,10 +533,6 @@ class SimService:
                             f"buckets must be from 1 to "
                             f"{MAX_TRACE_BUCKETS}, got {buckets}")
         with self._track():
-            from repro.trace import (
-                render_occupancy_timeline, render_opn_heatmap,
-                render_tile_histogram,
-            )
             metrics = self.pipeline.trace_summary(benchmark, variant,
                                                   buckets=buckets)
             self.metrics.count("traces")
@@ -622,14 +615,11 @@ class SimService:
         }
 
     def metrics_payload(self) -> Tuple[int, Dict[str, Any]]:
-        extra = {
-            "in_flight": self.in_flight,
-            "queue_depth": self.queue_depth,
-            "draining": self.draining,
-            "events": self.events.stats(),
-        }
-        return 200, self.metrics.snapshot(
-            telemetry=self.pipeline.telemetry, extra=extra)
+        document = self.metrics.snapshot(self.pipeline.telemetry)
+        document.update(in_flight=self.in_flight,
+                        queue_depth=self.queue_depth,
+                        draining=self.draining, events=self.events.stats())
+        return 200, document
 
     # -- /v1/events, /v1/dashboard -----------------------------------------
 
@@ -648,7 +638,7 @@ class SimService:
                      "dropped": self.events.dropped}
 
     def dashboard_payload(self, limit: int = 25) -> Tuple[int, str]:
-        """The live HTML dashboard over the run index and registry.
+        """The live HTML dashboard over the run index and metrics.
 
         Flushes the index write buffer first so a run completed
         microseconds ago is already in the table — the reader pays the
@@ -661,5 +651,4 @@ class SimService:
             runs = []
         status = self.status_payload()[1]
         status["inflight"] = status.pop("in_flight", 0)
-        return 200, render_dashboard(
-            runs, self.metrics.registry.snapshot(), status)
+        return 200, render_dashboard(runs, self.metrics_payload()[1], status)

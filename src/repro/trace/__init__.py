@@ -25,7 +25,9 @@ from repro.trace.render import (
     DENSITY, density_char, node_name, render_event_counts,
     render_occupancy_timeline, render_opn_heatmap, render_tile_histogram,
 )
-from repro.trace.views import DEFAULT_BUCKETS, TraceMetrics, summarize
+from repro.trace.views import (
+    DEFAULT_BUCKETS, MAX_TRACE_BUCKETS, TraceMetrics, summarize,
+)
 
 __all__ = [
     "CollectingTracer",
@@ -35,6 +37,7 @@ __all__ = [
     "EventSpec",
     "FORMAT_NAME",
     "FORMAT_VERSION",
+    "MAX_TRACE_BUCKETS",
     "NULL_TRACER",
     "TraceEvent",
     "TraceFormatError",

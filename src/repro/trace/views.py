@@ -27,6 +27,10 @@ Link = Tuple[int, int, int, int]
 #: Default occupancy-timeline resolution (buckets across the run).
 DEFAULT_BUCKETS = 48
 
+#: Finest occupancy-timeline resolution ``repro trace`` and
+#: ``/v1/trace`` accept.
+MAX_TRACE_BUCKETS = 1024
+
 
 @dataclass
 class TraceMetrics:

@@ -141,15 +141,6 @@ class TripsConfig:
     #: rounding) with the proposed 32-byte block header.
     variable_size_blocks: bool = False
 
-    # ------------------------------------------------------------------
-    # Observability (repro.trace) — derived-view resolution only; never
-    # read by any timing path, so it cannot change cycle counts.
-    # ------------------------------------------------------------------
-
-    #: Buckets in the trace-derived window-occupancy timeline (the
-    #: resolution of the cacheable ``trace-summary`` artifact).
-    trace_occupancy_buckets: int = 48
-
     clock_mhz: int = 366
 
     # ------------------------------------------------------------------

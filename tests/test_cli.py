@@ -232,8 +232,9 @@ class TestSweep:
 
 
 class TestCountOptions:
-    """``--jobs`` below 1 and ``--retries`` below 0 are refused at parse
-    time (exit 2) on every subcommand that has them."""
+    """A count outside its range (``--jobs`` below 1, ``--retries``
+    below 0, ...) is refused at parse time (exit 2) on every subcommand
+    that has it."""
 
     CHAOS = ["chaos", "crc", "--faults", "flaky-stage:crc"]
 
@@ -247,6 +248,15 @@ class TestCountOptions:
         CHAOS + ["--retries", "-1"],
         ["serve", "--jobs", "0"],
         ["sweep", "smoke", "--jobs", "two"],
+        ["perf", "run", "--repeats", "0"],
+        ["perf", "run", "--warmup", "-1"],
+        ["trace", "vadd", "--buckets", "0"],
+        ["trace", "vadd", "--buckets", "-7"],
+        ["trace", "vadd", "--buckets", "1025"],
+        pytest.param(["runs", "list", "--limit", "0"],
+                     id="runs-list--limit=0"),
+        pytest.param(["runs", "query", "--limit", "0"],
+                     id="runs-query--limit=0"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
     def test_bad_count_exits_2(self, argv, capsys):
         from repro.__main__ import build_parser
@@ -254,8 +264,27 @@ class TestCountOptions:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--jobs" in err or "--retries" in err
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [["--keep", "-3"],
+                                       ["--max-age-days", "-1"]],
+                             ids=lambda bound: "=".join(bound))
+    def test_negative_compact_bound_keeps_every_row(self, bound, tmp_path):
+        from repro.obs import RunIndex, default_index_path
+
+        path = default_index_path(tmp_path)
+        index = RunIndex(path)
+        for number in range(5):
+            index.record(f"r{number}", "run")
+        index.close()
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "compact", "--cache-dir", str(tmp_path), *bound])
+        assert exc.value.code == 2
+        index = RunIndex(path)
+        try:
+            assert index.count() == 5
+        finally:
+            index.close()
 
     def test_smallest_counts_parse(self):
         from repro.__main__ import build_parser

@@ -1,5 +1,5 @@
-"""The ``repro.obs`` subsystem: metrics registry, spans, run index,
-event bus, and the dashboard renderer.
+"""The ``repro.obs`` subsystem: spans, run index, event bus, and the
+dashboard renderer — plus the serve latency histogram it renders.
 
 The boundary tests here are contracts other layers rely on:
 
@@ -19,24 +19,15 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs import (BUCKET_BOUNDS_MS, EventBus, LogBucketHistogram,
-                       MetricsRegistry, RunIndex, annotate_run,
+from repro.obs import (EventBus, RunIndex, annotate_run,
                        consume_annotations, export_chrome,
-                       format_metric_key, install_recorder, record_run,
-                       span, spans_active, uninstall_recorder)
+                       install_recorder, record_run, span, spans_active,
+                       uninstall_recorder)
 from repro.obs.dashboard import render_dashboard
 from repro.obs.runindex import INDEX_SCHEMA_VERSION
-
-
-class TestMetricKey:
-    def test_bare_name_without_labels(self):
-        assert format_metric_key("serve.shed") == "serve.shed"
-        assert format_metric_key("serve.shed", {}) == "serve.shed"
-
-    def test_labels_sorted_for_stable_keys(self):
-        key = format_metric_key("x", {"b": 2, "a": 1})
-        assert key == "x{a=1,b=2}"
-        assert key == format_metric_key("x", {"a": 1, "b": 2})
+from repro.pipeline.observe import Telemetry
+from repro.serve.metrics import (BUCKET_BOUNDS_MS, LogBucketHistogram,
+                                 ServeMetrics)
 
 
 class TestHistogramBoundaries:
@@ -79,81 +70,6 @@ class TestHistogramBoundaries:
         h.observe(10 ** 9)
         assert h.percentile(0.99) == BUCKET_BOUNDS_MS[-2]
         assert h.as_dict()["buckets"] == {"+inf": 1}
-
-    def test_merge_adds_counts_and_keeps_max(self):
-        a, b = LogBucketHistogram(), LogBucketHistogram()
-        a.observe(3.0)
-        b.observe(40.0)
-        a.merge(b)
-        assert a.total == 2
-        assert a.max_ms == 40.0
-        assert a.percentile(0.99) == 50
-
-
-class TestMetricsRegistry:
-    def test_counters_gauges_histograms_in_snapshot(self):
-        registry = MetricsRegistry(clock=lambda: 123.0)
-        registry.inc("runs", 2)
-        registry.inc("points", labels={"kind": "sweep"})
-        registry.set_gauge("depth", 3.5)
-        registry.observe_ms("latency", 7.0, labels={"endpoint": "run"})
-        snap = registry.snapshot()
-        assert snap["obs_schema"] == 1
-        assert snap["generated"] == 123.0
-        assert snap["counters"]["runs"] == 2
-        assert snap["counters"]["points{kind=sweep}"] == 1
-        assert snap["gauges"]["depth"] == 3.5
-        assert snap["histograms"]["latency{endpoint=run}"]["p50_ms"] == 10
-
-    def test_declared_counters_present_at_zero(self):
-        registry = MetricsRegistry()
-        registry.declare_counters("shed", "dedup.leaders")
-        registry.inc("shed")                  # declare never resets
-        registry.declare_counters("shed")
-        snap = registry.snapshot()
-        assert snap["counters"]["dedup.leaders"] == 0
-        assert snap["counters"]["shed"] == 1
-
-    def test_collector_families_merge_into_snapshot(self):
-        registry = MetricsRegistry()
-        registry.inc("shared", 1)
-        # The local name is the strong reference — registration alone
-        # would let the lambda be collected (that is the weakref deal).
-        collector = lambda: ({"shared": 2, "mine": 5}, {"g": 1.0}, {})
-        registry.register_collector(collector)
-        counters = registry.snapshot()["counters"]
-        assert counters["shared"] == 3        # primitive + collector add
-        assert counters["mine"] == 5
-
-    def test_collector_held_weakly_and_pruned(self):
-        class Source:
-            def collect(self):
-                return {"alive": 1}, {}, {}
-
-        registry = MetricsRegistry()
-        source = Source()
-        registry.register_collector(source.collect)
-        assert registry.snapshot()["counters"]["alive"] == 1
-        del source
-        assert "alive" not in registry.snapshot()["counters"]
-
-    def test_telemetry_registers_as_collector(self):
-        from repro.obs.registry import default_registry
-        from repro.pipeline.observe import Telemetry
-
-        telemetry = Telemetry()
-        telemetry.record("lowering", "compute", 0.25)
-        telemetry.record("lowering", "memory-hit")
-        snap = default_registry().snapshot()
-        key = "pipeline.stage.computes{stage=lowering}"
-        assert snap["counters"][key] >= 1
-        assert snap["gauges"][
-            "pipeline.stage.compute_seconds{stage=lowering}"] >= 0.25
-        # Unregistered instances stay out of shared snapshots.
-        scratch = Telemetry(register=False)
-        scratch.record("scratch-stage", "compute", 1.0)
-        assert "pipeline.stage.computes{stage=scratch-stage}" \
-            not in default_registry().snapshot()["counters"]
 
 
 @pytest.fixture
@@ -366,16 +282,24 @@ class TestDashboard:
         ]
 
     def test_page_renders_runs_metrics_and_status(self):
-        registry = MetricsRegistry()
-        registry.inc("serve.runs.ok", 4)
-        registry.observe_ms("serve.latency", 12.0,
-                            labels={"endpoint": "run"})
-        page = render_dashboard(self._rows(), registry.snapshot(),
+        metrics = ServeMetrics()
+        metrics.count("runs.ok", 4)
+        metrics.observe("run", 200, 0.012)
+        telemetry = Telemetry()
+        telemetry.record("trips-cycles", "compute", 0.25)
+        telemetry.record("trips-cycles", "memory-hit")
+        page = render_dashboard(self._rows(), metrics.snapshot(telemetry),
                                 status={"uptime_s": 42, "inflight": 1})
         assert page.startswith("<!doctype html>")
         assert 'http-equiv="refresh"' in page
-        assert "serve.runs.ok" in page
-        assert "serve.latency{endpoint=run}" in page
+        # A serve counter, the endpoint's latency row (12 ms -> the
+        # 20 ms bucket), and the stage's cache row.
+        assert "<td class=mono>runs.ok</td><td class=num>4</td>" in page
+        assert ("<td class=mono>run</td><td class=num>1</td>"
+                "<td class=num>12ms</td><td class=num>20ms</td>") in page
+        assert ("<td class=mono>trips-cycles</td><td class=num>2</td>"
+                "<td class=num>1</td><td class=num>0</td>"
+                "<td class=num>1</td><td class=num>50.0%</td>") in page
         assert "abc123" in page and "vadd" in page
         assert '<span class="chip ok">ok</span>' in page
         assert '<span class="chip bad">failed</span>' in page
@@ -383,14 +307,14 @@ class TestDashboard:
         assert "<grid>" not in page
 
     def test_empty_page_degrades_gracefully(self):
-        page = render_dashboard([], MetricsRegistry().snapshot())
+        page = render_dashboard([], ServeMetrics().snapshot(Telemetry()))
         assert "No runs recorded yet." in page
         assert "No latency series yet." in page
+        assert "No pipeline stages yet." in page
 
 
 class TestPackageSurface:
     def test_obs_reexports_the_public_api(self):
-        for name in ("MetricsRegistry", "LogBucketHistogram", "span",
-                     "spans_active", "RunIndex", "record_run",
+        for name in ("span", "spans_active", "RunIndex", "record_run",
                      "EventBus", "export_chrome", "annotate_run"):
             assert hasattr(obs, name), name

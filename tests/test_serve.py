@@ -34,14 +34,16 @@ import pytest
 
 from repro import runctx
 from repro.explore.engine import POINT_STAGES
-from repro.obs.registry import LogBucketHistogram
+from repro.pipeline.observe import Telemetry
 from repro.robust import FaultPlan
 from repro.serve import (
     RateLimiter, ReproServer, ServeClient, ServeConfig, ServeError,
-    SimService,
+    ServeMetrics, SimService,
 )
 from repro.serve import service as service_module
-from repro.serve.service import MAX_TRACE_BUCKETS, HttpError
+from repro.serve.metrics import LogBucketHistogram
+from repro.serve.service import HttpError
+from repro.trace import MAX_TRACE_BUCKETS
 
 BENCH = "vadd"
 
@@ -140,6 +142,38 @@ def test_latency_histogram_percentiles():
     assert report["p50_ms"] == 5      # bucket upper bound containing 3ms
     assert report["p99_ms"] == 1000
     assert sum(report["buckets"].values()) == 5
+
+
+def test_metrics_totals_exact_under_contention():
+    """16 threads x 500 calls of ``observe`` and ``count``: a lost
+    update anywhere would show as a short total."""
+    metrics = ServeMetrics()
+    workers, calls = 16, 500
+    start = threading.Barrier(workers)
+
+    def hammer():
+        start.wait(timeout=30.0)
+        for call in range(calls):
+            metrics.observe("run", 503 if call % 2 else 200, 0.003)
+            metrics.count("runs.ok")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        _join(threads)
+    finally:
+        sys.setswitchinterval(interval)
+    total = workers * calls
+    document = metrics.snapshot(Telemetry())
+    assert document["counters"]["runs.ok"] == total
+    run = document["endpoints"]["run"]
+    assert run["count"] == total
+    assert run["buckets"] == {"5": total}
+    assert run["responses"] == {"200": total // 2, "503": total // 2}
+    assert run["errors"] == total // 2
 
 
 def test_rate_limiter_refills_and_reports_retry_after():
@@ -440,6 +474,25 @@ def test_http_run_sweep_trace_artifact_status_metrics(tmp_path, server):
     assert metrics["counters"]["traces"] == 1
     assert metrics["cache"]["trips-cycles"]["computes"] >= 1
     assert metrics["endpoints"]["run"]["count"] == 1
+    # Each cache row is its stage's StageCounters, field for field.
+    telemetry = server.service.pipeline.telemetry
+    assert set(metrics["cache"]) == set(telemetry.stages)
+    for stage, row in metrics["cache"].items():
+        counters = telemetry.counters(stage)
+        assert row == {
+            "requests": counters.requests,
+            "memory_hits": counters.memory_hits,
+            "disk_hits": counters.disk_hits,
+            "computes": counters.computes,
+            "hit_rate": round(counters.hit_rate, 4),
+            "corrupt": counters.corrupt_entries,
+            "stores": counters.stores,
+            "compute_seconds": round(counters.compute_seconds, 6),
+            "load_seconds": round(counters.load_seconds, 6),
+        }, stage
+    # Every response is counted once, under its endpoint and status.
+    for endpoint, entry in metrics["endpoints"].items():
+        assert sum(entry["responses"].values()) == entry["count"], endpoint
 
 
 def test_http_sweep_records_equal_a_direct_run_sweep(tmp_path, server):
@@ -524,8 +577,8 @@ def test_http_unknown_routes_and_methods(server):
 
 def test_metrics_stable_keys_present_at_zero(tmp_path):
     """Every documented counter key exists from the first scrape —
-    monitoring never has to special-case 'not seen yet' — and the full
-    registry exposition rides along under ``obs``."""
+    monitoring never has to special-case 'not seen yet' — and each
+    number is reported once: there is no second, prefixed copy."""
     from repro.serve.metrics import STABLE_COUNTERS
 
     server = ReproServer(_config(tmp_path)).start()
@@ -533,10 +586,7 @@ def test_metrics_stable_keys_present_at_zero(tmp_path):
         metrics = ServeClient(server.url).metrics()
         for key in STABLE_COUNTERS:
             assert metrics["counters"].get(key) == 0, key
-        obs_doc = metrics["obs"]
-        assert obs_doc["obs_schema"] == 1
-        for key in STABLE_COUNTERS:
-            assert obs_doc["counters"].get("serve." + key) == 0, key
+        assert "obs" not in metrics
         assert metrics["events"] == {"published": 0, "buffered": 0,
                                      "dropped": 0}
     finally:
@@ -629,7 +679,12 @@ def test_http_dashboard_renders_html(server):
     assert page.startswith("<!doctype html>")
     assert "repro dashboard" in page
     assert BENCH in page                      # the run row made the page
-    assert "serve.responses" in page          # registry counters too
+    # The /v1/metrics sections: a serve counter, the run endpoint's
+    # latency row, and the cycle stage's cache row.
+    assert "<td class=mono>runs.ok</td><td class=num>1</td>" in page
+    assert "<td class=mono>run</td><td class=num>1</td>" in page
+    assert "<th class=num>p99</th>" in page
+    assert "<td class=mono>trips-cycles</td>" in page
 
 
 def test_serve_requests_land_in_run_index(tmp_path):
@@ -666,9 +721,11 @@ def test_drain_writes_snapshot_and_stops_listener(tmp_path):
     server = ReproServer(_config(tmp_path)).start()
     client = ServeClient(server.url)
     client.run(BENCH)
+    live = client.metrics()
     assert server.drain(timeout=10.0) is True
     snapshot = json.loads(
         (server.service.spool / "metrics.json").read_text())
+    assert set(snapshot) == set(live) | {"drained_clean"}
     assert snapshot["counters"]["runs.ok"] == 1
     assert snapshot["drained_clean"] is True
     with pytest.raises(Exception):

@@ -19,8 +19,9 @@ contract through the bundled client, under a hard wall-clock budget:
 4. **Graceful drain.**  SIGTERM must exit 0 with the final metrics
    snapshot written to the spool.
 5. **Live view.**  ``GET /v1/dashboard`` renders the HTML page with
-   the recent-runs table, and ``/v1/metrics`` carries the unified
-   ``obs`` exposition plus every documented stable counter key.
+   the recent-runs table, and ``/v1/metrics`` carries non-empty
+   ``counters``, ``endpoints`` and ``cache`` sections plus every
+   documented stable counter key.
 
 Exits 0 when every gate holds; prints one ``FAIL:`` line and exits 1
 otherwise.  The metrics snapshot path is printed for artifact upload.
@@ -207,7 +208,7 @@ def main() -> int:
         if status["draining"] or status["service"] != "repro-serve":
             fail(f"bad status payload: {status}", proc)
 
-        # -- gate 5: dashboard renders, metrics carry the obs doc ------
+        # -- gate 5: dashboard renders, metrics carry every section ----
         check_deadline("dashboard")
         page = client.dashboard()
         if not page.startswith("<!doctype html>"):
@@ -215,13 +216,15 @@ def main() -> int:
         if BENCH not in page or "Recent runs" not in page:
             fail("dashboard is missing the recent-runs table", proc)
         metrics = client.metrics()
-        if metrics.get("obs", {}).get("obs_schema") != 1:
-            fail("metrics payload lacks the obs exposition", proc)
+        for section in ("counters", "endpoints", "cache"):
+            if not metrics.get(section):
+                fail(f"metrics section {section} is missing or empty",
+                     proc)
         for key in ("dedup.leaders", "dedup.shared", "shed"):
             if key not in metrics["counters"]:
                 fail(f"stable counter key {key} missing from metrics",
                      proc)
-        print("serve smoke: dashboard + obs exposition OK")
+        print("serve smoke: dashboard + metrics sections OK")
 
         # -- gate 4: graceful SIGTERM drain ----------------------------
         check_deadline("drain")
