@@ -12,6 +12,8 @@ benchmark                 what it times
 ``ir-interp``             the golden-model IR interpreter (``run_module``)
 ``risc-sim``              the RISC functional simulator end to end
 ``cycle-sim``             ``CycleSimulator.run`` via ``run_cycles``
+``ideal-sim``             one program's cold Figure 10 ideal-machine trio
+``ref-platforms``         one program's cold Figure 11 platform quartet
 ``opn-route``             operand-network routing + link contention
 ``cache-hierarchy``       L1-D -> NUCA L2 -> DRAM access path
 ``pipeline-cold``         full stage compute into an empty artifact store
@@ -39,6 +41,7 @@ _INTERP_BENCH = "vadd"
 _RISC_BENCH = "vadd"
 _CYCLE_BENCH = "rspeed"
 _PIPELINE_BENCH = "vadd"
+_MODEL_BENCH = _CYCLE_BENCH
 
 #: Microbenchmark sizes.
 _OPN_SENDS = 12000
@@ -80,6 +83,44 @@ def _setup_cycle_sim():
 def _run_cycle_sim(lowered):
     from repro.uarch import run_cycles
     return run_cycles(lowered)
+
+
+# -- timing-model benchmarks ------------------------------------------------
+
+def _setup_timing_models():
+    # Compile once: each sample starts a fresh pipeline from these
+    # compiler artifacts, so it times the simulation stages only.
+    from repro.pipeline.core import Pipeline
+    warm = Pipeline()
+    warm.expected(_MODEL_BENCH)
+    for variant in ("compiled", "hand"):
+        warm.trips_lowered(_MODEL_BENCH, variant)
+    for level in ("O2", "ICC"):
+        warm.risc_lowered(_MODEL_BENCH, level)
+    return warm
+
+
+def _compiled_pipeline(warm):
+    from repro.pipeline.core import Pipeline
+    pipeline = Pipeline()
+    pipeline._memory.update(warm._memory)
+    pipeline._expected.update(warm._expected)
+    return pipeline
+
+
+def _run_ideal_sim(warm):
+    from repro.pipeline.parallel import IDEAL_POINTS
+    pipeline = _compiled_pipeline(warm)
+    return [pipeline.ideal(_MODEL_BENCH, variant, window, cost).cycles
+            for variant in ("compiled", "hand")
+            for window, cost in IDEAL_POINTS]
+
+
+def _run_ref_platforms(warm):
+    from repro.pipeline.parallel import PLATFORM_LEVELS
+    pipeline = _compiled_pipeline(warm)
+    return [pipeline.platform(_MODEL_BENCH, platform, level).cycles
+            for platform, level in PLATFORM_LEVELS]
 
 
 # -- microarchitecture component benchmarks ---------------------------------
@@ -281,6 +322,14 @@ _SUITE: List[BenchSpec] = [
     BenchSpec("cycle-sim", "simulators",
               f"cycle-level TRIPS simulator, {_CYCLE_BENCH} end to end",
               _setup_cycle_sim, _run_cycle_sim),
+    BenchSpec("ideal-sim", "simulators",
+              f"ideal machine, {_MODEL_BENCH} Figure 10 trio x both "
+              f"variants, cold (compiler warm)",
+              _setup_timing_models, _run_ideal_sim),
+    BenchSpec("ref-platforms", "simulators",
+              f"reference platforms, {_MODEL_BENCH} Figure 11 quartet, "
+              f"cold (compiler warm)",
+              _setup_timing_models, _run_ref_platforms),
     BenchSpec("opn-route", "uarch",
               f"operand network: {_OPN_SENDS} routed sends w/ contention",
               _setup_opn_route, _run_opn_route),

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Golden digests of the cycle simulator: record them, or check against them.
+"""Golden tables of the timing models: record them, or check against them.
 
-Every suite program, compiled at O2 with hyperblock formation, runs on
-the cycle simulator under six configurations (:data:`CONFIGS`).  One
+The tool keeps two tables.  The **cycle table** pins the cycle
+simulator.  Every suite program, compiled at O2 with hyperblock
+formation, runs on it under six configurations (:data:`CONFIGS`).  One
 entry per (program, configuration) records:
 
 * the program's return value;
@@ -14,17 +15,37 @@ entry per (program, configuration) records:
 
 The committed table, ``tests/data/cycle_goldens.json``, is the
 equivalence contract of the execution kernel: any change that moves a
-single cycle, counter or trace event shows up as a mismatch.  Tier-1
-checks the traced programs (``tests/test_kernels_batched.py``); the CI
-``goldens`` job checks the whole table::
+single cycle, counter or trace event shows up as a mismatch.
+
+The **model table**, ``tests/data/model_goldens.json``, pins the other
+models the figures read.  Per suite program it records, through a
+memory-only :class:`~repro.pipeline.Pipeline`:
+
+* for each TRIPS variant (:data:`VARIANTS`): every
+  :class:`~repro.trips.functional.TripsStats` field, a SHA-256 of the
+  hyperblock and basic-block traces, and the
+  :class:`~repro.uarch.ideal.IdealStats` of Figure 10's three
+  ideal-machine points (:data:`IDEAL_POINTS`);
+* for the ``ideal-ilp`` sweep preset's programs, the ideal machine over
+  that preset's whole grid;
+* at O2 and at ICC (:data:`LEVELS`): the PowerPC
+  :class:`~repro.risc.RiscStats` and the
+  :class:`~repro.refmodels.SuperscalarStats` of every reference
+  platform (:data:`PLATFORM_KEYS`).
+
+Tier-1 checks the traced programs of both tables
+(``tests/test_kernels_batched.py``, ``tests/test_model_goldens.py``);
+the CI ``goldens`` job checks both whole tables::
 
     PYTHONPATH=src python tools/cycle_goldens.py --jobs 2
     PYTHONPATH=src python tools/cycle_goldens.py --programs rspeed,crc
+    PYTHONPATH=src python tools/cycle_goldens.py --table models --jobs 2
     PYTHONPATH=src python tools/cycle_goldens.py --write --jobs 2
 
 Without ``--write`` the tool checks and exits 1 on any mismatch, with
-one line per differing entry.  ``--write`` regenerates the file; do
-that only for an intentional timing change, and say so in the commit.
+one line per differing entry.  ``--write`` regenerates the selected
+tables; do that only for an intentional timing change, and say so in
+the commit.
 """
 
 from __future__ import annotations
@@ -33,6 +54,7 @@ import argparse
 import hashlib
 import json
 import multiprocessing
+import re
 import sys
 import time
 from pathlib import Path
@@ -40,6 +62,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_FILE = REPO / "tests" / "data" / "cycle_goldens.json"
+MODEL_FILE = REPO / "tests" / "data" / "model_goldens.json"
+
+#: The two tables, in checking order.
+TABLES = ("cycles", "models")
 
 #: Component selections pinned explicitly, so a ``REPRO_UARCH_COMPONENTS``
 #: override (the CI matrix leg) cannot change what "default" means.
@@ -127,8 +153,112 @@ def program_entries(program: str) -> Tuple[str, Dict[str, object], float]:
     return program, entries, time.perf_counter() - started
 
 
+# -- the model table ----------------------------------------------------------
+
+#: TRIPS variants, each at its optimization level (``VARIANT_LEVEL``).
+VARIANTS = ("compiled", "hand")
+
+#: Figure 10's ideal-machine points: ``(window, dispatch cost)``.
+IDEAL_POINTS = ((1024, 8), (1024, 0), (131072, 0))
+
+#: RISC optimization levels: gcc-like and icc-like.
+LEVELS = ("O2", "ICC")
+
+#: Reference platforms timed at each level.
+PLATFORM_KEYS = ("core2", "p4", "p3")
+
+
+def ilp_grid() -> Tuple[Tuple[str, ...], List[Tuple[int, int]]]:
+    """The ``ideal-ilp`` preset: its programs and its (window, dispatch
+    cost) points."""
+    from repro.explore.presets import PRESETS
+    preset = PRESETS["ideal-ilp"]
+    axes = preset["axes"]
+    return tuple(preset["benchmarks"]), [
+        (window, cost) for window in axes["window"]
+        for cost in axes["dispatch_cost"]]
+
+
+def plain(stats) -> Dict[str, object]:
+    """A statistics dataclass as JSON-ready fields (sets sorted)."""
+    from dataclasses import fields
+    out: Dict[str, object] = {}
+    for field in fields(stats):
+        value = getattr(stats, field.name)
+        out[field.name] = sorted(value) if isinstance(value, set) \
+            else value
+    return out
+
+
+def block_trace_digest(summary) -> str:
+    """SHA-256 over a block trace: one JSON line per committed block."""
+    digest = hashlib.sha256()
+    for event in summary.events:
+        digest.update(json.dumps(list(event)).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def ideal_points(pipeline, program: str, variant: str,
+                 points) -> Dict[str, object]:
+    return {f"{window}/{cost}": plain(pipeline.ideal(program, variant,
+                                                     window, cost))
+            for window, cost in points}
+
+
+def model_entry(program: str) -> Dict[str, object]:
+    """Every model's statistics for one program, in the JSON shape the
+    model table stores."""
+    from repro.pipeline import Pipeline
+
+    pipeline = Pipeline()
+    record: Dict[str, object] = {}
+    for variant in VARIANTS:
+        record[variant] = {
+            "trips": plain(pipeline.trips_functional(program, variant)),
+            "block_trace_sha256": {
+                formation: block_trace_digest(
+                    pipeline.block_trace(program, variant, formation))
+                for formation in ("hyper", "basic")},
+            "ideal": ideal_points(pipeline, program, variant,
+                                  IDEAL_POINTS),
+        }
+    ilp_programs, grid = ilp_grid()
+    if program in ilp_programs:
+        record["ideal-ilp"] = ideal_points(pipeline, program, "compiled",
+                                           grid)
+    for level in LEVELS:
+        record[level] = {"risc": plain(pipeline.powerpc(program, level))}
+        for key in PLATFORM_KEYS:
+            record[level][key] = plain(pipeline.platform(program, key,
+                                                         level))
+    return json.loads(json.dumps(record))
+
+
+def model_differences(expected: Dict[str, object],
+                      actual: Dict[str, object]) -> List[str]:
+    """Paths (``ideal.1024/8``, ``core2``) of the statistics records
+    that differ between two sections of a model entry.  A dict whose
+    values are all dicts is a section and is descended into; anything
+    else is one record."""
+    names = []
+    for key in sorted(set(expected) | set(actual)):
+        want, got = expected.get(key), actual.get(key)
+        if want == got:
+            continue
+        if isinstance(want, dict) and isinstance(got, dict) \
+                and all(isinstance(v, dict) for v in want.values()):
+            names.extend(f"{key}.{path}"
+                         for path in model_differences(want, got))
+        else:
+            names.append(key)
+    return names
+
+
+# -- both tables ----------------------------------------------------------------
+
 def load(path: Path = GOLDEN_FILE) -> Dict[str, Dict[str, object]]:
-    """The stored table: program -> configuration -> entry."""
+    """A stored table: program -> configuration (or model) -> entry."""
     return json.loads(path.read_text())["entries"]
 
 
@@ -149,31 +279,85 @@ def differences(expected: Dict[str, object],
     return names
 
 
-def _run_all(programs: Iterable[str], jobs: int):
-    programs = list(programs)
+def table_unit(unit: Tuple[str, str]
+               ) -> Tuple[str, str, Dict[str, object], float]:
+    """One program's entries in one table: ``(table, program, entries,
+    seconds)``.  The seconds of the cycle table leave compilation out;
+    those of the model table cover the whole pipeline."""
+    table, program = unit
+    if table == "cycles":
+        _program, entries, seconds = program_entries(program)
+        return table, program, entries, seconds
+    started = time.perf_counter()
+    entries = model_entry(program)
+    return table, program, entries, time.perf_counter() - started
+
+
+def _run_all(units: Iterable[Tuple[str, str]], jobs: int):
+    units = list(units)
     if jobs <= 1:
-        for program in programs:
-            yield program_entries(program)
+        for unit in units:
+            yield table_unit(unit)
         return
     context = multiprocessing.get_context("spawn")
     with context.Pool(jobs) as pool:
-        yield from pool.imap_unordered(program_entries, programs)
+        yield from pool.imap_unordered(table_unit, units)
+
+
+def _dump(table: str, document: Dict[str, object]) -> str:
+    """The file text of a table.  The model table keeps each list of
+    scalars (block names, pcs) on one line."""
+    text = json.dumps(document, indent=1, sort_keys=True) + "\n"
+    if table == "cycles":
+        return text
+    return re.sub(r"\[\n([^\[\]{}]*?)\n *\]",
+                  lambda m: "[" + " ".join(
+                      line.strip() for line in m.group(1).split("\n"))
+                  + "]", text)
+
+
+def _document(table: str, entries: Dict[str, Dict[str, object]]
+              ) -> Dict[str, object]:
+    if table == "cycles":
+        return {
+            "configs": {name: {**BASE, **overrides}
+                        for name, overrides in CONFIGS.items()},
+            "traced": list(TRACED),
+            "entries": entries,
+        }
+    ilp_programs, grid = ilp_grid()
+    return {
+        "variants": list(VARIANTS),
+        "ideal_points": [list(point) for point in IDEAL_POINTS],
+        "ideal_ilp": {"programs": list(ilp_programs),
+                      "points": [list(point) for point in grid]},
+        "levels": list(LEVELS),
+        "platforms": list(PLATFORM_KEYS),
+        "traced": list(TRACED),
+        "entries": entries,
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Check (default) or regenerate the cycle simulator's "
-                    "golden digests.")
+        description="Check (default) or regenerate the golden tables of "
+                    "the cycle simulator and the other timing models.")
     parser.add_argument("--write", action="store_true",
-                        help="regenerate the golden file instead of "
-                             "checking against it")
+                        help="regenerate the golden file(s) instead of "
+                             "checking against them")
     parser.add_argument("--programs", default=None,
                         help="comma-separated subset of suite programs "
                              "(default: all)")
+    parser.add_argument("--table", choices=("all",) + TABLES,
+                        default="all",
+                        help="which table to check or write "
+                             "(default: %(default)s)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
     parser.add_argument("--file", type=Path, default=GOLDEN_FILE,
-                        help="golden file (default %(default)s)")
+                        help="cycle table (default %(default)s)")
+    parser.add_argument("--models-file", type=Path, default=MODEL_FILE,
+                        help="model table (default %(default)s)")
     args = parser.parse_args(argv)
 
     from repro.bench import all_benchmarks
@@ -184,50 +368,57 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown program(s): {', '.join(unknown)}")
     if args.write and args.programs is not None:
-        parser.error("--write regenerates the whole table; "
+        parser.error("--write regenerates whole tables; "
                      "drop --programs")
 
-    stored = {} if args.write else load(args.file)
-    table: Dict[str, Dict[str, object]] = {}
-    failures = 0
-    total = 0.0
-    for program, entries, seconds in _run_all(programs, args.jobs):
-        total += seconds
-        table[program] = entries
+    tables = TABLES if args.table == "all" else (args.table,)
+    files = {"cycles": args.file, "models": args.models_file}
+    stored = {} if args.write else {name: load(files[name])
+                                    for name in tables}
+    compare = {"cycles": differences, "models": model_differences}
+    written: Dict[str, Dict[str, Dict[str, object]]] = {
+        name: {} for name in tables}
+    checked = dict.fromkeys(tables, 0)
+    failed = dict.fromkeys(tables, 0)
+    seconds = dict.fromkeys(tables, 0.0)
+    units = [(name, program) for name in tables for program in programs]
+    for table, program, entries, spent in _run_all(units, args.jobs):
+        seconds[table] += spent
+        written[table][program] = entries
         if args.write:
-            print(f"{program:12s} {seconds:7.2f}s")
+            print(f"{table:6s} {program:12s} {spent:7.2f}s")
             continue
         bad = 0
         for name, actual in entries.items():
-            expected = stored.get(program, {}).get(name)
+            expected = stored[table].get(program, {}).get(name)
             if expected is None:
-                print(f"MISSING {program}/{name}: no stored entry")
+                print(f"MISSING {table} {program}/{name}: no stored entry")
                 bad += 1
                 continue
-            changed = differences(expected, actual)
+            changed = compare[table](expected, actual)
             if changed:
-                print(f"MISMATCH {program}/{name}: {', '.join(changed)}")
+                print(f"MISMATCH {table} {program}/{name}: "
+                      f"{', '.join(changed)}")
                 bad += 1
-        failures += bad
-        print(f"{program:12s} {seconds:7.2f}s {'FAIL' if bad else 'ok'}")
+        checked[table] += len(entries)
+        failed[table] += bad
+        print(f"{table:6s} {program:12s} {spent:7.2f}s "
+              f"{'FAIL' if bad else 'ok'}")
 
-    if args.write:
-        document = {
-            "configs": {name: {**BASE, **overrides}
-                        for name, overrides in CONFIGS.items()},
-            "traced": list(TRACED),
-            "entries": {program: table[program] for program in sorted(table)},
-        }
-        args.file.parent.mkdir(parents=True, exist_ok=True)
-        args.file.write_text(json.dumps(document, indent=1, sort_keys=True)
-                             + "\n")
-        print(f"wrote {len(table)} programs x {len(CONFIGS)} configs to "
-              f"{args.file} ({total:.1f}s simulating)")
-        return 0
-    checked = len(table) * len(CONFIGS)
-    print(f"{checked - failures}/{checked} entries match "
-          f"({total:.1f}s simulating)")
-    return 1 if failures else 0
+    for table in tables:
+        if args.write:
+            entries = {program: written[table][program]
+                       for program in sorted(written[table])}
+            path = files[table]
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(_dump(table, _document(table, entries)))
+            print(f"wrote the {table} table: {len(entries)} programs to "
+                  f"{path} ({seconds[table]:.1f}s simulating)")
+        else:
+            print(f"{table}: {checked[table] - failed[table]}/"
+                  f"{checked[table]} entries match "
+                  f"({seconds[table]:.1f}s simulating)")
+    return 1 if any(failed.values()) else 0
 
 
 if __name__ == "__main__":
