@@ -19,7 +19,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.explore.spec import IDEAL_AXES, SpecError, SweepSpec
+from repro.explore.spec import (
+    IDEAL_AXES, SpecError, SweepSpec, check_ideal_value,
+)
 from repro.uarch.config import ConfigError, TripsConfig
 
 __all__ = ["DesignPoint", "MAX_POINTS", "expand"]
@@ -82,12 +84,10 @@ def _validate_point(point: DesignPoint) -> None:
     window, dispatch_cost = point.ideal_params()
     for name, value in (("window", window),
                         ("dispatch_cost", dispatch_cost)):
-        minimum = IDEAL_AXES[name][1]
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < minimum:
-            raise SpecError(
-                f"point {point.label!r}: {name} must be an int >= "
-                f"{minimum}, got {value!r}")
+        try:
+            check_ideal_value(name, value)
+        except SpecError as exc:
+            raise SpecError(f"point {point.label!r}: {exc}") from None
 
 
 def expand(spec: SweepSpec) -> List[DesignPoint]:

@@ -38,7 +38,7 @@ from repro.uarch.config import TripsConfig
 
 __all__ = [
     "IDEAL_AXES", "SPEC_KEYS", "SpecError", "SweepSpec", "axis_domain",
-    "load_spec", "parse_overrides", "parse_value",
+    "check_ideal_value", "load_spec", "parse_overrides", "parse_value",
 ]
 
 
@@ -88,6 +88,17 @@ _VARIANTS = ("compiled", "hand")
 def _suggest(name: str, candidates: Iterable[str]) -> str:
     close = difflib.get_close_matches(name, list(candidates), n=1)
     return f" — did you mean {close[0]!r}?" if close else ""
+
+
+def check_ideal_value(axis: str, value: Any) -> Any:
+    """An ideal-machine axis value must be an int at or above the axis's
+    minimum in :data:`IDEAL_AXES`."""
+    minimum = IDEAL_AXES[axis][1]
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or value < minimum:
+        raise SpecError(
+            f"{axis} must be an int >= {minimum}, got {value!r}")
+    return value
 
 
 def axis_domain(system: str) -> Dict[str, str]:
@@ -173,6 +184,8 @@ def parse_overrides(items: Optional[Sequence[str]],
             if name in overrides:
                 raise SpecError(f"duplicate override for {name!r}")
             overrides[name] = parse_value(name, text, expected)
+            if system == "ideal":
+                check_ideal_value(name, overrides[name])
     return overrides
 
 
@@ -190,6 +203,8 @@ def validate_settings(settings: Optional[Dict[str, Any]],
     for name, value in (settings or {}).items():
         expected = _check_axis_name(str(name), system)
         validated[str(name)] = _check_value(str(name), value, expected)
+        if system == "ideal":
+            check_ideal_value(str(name), value)
     return validated
 
 

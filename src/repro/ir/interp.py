@@ -11,6 +11,7 @@ operations by category) used by tests to sanity-check backend statistics.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -53,11 +54,17 @@ class InterpStats:
 
 
 class Memory:
-    """Flat little-endian byte-addressable memory."""
+    """Flat little-endian byte-addressable memory.
+
+    Backed by an anonymous mapping: pages are zero until first touched
+    and go back to the system when the memory is freed, so a simulator
+    costs only the pages its program uses, even while earlier runs'
+    recordings stay allocated.
+    """
 
     def __init__(self, size: int = DEFAULT_MEMORY_SIZE) -> None:
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size)
 
     def check(self, address: int, width: int) -> None:
         if address < 0 or address + width > self.size:

@@ -41,7 +41,6 @@ _INTERP_BENCH = "vadd"
 _RISC_BENCH = "vadd"
 _CYCLE_BENCH = "rspeed"
 _PIPELINE_BENCH = "vadd"
-_MODEL_BENCH = _CYCLE_BENCH
 
 #: Microbenchmark sizes.
 _OPN_SENDS = 12000
@@ -92,11 +91,11 @@ def _setup_timing_models():
     # compiler artifacts, so it times the simulation stages only.
     from repro.pipeline.core import Pipeline
     warm = Pipeline()
-    warm.expected(_MODEL_BENCH)
+    warm.expected(_CYCLE_BENCH)
     for variant in ("compiled", "hand"):
-        warm.trips_lowered(_MODEL_BENCH, variant)
+        warm.trips_lowered(_CYCLE_BENCH, variant)
     for level in ("O2", "ICC"):
-        warm.risc_lowered(_MODEL_BENCH, level)
+        warm.risc_lowered(_CYCLE_BENCH, level)
     return warm
 
 
@@ -111,7 +110,7 @@ def _compiled_pipeline(warm):
 def _run_ideal_sim(warm):
     from repro.pipeline.parallel import IDEAL_POINTS
     pipeline = _compiled_pipeline(warm)
-    return [pipeline.ideal(_MODEL_BENCH, variant, window, cost).cycles
+    return [pipeline.ideal(_CYCLE_BENCH, variant, window, cost).cycles
             for variant in ("compiled", "hand")
             for window, cost in IDEAL_POINTS]
 
@@ -119,7 +118,7 @@ def _run_ideal_sim(warm):
 def _run_ref_platforms(warm):
     from repro.pipeline.parallel import PLATFORM_LEVELS
     pipeline = _compiled_pipeline(warm)
-    return [pipeline.platform(_MODEL_BENCH, platform, level).cycles
+    return [pipeline.platform(_CYCLE_BENCH, platform, level).cycles
             for platform, level in PLATFORM_LEVELS]
 
 
@@ -323,11 +322,11 @@ _SUITE: List[BenchSpec] = [
               f"cycle-level TRIPS simulator, {_CYCLE_BENCH} end to end",
               _setup_cycle_sim, _run_cycle_sim),
     BenchSpec("ideal-sim", "simulators",
-              f"ideal machine, {_MODEL_BENCH} Figure 10 trio x both "
+              f"ideal machine, {_CYCLE_BENCH} Figure 10 trio x both "
               f"variants, cold (compiler warm)",
               _setup_timing_models, _run_ideal_sim),
     BenchSpec("ref-platforms", "simulators",
-              f"reference platforms, {_MODEL_BENCH} Figure 11 quartet, "
+              f"reference platforms, {_CYCLE_BENCH} Figure 11 quartet, "
               f"cold (compiler warm)",
               _setup_timing_models, _run_ref_platforms),
     BenchSpec("opn-route", "uarch",

@@ -11,11 +11,13 @@ stage                     persist  produces
 ``optimized-ir``          no       optimized :class:`Module` per level
 ``risc-lowering``         no       RISC (PowerPC-class) program
 ``trips-lowering``        no       TRIPS :class:`LoweredProgram`
+``trips-outcomes``        no       one recorded TRIPS run (:class:`OutcomeStream`)
 ``trips-functional``      yes      :class:`TripsStats`
 ``trips-cycles``          yes      :class:`CycleArtifact` (cycle + OPN + cache)
 ``ideal``                 yes      :class:`IdealStats`
 ``block-trace``           yes      :class:`TraceSummary`
 ``trace-summary``         yes      :class:`repro.trace.TraceMetrics`
+``risc-trace``            no       one recorded RISC run (:class:`RiscTrace`)
 ``powerpc``               yes      :class:`RiscStats`
 ``platform``              yes      :class:`SuperscalarStats`
 ``bandwidth``             yes      :class:`BandwidthArtifact` (Figure 8)
@@ -30,9 +32,13 @@ Persisted stages live under ``.repro-cache/`` (see
 sessions and processes; compiler-object stages stay memory-only because
 they are cheap to rebuild and expensive to serialise.
 
-Every *computed* simulation is still validated against the interpreter
-checksum before it is cached (a wrong simulator must never produce a
-figure); warm artifacts were validated when first computed.
+Each program runs once per semantics: the memory-only ``trips-outcomes``
+and ``risc-trace`` recordings feed every functional, block-trace,
+ideal, PowerPC and platform artifact.  An artifact is still computed and
+stored only when first requested.  Every recording is validated against
+the interpreter checksum before anything derives from it (a wrong
+simulator must never produce a figure); warm artifacts were validated
+when first computed.
 """
 
 from __future__ import annotations
@@ -48,14 +54,18 @@ from repro.ir.function import Module
 from repro.opt import optimize
 from repro.refmodels import PLATFORMS, SuperscalarModel, SuperscalarStats
 from repro.risc import (
-    RiscProgram, RiscSimulator, RiscStats, lower_module as lower_risc,
+    RiscProgram, RiscSimulator, RiscStats, RiscTrace,
+    lower_module as lower_risc,
 )
 from repro.trips import LoweredProgram, lower_module as lower_trips, run_trips
-from repro.trips.functional import BlockEvent, TripsStats
+from repro.trips.functional import OutcomeStream, TripsStats
+# ``run_ideal`` is not called here; the end-to-end benchmark's layer
+# tracer (``e2e/layers.py``) looks it up in this module.
 from repro.uarch import (
     CacheStats, CycleStats, IdealStats, OpnStats, TripsConfig, run_cycles,
     run_ideal,
 )
+from repro.uarch.ideal import time_ideal
 
 from repro.obs import spans as obs_spans
 from repro.pipeline.keys import artifact_digest, config_digest
@@ -280,16 +290,24 @@ class Pipeline:
 
     # -- TRIPS simulation stages --------------------------------------------
 
+    def trips_outcomes(self, name: str, variant: str = "compiled",
+                       formation: str = "hyper") -> OutcomeStream:
+        """The checksum-validated TRIPS run that the functional stats,
+        block trace and ideal machine derive from (memory-only)."""
+        def compute():
+            lowered = self.trips_lowered(name, variant, formation)
+            result, sim = run_trips(lowered.program)
+            self.check(name, result, f"trips/{variant}/{formation}")
+            return sim.outcomes
+
+        return self._materialize("trips-outcomes",
+                                 (name, variant, formation), compute)
+
     def trips_functional(self, name: str,
                          variant: str = "compiled") -> TripsStats:
-        def compute():
-            lowered = self.trips_lowered(name, variant)
-            result, sim = run_trips(lowered.program)
-            self.check(name, result, f"trips-functional/{variant}")
-            return sim.stats
-
-        return self._materialize("trips-functional", (name, variant),
-                                 compute, persist=True)
+        return self._materialize(
+            "trips-functional", (name, variant),
+            lambda: self.trips_outcomes(name, variant).stats, persist=True)
 
     def trips_cycles(self, name: str, variant: str = "compiled",
                      config: Optional[TripsConfig] = None) -> CycleArtifact:
@@ -314,16 +332,11 @@ class Pipeline:
 
     def ideal(self, name: str, variant: str = "compiled",
               window: int = 1024, dispatch_cost: int = 8) -> IdealStats:
-        def compute():
-            lowered = self.trips_lowered(name, variant)
-            result, sim = run_ideal(lowered.program, window=window,
-                                    dispatch_cost=dispatch_cost)
-            self.check(name, result, "trips-ideal")
-            return sim.stats
-
         return self._materialize(
             "ideal", (name, variant, window, dispatch_cost),
-            compute, persist=True)
+            lambda: time_ideal(self.trips_outcomes(name, variant), window,
+                               dispatch_cost),
+            persist=True)
 
     def trace_summary(self, name: str, variant: str = "compiled",
                       config: Optional[TripsConfig] = None,
@@ -353,44 +366,39 @@ class Pipeline:
     def block_trace(self, name: str, variant: str = "compiled",
                     formation: str = "hyper") -> TraceSummary:
         def compute():
-            lowered = self.trips_lowered(name, variant, formation)
-            raw: List[BlockEvent] = []
-            result, _sim = run_trips(lowered.program, trace=raw.append)
-            self.check(name, result, f"trips-trace/{formation}")
-            kind_of = {"bro": "br", "callo": "call", "ret": "ret"}
-            summary = [(e.label, e.exit_index, kind_of[e.exit_op.value],
-                        e.target, e.cont) for e in raw]
-            return TraceSummary(summary, len(summary))
+            events = self.trips_outcomes(name, variant,
+                                         formation).block_events()
+            return TraceSummary(events, len(events))
 
         return self._materialize("block-trace", (name, variant, formation),
                                  compute, persist=True)
 
     # -- RISC / reference platform stages -----------------------------------
 
-    def powerpc(self, name: str, level: str = "O2") -> RiscStats:
+    def risc_trace(self, name: str, level: str = "O2") -> RiscTrace:
+        """The checksum-validated RISC run that the PowerPC stats and
+        every platform derive from (memory-only)."""
         def compute():
-            program = self.risc_lowered(name, level)
-            simulator = RiscSimulator(program)
-            result = simulator.run("main")
+            trace = RiscTrace()
+            result = RiscSimulator(self.risc_lowered(name, level)).run(
+                "main", record=trace)
             self.check(name, result, f"powerpc/{level}")
-            return simulator.stats
+            return trace
 
-        return self._materialize("powerpc", (name, level), compute,
-                                 persist=True)
+        return self._materialize("risc-trace", (name, level), compute)
+
+    def powerpc(self, name: str, level: str = "O2") -> RiscStats:
+        return self._materialize(
+            "powerpc", (name, level),
+            lambda: self.risc_trace(name, level).stats, persist=True)
 
     def platform(self, name: str, platform: str,
                  level: str = "O2") -> SuperscalarStats:
-        def compute():
-            spec = PLATFORMS[platform]
-            program = self.risc_lowered(name, level)
-            model = SuperscalarModel(spec)
-            simulator = RiscSimulator(program)
-            result = simulator.run("main", None, trace=model.feed)
-            self.check(name, result, f"{platform}/{level}")
-            return model.finish()
-
-        key = (name, platform, level)
-        return self._materialize("platform", key, compute, persist=True)
+        return self._materialize(
+            "platform", (name, platform, level),
+            lambda: SuperscalarModel(PLATFORMS[platform]).run(
+                self.risc_trace(name, level)),
+            persist=True)
 
     # -- microbenchmark stages ----------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.function import Module
 from repro.opt import optimize
-from repro.risc import RiscSimulator, lower_module
+from repro.risc import RiscSimulator, RiscTrace, lower_module
 
 from repro.refmodels.superscalar import (
     PlatformSpec, SuperscalarModel, SuperscalarStats,
@@ -80,13 +80,14 @@ def run_platform(module: Module, spec: PlatformSpec,
     """Compile ``module`` with ``opt_level``, run it on ``spec``.
 
     Returns (program result, timing statistics).  The RISC functional
-    simulator drives the timing model through its trace callback.
+    simulator records the run and the timing model folds over the
+    recording, as the pipeline's ``platform`` stage does.
     """
     program = lower_module(optimize(module, opt_level))
-    model = SuperscalarModel(spec)
-    simulator = RiscSimulator(program, memory_size)
-    result = simulator.run(entry, args, trace=model.feed)
-    return result, model.finish()
+    trace = RiscTrace()
+    result = RiscSimulator(program, memory_size).run(entry, args,
+                                                     record=trace)
+    return result, SuperscalarModel(spec).run(trace)
 
 
 def run_powerpc(module: Module, opt_level: str = "O2", entry: str = "main",

@@ -1,10 +1,10 @@
 """Parameterized out-of-order superscalar timing model.
 
-Consumes the dynamic RISC instruction trace (``repro.risc.TraceRecord``)
-and produces a cycle count, playing the role of the paper's commercial
-reference platforms (Core 2, Pentium 4, Pentium III).  The model is a
-single-pass scheduler with the first-order structures that differentiate
-those machines:
+Folds over a recorded RISC run (``repro.risc.RiscTrace``) and produces a
+cycle count, playing the role of the paper's commercial reference
+platforms (Core 2, Pentium 4, Pentium III).  The model is a single-pass
+scheduler with the first-order structures that differentiate those
+machines:
 
 * fetch bandwidth with branch-misprediction bubbles (tournament or gshare
   conditional predictor plus a return-address stack),
@@ -20,11 +20,12 @@ cycle model, keeping the cross-platform comparison consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Dict
 
-from repro.risc.isa import ROp
-from repro.risc.simulator import TraceRecord
+from repro.risc.isa import LATENCY, ROp
+from repro.risc.simulator import RiscTrace
 
 from repro.uarch.caches import DramModel, SetAssociativeCache
 from repro.uarch.predictor import AlphaTournamentPredictor, GsharePredictor
@@ -77,8 +78,17 @@ class SuperscalarStats:
                 if self.instructions else 0.0)
 
 
+#: Operations on the FP ports; the first four also scale their latency.
+_FP_SCALED = frozenset({ROp.FADD, ROp.FSUB, ROp.FMUL, ROp.FDIV})
+_FP_OPS = _FP_SCALED | {ROp.FCMPEQ, ROp.FCMPLT, ROp.FCMPLE, ROp.I2F,
+                        ROp.F2I}
+_BRANCH_OPS = frozenset({ROp.BNZ, ROp.BZ, ROp.B, ROp.CALL, ROp.RET})
+
+
 class SuperscalarModel:
-    """Feed TraceRecords; read ``stats.cycles`` after ``finish()``."""
+    """Times a recorded RISC run on one platform: ``run(trace)`` folds
+    over a :class:`~repro.risc.simulator.RiscTrace` and returns the
+    :class:`SuperscalarStats`."""
 
     def __init__(self, spec: PlatformSpec) -> None:
         self.spec = spec
@@ -88,46 +98,12 @@ class SuperscalarModel:
         else:
             self.predictor = GsharePredictor(spec.predictor_bits,
                                              spec.predictor_bits)
-        self.ras: List[int] = []
         self.l1d = SetAssociativeCache(spec.l1d_bytes, spec.line_bytes,
                                        spec.l1d_assoc)
         self.l1i = SetAssociativeCache(32 * 1024, spec.line_bytes, 4)
         self.l2 = SetAssociativeCache(spec.l2_bytes, spec.line_bytes,
                                       spec.l2_assoc)
         self.dram = DramModel(spec.dram_cycles, 4)
-        self.reg_ready: Dict[int, int] = {}
-        self._issue_counts: Dict[Tuple[int, str], int] = {}
-        self.fetch_time = 0.0
-        self._fetched_in_cycle = 0
-        self.retire_times: List[int] = []   # ring buffer of ROB entries
-        self._prev_retire = 0
-
-    # -- scheduling helpers --------------------------------------------------------
-
-    def _issue_slot(self, ready: int, group: str = "all") -> int:
-        """First cycle >= ready with an issue port free.
-
-        Issue bandwidth is checked both globally (issue width) and for the
-        operation's port group (memory ports, FP ports) — the structural
-        hazards that cap real machines on kernel loops.
-        """
-        limits = {"all": self.spec.issue_width,
-                  "mem": self.spec.mem_ports,
-                  "fp": self.spec.fp_ports}
-        cycle = ready
-        counts = self._issue_counts
-        while counts.get((cycle, "all"), 0) >= limits["all"] or (
-                group != "all"
-                and counts.get((cycle, group), 0) >= limits[group]):
-            cycle += 1
-        counts[(cycle, "all")] = counts.get((cycle, "all"), 0) + 1
-        if group != "all":
-            counts[(cycle, group)] = counts.get((cycle, group), 0) + 1
-        if len(counts) > 32768:
-            horizon = max(c for c, _g in counts) - 8192
-            for key in [k for k in counts if k[0] < horizon]:
-                del counts[key]
-        return cycle
 
     def _memory_latency(self, address: int, now: int) -> int:
         self.stats.l1d_accesses += 1
@@ -139,87 +115,117 @@ class SuperscalarModel:
         done = self.dram.access(address, now)
         return (done - now) + self.spec.l2_latency
 
-    # -- main hooks ------------------------------------------------------------------
-
-    def feed(self, record: TraceRecord) -> None:
+    def run(self, trace: RiscTrace) -> SuperscalarStats:
         spec = self.spec
         stats = self.stats
-        stats.instructions += 1
+        icache = self.l1i.access
+        predictor = self.predictor
+        memory_latency = self._memory_latency
+        ras: deque = deque(maxlen=16)
+        reg_ready = [0] * 64
+        # Issue counters per cycle: all ports, memory ports, FP ports.
+        issued: Dict[int, int] = {}
+        mem_issued: Dict[int, int] = {}
+        fp_issued: Dict[int, int] = {}
+        width = spec.issue_width
+        # Per global pc: (op, category, sources, dest, latency, port
+        # group counters or None, the group's ports).
+        table = []
+        for op, category, sources, dest in trace.static:
+            latency = LATENCY.get(op, 1)
+            if op in _FP_SCALED:
+                latency = max(1, int(latency * spec.fp_latency_scale))
+            group, ports = (mem_issued, spec.mem_ports) \
+                if category in ("load", "store") else \
+                (fp_issued, spec.fp_ports) if op in _FP_OPS else (None, 0)
+            table.append((op, category, sources, dest, latency, group,
+                          ports))
+        # Retire times of the last rob_size instructions; the zeros of
+        # an empty ROB never hold dispatch back.
+        rob = deque([0] * spec.rob_size, maxlen=spec.rob_size)
+        fetch_step = 1.0 / spec.fetch_width
+        fetch_time = 0.0
+        prev_retire = cycles = 0
 
-        # Fetch: instruction cache + fetch bandwidth.
-        if not self.l1i.access(record.pc * 4):
-            stats.icache_misses += 1
-            self.fetch_time += self.spec.l2_latency
-        fetch = self.fetch_time
-        self.fetch_time += 1.0 / spec.fetch_width
+        for pc, address, taken in zip(trace.pcs, trace.addresses,
+                                      trace.taken):
+            op, category, sources, dest, latency, group, ports = table[pc]
 
-        # ROB occupancy: dispatch waits for the entry rob_size back to
-        # have retired.
-        dispatch = int(fetch)
-        if len(self.retire_times) >= spec.rob_size:
-            dispatch = max(dispatch,
-                           self.retire_times[-spec.rob_size])
+            # Fetch: instruction cache + fetch bandwidth.
+            if not icache(pc * 4):
+                stats.icache_misses += 1
+                fetch_time += spec.l2_latency
+            fetch = fetch_time
+            fetch_time += fetch_step
 
-        ready = dispatch
-        for reg in record.sources:
-            ready = max(ready, self.reg_ready.get(reg, 0))
+            # ROB occupancy: dispatch waits for the entry rob_size back
+            # to have retired.
+            ready = max(int(fetch), rob[0])
+            for reg in sources:
+                if reg_ready[reg] > ready:
+                    ready = reg_ready[reg]
 
-        group = "all"
-        if record.category in ("load", "store"):
-            group = "mem"
-        elif record.op in (ROp.FADD, ROp.FSUB, ROp.FMUL, ROp.FDIV,
-                           ROp.FCMPEQ, ROp.FCMPLT, ROp.FCMPLE,
-                           ROp.I2F, ROp.F2I):
-            group = "fp"
-        issue = self._issue_slot(ready, group)
-        latency = record.latency
-        if record.op in (ROp.FADD, ROp.FSUB, ROp.FMUL, ROp.FDIV):
-            latency = max(1, int(latency * spec.fp_latency_scale))
-        done = issue + latency
-        if record.category == "load":
-            done = issue + self._memory_latency(record.mem_address, issue)
-        elif record.category == "store":
-            # Stores retire through the store buffer; charge the cache
-            # access for bandwidth accounting but not the dependence path.
-            self._memory_latency(record.mem_address, issue)
-            done = issue + 1
+            # Issue: the first cycle with a free port, both in the issue
+            # width and in the operation's port group — the structural
+            # hazards that cap real machines on kernel loops.
+            issue = ready
+            while issued.get(issue, 0) >= width or (
+                    group is not None and group.get(issue, 0) >= ports):
+                issue += 1
+            issued[issue] = issued.get(issue, 0) + 1
+            if group is not None:
+                group[issue] = group.get(issue, 0) + 1
+            if len(issued) + len(mem_issued) + len(fp_issued) > 32768:
+                # Forget counters far behind the newest issue cycle.
+                horizon = max(issued) - 8192
+                for counts in (issued, mem_issued, fp_issued):
+                    for cycle in [c for c in counts if c < horizon]:
+                        del counts[cycle]
 
-        # Branch resolution.
-        if record.branch:
-            stats.branches += 1
-            mispredicted = False
-            if record.op in (ROp.BNZ, ROp.BZ):
-                predicted = self.predictor.predict(record.pc)
-                self.predictor.update(record.pc, record.taken)
-                mispredicted = predicted != record.taken
-            elif record.is_call:
-                self.ras.append(record.pc + 1)
-                if len(self.ras) > 16:
-                    self.ras.pop(0)
-            elif record.is_return:
-                predicted_target = self.ras.pop() if self.ras else -1
-                # Return target prediction: almost always right with a RAS;
-                # a cold/overflowed RAS mispredicts.
-                mispredicted = predicted_target == -1
-            if mispredicted:
-                stats.branch_mispredictions += 1
-                self.fetch_time = max(self.fetch_time,
-                                      done + spec.mispredict_penalty)
-            elif record.taken:
-                # Taken branches redirect fetch: at most one taken branch
-                # per fetch cycle.
-                self.fetch_time = float(int(self.fetch_time) + 1)
+            done = issue + latency
+            if category == "load":
+                done = issue + memory_latency(address, issue)
+            elif category == "store":
+                # Stores retire through the store buffer; charge the
+                # cache access for bandwidth accounting but not the
+                # dependence path.
+                memory_latency(address, issue)
+                done = issue + 1
 
-        if record.dest >= 0:
-            self.reg_ready[record.dest] = done
+            # Branch resolution.
+            if op in _BRANCH_OPS:
+                stats.branches += 1
+                mispredicted = False
+                if op is ROp.BNZ or op is ROp.BZ:
+                    predicted = predictor.predict(pc)
+                    predictor.update(pc, taken)
+                    mispredicted = predicted != taken
+                elif op is ROp.CALL:
+                    ras.append(pc + 1)
+                elif op is ROp.RET:
+                    # Return target prediction: almost always right with
+                    # a RAS; a cold/overflowed RAS mispredicts.
+                    mispredicted = not ras
+                    if ras:
+                        ras.pop()
+                if mispredicted:
+                    stats.branch_mispredictions += 1
+                    fetch_time = max(fetch_time,
+                                     done + spec.mispredict_penalty)
+                elif taken:
+                    # Taken branches redirect fetch: at most one taken
+                    # branch per fetch cycle.
+                    fetch_time = float(int(fetch_time) + 1)
 
-        retire = max(done, self._prev_retire)
-        self._prev_retire = retire
-        self.retire_times.append(retire)
-        if len(self.retire_times) > spec.rob_size:
-            self.retire_times.pop(0)
-        if retire > stats.cycles:
-            stats.cycles = retire
+            if dest >= 0:
+                reg_ready[dest] = done
 
-    def finish(self) -> SuperscalarStats:
-        return self.stats
+            retire = max(done, prev_retire)
+            prev_retire = retire
+            rob.append(retire)
+            if retire > cycles:
+                cycles = retire
+
+        stats.instructions += len(trace)
+        stats.cycles = max(stats.cycles, cycles)
+        return stats

@@ -15,7 +15,7 @@ from repro.risc.isa import (
     LATENCY, RClass, Reg, RiscFunction, RiscInst, RiscProgram, ROp,
 )
 from repro.risc.simulator import (
-    RiscSimulator, RiscStats, TraceRecord, run_program,
+    RiscSimulator, RiscStats, RiscTrace, run_program,
 )
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "RiscProgram",
     "RiscSimulator",
     "RiscStats",
+    "RiscTrace",
     "ROp",
-    "TraceRecord",
     "lower_module",
     "run_program",
 ]

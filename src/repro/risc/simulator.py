@@ -8,45 +8,26 @@ gathers the statistics the paper normalizes against (Section 4):
 * register-file reads and writes,
 * unique static instructions touched (dynamic code footprint, Section 4.4).
 
-It can also stream a :class:`TraceRecord` per retired instruction to a
-callback; the reference-platform timing models (`repro.refmodels`) consume
-that trace.
+A run can also be recorded into a compact :class:`RiscTrace`; the
+reference-platform timing models (`repro.refmodels`) fold over that
+trace.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.interp import Memory, TrapError
-from repro.ir.types import sign_extend, to_unsigned64, wrap64, zero_extend
+from repro.ir.types import to_unsigned64, wrap64
 
 from repro.risc.isa import (
-    FLT_RETURN, INT_RETURN, LATENCY, RClass, Reg, RiscFunction, RiscInst,
-    RiscProgram, ROp, SP,
+    INT_RETURN, RClass, Reg, RiscFunction, RiscInst, RiscProgram, ROp, SP,
 )
 
 #: Hard cap on executed instructions (infinite-loop guard).
 DEFAULT_FUEL = 400_000_000
-
-
-@dataclass
-class TraceRecord:
-    """One retired instruction, as consumed by timing models."""
-
-    pc: int                       # globally unique static instruction id
-    op: ROp
-    category: str
-    sources: Tuple[int, ...]      # global register ids read
-    dest: int                     # global register id written, or -1
-    mem_address: int = -1         # effective address for loads/stores
-    mem_width: int = 0
-    branch: bool = False
-    taken: bool = False
-    target_pc: int = -1           # pc of the next instruction actually run
-    is_call: bool = False
-    is_return: bool = False
-    latency: int = 1
 
 
 @dataclass
@@ -75,6 +56,25 @@ class RiscStats:
 
 def _global_reg_id(reg: Reg) -> int:
     return reg.num + (32 if reg.cls is RClass.FLT else 0)
+
+
+class RiscTrace:
+    """One recorded run, compact.  ``static`` describes each static
+    instruction by global pc as ``(op, category, sources, dest)``, with
+    global register ids (``dest`` -1 for none).  Per retired instruction
+    ``pcs`` holds its global pc, ``addresses`` its effective address (-1
+    when it touched no memory) and ``taken`` 1 for a taken branch.
+    ``stats`` is the recording run's :class:`RiscStats`."""
+
+    def __init__(self) -> None:
+        self.static: List[Tuple[ROp, str, Tuple[int, ...], int]] = []
+        self.pcs = array("I")
+        self.addresses = array("q")
+        self.taken = bytearray()
+        self.stats = RiscStats()
+
+    def __len__(self) -> int:
+        return len(self.pcs)
 
 
 class RiscSimulator:
@@ -116,8 +116,23 @@ class RiscSimulator:
     # -- main loop -----------------------------------------------------------
 
     def run(self, entry: str = "main", args: Optional[List[object]] = None,
-            trace: Optional[Callable[[TraceRecord], None]] = None):
-        """Run ``entry`` to completion; returns its return value."""
+            record: Optional[RiscTrace] = None):
+        """Run ``entry`` to completion; returns its return value.
+
+        ``record`` collects the run's :class:`RiscTrace`; its ``stats``
+        become this run's statistics."""
+        if record is not None:
+            record.stats = self.stats
+            record.static = [
+                (inst.op, inst.category,
+                 tuple(_global_reg_id(r) for r in inst.sources()),
+                 _global_reg_id(inst.dest()) if inst.dest() is not None
+                 else -1)
+                for func in self.program.functions.values()
+                for inst in func.instructions]
+            record_pc = record.pcs.append
+            record_address = record.addresses.append
+            record_taken = record.taken.append
         func = self.program.function(entry)
         self.int_regs[SP.num] = self.memory.size - 64
         int_index, flt_index = 3, 1
@@ -139,12 +154,17 @@ class RiscSimulator:
             if self.fuel <= 0:
                 raise TrapError("out of fuel (infinite loop?)")
 
-            record, taken = self._execute(func, pc, inst, trace is not None)
+            address, taken = self._execute(inst)
             self.stats.executed += 1
             category = inst.category
             self.stats.by_category[category] = \
                 self.stats.by_category.get(category, 0) + 1
-            self.stats.touched_pcs.add(self._pc_base[func.name] + pc)
+            global_pc = self._pc_base[func.name] + pc
+            self.stats.touched_pcs.add(global_pc)
+            if record is not None:
+                record_pc(global_pc)
+                record_address(address)
+                record_taken(taken)
 
             op = inst.op
             if op is ROp.CALL:
@@ -153,9 +173,7 @@ class RiscSimulator:
                 pc = 0
             elif op is ROp.RET:
                 if not call_stack:
-                    if trace is not None:
-                        trace(record)
-                    return self._return_value(func)
+                    return self.int_regs[INT_RETURN.num]
                 func, pc = call_stack.pop()
             elif op is ROp.B:
                 pc = func.labels[inst.label]
@@ -164,28 +182,13 @@ class RiscSimulator:
             else:
                 pc += 1
 
-            if trace is not None:
-                record.target_pc = self._pc_base[func.name] + pc \
-                    if pc < len(func.instructions) else -1
-                trace(record)
-
-    def _return_value(self, func: RiscFunction):
-        # Convention: the caller knows the type; expose both and let the
-        # test harness pick.  Integer return is the common case.
-        return self.int_regs[INT_RETURN.num]
-
-    @property
-    def float_return_value(self) -> float:
-        return self.flt_regs[FLT_RETURN.num]
-
     # -- instruction semantics ------------------------------------------------
 
-    def _execute(self, func: RiscFunction, pc: int, inst: RiscInst,
-                 want_record: bool) -> Tuple[Optional[TraceRecord], bool]:
+    def _execute(self, inst: RiscInst) -> Tuple[int, bool]:
+        """Execute one instruction; returns its effective address (-1
+        when it touches no memory) and whether it is a taken branch."""
         op = inst.op
         mem_address = -1
-        mem_width = 0
-        branch = False
         taken = False
 
         if op is ROp.LI:
@@ -216,63 +219,34 @@ class RiscSimulator:
             self._write(inst.rd, int(self._read(inst.ra)))
         elif op is ROp.LD:
             mem_address = wrap64(self._read(inst.ra) + inst.imm)
-            mem_width = inst.width
             self.stats.loads += 1
             self._write(inst.rd, self.memory.load_int(
                 mem_address, inst.width, inst.signed))
         elif op is ROp.LFD:
             mem_address = wrap64(self._read(inst.ra) + inst.imm)
-            mem_width = 8
             self.stats.loads += 1
             self._write(inst.rd, self.memory.load_float(mem_address))
         elif op is ROp.ST:
             mem_address = wrap64(self._read(inst.ra) + inst.imm)
-            mem_width = inst.width
             self.stats.stores += 1
             self.memory.store_int(mem_address, inst.width, self._read(inst.rd))
         elif op is ROp.STF:
             mem_address = wrap64(self._read(inst.ra) + inst.imm)
-            mem_width = 8
             self.stats.stores += 1
             self.memory.store_float(mem_address, self._read(inst.rd))
         elif op in (ROp.BNZ, ROp.BZ):
             value = self._read(inst.ra)
             taken = (value != 0) if op is ROp.BNZ else (value == 0)
-            branch = True
             self.stats.branches += 1
             if taken:
                 self.stats.taken_branches += 1
-        elif op is ROp.B:
-            branch = True
-            taken = True
-            self.stats.branches += 1
-            self.stats.taken_branches += 1
-        elif op in (ROp.CALL, ROp.RET):
-            branch = True
+        elif op in (ROp.B, ROp.CALL, ROp.RET):
             taken = True
             self.stats.branches += 1
             self.stats.taken_branches += 1
         else:
             raise AssertionError(f"unhandled opcode {op}")
-
-        if not want_record:
-            return None, taken
-        sources = tuple(_global_reg_id(r) for r in inst.sources())
-        dest_reg = inst.dest()
-        return TraceRecord(
-            pc=self._pc_base[func.name] + pc,
-            op=op,
-            category=inst.category,
-            sources=sources,
-            dest=_global_reg_id(dest_reg) if dest_reg is not None else -1,
-            mem_address=mem_address,
-            mem_width=mem_width,
-            branch=branch,
-            taken=taken,
-            is_call=op is ROp.CALL,
-            is_return=op is ROp.RET,
-            latency=LATENCY.get(op, 1),
-        ), taken
+        return mem_address, taken
 
 
 def _div(a: int, b: int) -> int:
@@ -339,9 +313,9 @@ def _fdiv_trap():
 
 def run_program(program: RiscProgram, entry: str = "main",
                 args: Optional[List[object]] = None,
-                trace: Optional[Callable[[TraceRecord], None]] = None,
+                record: Optional[RiscTrace] = None,
                 memory_size: int = 16 * 1024 * 1024):
     """One-shot convenience: run a program and return (result, simulator)."""
     simulator = RiscSimulator(program, memory_size)
-    result = simulator.run(entry, args, trace)
+    result = simulator.run(entry, args, record=record)
     return result, simulator

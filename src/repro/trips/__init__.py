@@ -12,9 +12,7 @@ Typical use::
 
 from repro.trips.codegen import LoweredProgram, lower_function, lower_module
 from repro.trips.dataflow import ConversionError, convert_hyperblock, try_convert
-from repro.trips.functional import (
-    BlockEvent, TripsSimulator, TripsStats, run_trips,
-)
+from repro.trips.functional import TripsSimulator, TripsStats, run_trips
 from repro.trips.hyperblock import (
     HExit, HInst, Hyperblock, canonicalize_returns, form_hyperblocks,
     split_calls,
@@ -29,7 +27,6 @@ from repro.trips.regalloc import (
 
 __all__ = [
     "Allocation",
-    "BlockEvent",
     "ConversionError",
     "HExit",
     "HInst",

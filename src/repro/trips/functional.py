@@ -13,14 +13,20 @@ Executes one block at a time with true dataflow semantics:
 
 The simulator doubles as the measurement instrument for the paper's ISA
 evaluation (Section 4): per-block fetched/executed/useful/move counts,
-the executed-but-unused closure, storage-access counts, and the dynamic
-block trace consumed by the predictor study and the cycle-level model.
+the executed-but-unused closure, and storage-access counts.
+
+Every run is also recorded as an :class:`OutcomeStream`: per block
+activation, which instructions fired in which order, and the address of
+every load and store.  The dynamic block trace (for the predictor study)
+and the ideal machine's timing derive from that stream instead of
+executing the program again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from array import array
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.interp import Memory, TrapError
 from repro.ir.types import to_unsigned64, wrap64
@@ -34,20 +40,6 @@ NULL_TOKEN = object()
 
 #: Infinite-loop guard (in fired instructions).
 DEFAULT_FUEL = 400_000_000
-
-
-@dataclass
-class BlockEvent:
-    """One committed block, as reported to the trace callback."""
-
-    label: str
-    function: str
-    exit_op: TOp
-    target: str            # next block label ("" for program end)
-    fetched: int
-    executed: int
-    exit_index: int = 0    # which of the block's exits fired (0..7)
-    cont: str = ""         # call continuation label (CALLO exits)
 
 
 @dataclass
@@ -77,23 +69,194 @@ class TripsStats:
     def add_composition(self, category: str, count: int = 1) -> None:
         self.composition[category] = self.composition.get(category, 0) + count
 
+    def add(self, other: "TripsStats") -> None:
+        """Accumulate ``other``'s counts into these."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.fetched_blocks |= other.fetched_blocks
+        for label, count in other.per_block_fetch_count.items():
+            self.per_block_fetch_count[label] = \
+                self.per_block_fetch_count.get(label, 0) + count
+        for category, count in other.composition.items():
+            self.add_composition(category, count)
+
+
+#: The integer fields of :class:`TripsStats`.
+_COUNTERS = tuple(f.name for f in fields(TripsStats) if f.type == "int")
+
+
+class BlockOutcome:
+    """One (block, fire order) key of an execution.
+
+    ``order`` lists the instructions that fired, in firing order.  With
+    the block's static dataflow it fixes which producer fed every
+    operand, so what depends only on that — the ISA statistics an
+    activation adds (``tally``), the ideal machine's timing — is worked
+    out once per key.  Producers are *nodes*: read ``r`` is node
+    ``r``, instruction ``i`` node ``len(block.reads) + i``.
+    ``operands[i]`` holds the nodes that fed fired instruction ``i``,
+    ``writes`` the node each write slot commits, and ``resolved`` the
+    node that resolved each store LSID.
+    """
+
+    __slots__ = ("block", "order", "serial", "exit", "exit_index",
+                 "operands", "writes", "resolved", "tally")
+
+    def __init__(self, block: TripsBlock, order: Tuple[int, ...],
+                 serial: int) -> None:
+        insts = block.instructions
+        base = len(block.reads)
+        fires = set(order)
+        data: List[Dict[Slot, int]] = [{} for _ in insts]
+        pred: List[Optional[int]] = [None] * len(insts)
+        writes: Dict[int, int] = {}
+        resolved: Dict[int, int] = {}
+        closed = set()                  # fired or mispredicated
+        ops = [insts[index].op for index in order]
+        tally = TripsStats(blocks_committed=1, fetched=len(insts),
+                           executed=len(order),
+                           loads_executed=ops.count(TOp.LOAD),
+                           stores_committed=ops.count(TOp.STORE),
+                           nulls_executed=ops.count(TOp.NULL),
+                           moves_executed=ops.count(TOp.MOV),
+                           tests_executed=sum(op in TEST_OPS for op in ops),
+                           reads_fetched=len(block.reads),
+                           register_reads=len(block.reads),
+                           writes_committed=len(block.writes),
+                           register_writes=len(block.writes),
+                           fetched_blocks={block.label},
+                           per_block_fetch_count={block.label: 1})
+
+        def arrive(node: int, targets) -> None:
+            # The delivery rules: a slot keeps its first arrival, a write
+            # slot its last; a fired instruction takes no more operands.
+            tally.operands_delivered += len(targets)
+            for target in targets:
+                if is_write_target(target):
+                    writes[write_slot_of(target)] = node
+                    continue
+                index = target.inst
+                if index in closed:
+                    continue
+                if target.slot is Slot.PRED:
+                    if pred[index] is not None:
+                        continue
+                    pred[index] = node
+                elif target.slot in data[index]:
+                    continue
+                else:
+                    data[index][target.slot] = node
+                inst = insts[index]
+                if index not in fires and pred[index] is not None \
+                        and len(data[index]) >= operand_count(inst.op):
+                    # Everything arrived yet it never fired: its
+                    # predicate did not match.  A store resolves then.
+                    closed.add(index)
+                    if inst.op is TOp.STORE:
+                        resolved[inst.lsid] = pred[index]
+
+        for node, read in enumerate(block.reads):
+            arrive(node, read.targets)
+        for index in order:
+            inst = insts[index]
+            op = inst.op
+            closed.add(index)
+            if op is TOp.STORE or (op is TOp.NULL and inst.lsid >= 0):
+                resolved[inst.lsid] = base + index
+            if op in _EXIT_SET:
+                self.exit = inst
+            elif op is not TOp.STORE:
+                arrive(base + index, inst.targets)
+
+        self.block = block
+        self.order = order
+        self.serial = serial
+        self.exit_index = next((k for k, e in enumerate(block.exits)
+                                if e is self.exit), 0)
+        self.operands = {i: tuple(data[i].values()) + (
+            (pred[i],) if pred[i] is not None else ()) for i in fires}
+        self.writes = tuple(writes[slot] for slot in range(len(block.writes)))
+        self.resolved = resolved
+        self.tally = tally
+        self._classify(fires)
+
+    def _classify(self, fires) -> None:
+        """Sort the block's instructions into useful, moves, executed but
+        unused, and fetched but not executed (Section 4.1): an
+        instruction is used when it feeds, through any chain of fired
+        instructions, a store, a null, an exit or a register write."""
+        insts = self.block.instructions
+        base = len(self.block.reads)
+        tally = self.tally
+        worklist = [i for i in fires if insts[i].op is TOp.STORE
+                    or insts[i].op is TOp.NULL or insts[i].op in _EXIT_SET]
+        worklist += [node - base for node in self.writes if node >= base]
+        used = set(worklist)
+        while worklist:
+            for node in self.operands[worklist.pop()]:
+                if node >= base and node - base not in used:
+                    used.add(node - base)
+                    worklist.append(node - base)
+        for index, inst in enumerate(insts):
+            if index not in fires:
+                tally.fetched_not_executed += 1
+                tally.add_composition("fetched_not_executed")
+            elif inst.op is TOp.MOV:
+                tally.add_composition("move")
+            elif index not in used:
+                tally.executed_not_used += 1
+                tally.add_composition("executed_not_used")
+            else:
+                tally.useful += 1
+                tally.add_composition(inst.category)
+
+
+#: Block-trace name of each exit kind.
+EXIT_KINDS = {TOp.BRO: "br", TOp.CALLO: "call", TOp.RET: "ret"}
+
+
+class OutcomeStream:
+    """One recorded execution of a TRIPS program.
+
+    ``activations`` holds, per committed block, the index of its
+    :class:`BlockOutcome` in ``keys``; ``addresses`` holds the effective
+    address of every load and store that fired, in fire order.
+    ``stats`` is the run's :class:`TripsStats`.
+    """
+
+    def __init__(self, stats: TripsStats) -> None:
+        self.keys: List[BlockOutcome] = []
+        self.activations = array("I")
+        self.addresses = array("q")
+        self.stats = stats
+
+    def block_events(self) -> List[Tuple[str, int, str, str, str]]:
+        """The committed-block trace: per activation its label, exit
+        index, exit kind, the label control went to next (``""`` at
+        program end), and the call continuation."""
+        run = [self.keys[key_id] for key_id in self.activations]
+        return [(key.block.label, key.exit_index, EXIT_KINDS[key.exit.op],
+                 after.block.label if after else "",
+                 key.exit.cont if after else "")
+                for key, after in zip(run, run[1:] + [None])]
+
 
 class _BlockImage:
     """Precompiled per-block metadata reused across activations."""
 
     __slots__ = ("block", "need", "targets", "preds", "write_count",
-                 "store_lsids", "mem_order", "read_targets", "categories")
+                 "store_lsids", "read_targets", "keys")
 
     def __init__(self, block: TripsBlock) -> None:
         self.block = block
-        n = len(block.instructions)
         self.need = [operand_count(i.op) for i in block.instructions]
         self.preds = [i.predicate for i in block.instructions]
         self.targets = [i.targets for i in block.instructions]
         self.write_count = len(block.writes)
         self.store_lsids = sorted(block.store_lsids)
         self.read_targets = [r.targets for r in block.reads]
-        self.categories = [i.category for i in block.instructions]
+        #: This block's keys seen so far, by fire order.
+        self.keys: Dict[Tuple[int, ...], BlockOutcome] = {}
 
 
 class TripsSimulator:
@@ -107,6 +270,8 @@ class TripsSimulator:
         self.fuel = fuel
         self.stats = TripsStats()
         self.regs: List[object] = [0] * 128
+        #: This run's recording.
+        self.outcomes = OutcomeStream(self.stats)
         self._images: Dict[Tuple[str, str], _BlockImage] = {}
         for name, func in program.functions.items():
             for label, block in func.blocks.items():
@@ -114,9 +279,9 @@ class TripsSimulator:
         for address, payload in program.globals_image:
             self.memory.write_bytes(address, payload)
 
-    def run(self, entry: str = "main", args: Optional[List[object]] = None,
-            trace: Optional[Callable[[BlockEvent], None]] = None):
+    def run(self, entry: str = "main", args: Optional[List[object]] = None):
         """Run ``entry`` to completion; returns the integer return value."""
+        outcomes = self.outcomes
         self.regs[1] = self.memory.size - 64       # stack pointer
         for i, arg in enumerate(args or []):
             self.regs[3 + i] = arg
@@ -127,41 +292,38 @@ class TripsSimulator:
 
         while True:
             image = self._images[(func_name, label)]
-            exit_inst = self._execute_block(image)
+            exit_inst, order, addresses = self._execute_block(image)
+            fired = tuple(order)
+            key = image.keys.get(fired)
+            if key is None:
+                key = image.keys[fired] = BlockOutcome(
+                    image.block, fired, len(outcomes.keys))
+                outcomes.keys.append(key)
+            self.stats.add(key.tally)
+            outcomes.activations.append(key.serial)
+            outcomes.addresses.extend(addresses)
             op = exit_inst.op
-            exit_index = next(
-                (k for k, e in enumerate(image.block.exits)
-                 if e is exit_inst), 0)
             if op is TOp.BRO:
-                event_target = exit_inst.label
                 label = exit_inst.label
             elif op is TOp.CALLO:
                 call_stack.append((func_name, exit_inst.cont))
                 func_name = exit_inst.label
                 label = self.program.function(func_name).entry
-                event_target = label
             elif op is TOp.RET:
                 if not call_stack:
-                    if trace is not None:
-                        trace(BlockEvent(image.block.label, func_name, op,
-                                         "", len(image.block.instructions),
-                                         0, exit_index, ""))
                     return self.regs[3]
                 func_name, label = call_stack.pop()
-                event_target = label
             else:
                 raise AssertionError(f"bad exit {op}")
-            if trace is not None:
-                trace(BlockEvent(image.block.label, func_name, op,
-                                 event_target,
-                                 len(image.block.instructions), 0,
-                                 exit_index, exit_inst.cont))
 
     # -- block execution --------------------------------------------------------
 
-    def _execute_block(self, image: _BlockImage) -> TInst:
+    def _execute_block(self, image: _BlockImage
+                       ) -> Tuple[TInst, List[int], List[int]]:
+        """Execute one activation; returns its exit, the indices of the
+        instructions that fired in fire order, and the addresses of its
+        loads and stores in the same order."""
         block = image.block
-        stats = self.stats
         n = len(block.instructions)
 
         operands: List[Dict[Slot, object]] = [None] * n
@@ -172,20 +334,15 @@ class TripsSimulator:
         resolved_stores: Set[int] = set()
         write_values: Dict[int, object] = {}
         exit_taken: Optional[TInst] = None
-        used_feed: List[List[int]] = [[] for _ in range(n)]  # consumer->producers
-        write_producers: Dict[int, int] = {}
         ready: List[int] = []
         arrived_count = [0] * n
+        order: List[int] = []
+        addresses: List[int] = []
 
-        def deliver(value, targets, producer_index: int) -> None:
-            nonlocal exit_taken
+        def deliver(value, targets) -> None:
             for target in targets:
-                stats.operands_delivered += 1
                 if is_write_target(target):
-                    slot = write_slot_of(target)
-                    write_values[slot] = value
-                    if producer_index >= 0:
-                        write_producers[slot] = producer_index
+                    write_values[write_slot_of(target)] = value
                     continue
                 index = target.inst
                 if fired[index] or mispredicated[index]:
@@ -194,8 +351,6 @@ class TripsSimulator:
                     if pred_value[index] is None:
                         pred_value[index] = (1 if value else 0) \
                             if value is not NULL_TOKEN else 0
-                        if producer_index >= 0:
-                            used_feed[index].append(producer_index)
                         _check_ready(index)
                     continue
                 slots = operands[index]
@@ -205,8 +360,6 @@ class TripsSimulator:
                     continue  # predicated merge: first arrival wins
                 slots[target.slot] = value
                 arrived_count[index] += 1
-                if producer_index >= 0:
-                    used_feed[index].append(producer_index)
                 _check_ready(index)
 
         def _check_ready(index: int) -> None:
@@ -248,27 +401,26 @@ class TripsSimulator:
             nonlocal exit_taken
             inst = block.instructions[index]
             fired[index] = True
-            stats.executed += 1
+            order.append(index)
             op = inst.op
             slots = operands[index] or {}
             if op is TOp.LOAD:
-                stats.loads_executed += 1
                 address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                value = self._load(address, inst)
-                deliver(value, image.targets[index], index)
+                addresses.append(address)
+                value = load_value(self.memory, address, inst)
+                deliver(value, image.targets[index])
             elif op is TOp.STORE:
-                stats.stores_committed += 1
                 address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
+                addresses.append(address)
                 value = slots[Slot.OP1]
-                self._store(address, value, inst)
+                store_value(self.memory, address, value, inst)
                 resolved_stores.add(inst.lsid)
                 _unpark()
             elif op is TOp.NULL:
-                stats.nulls_executed += 1
                 if inst.lsid >= 0:
                     resolved_stores.add(inst.lsid)
                     _unpark()
-                deliver(NULL_TOKEN, image.targets[index], index)
+                deliver(NULL_TOKEN, image.targets[index])
             elif op in _EXIT_SET:
                 if exit_taken is not None:
                     raise TrapError(
@@ -276,18 +428,11 @@ class TripsSimulator:
                         f"(i{exit_taken.index} and i{inst.index})")
                 exit_taken = inst
             else:
-                if op in TEST_OPS:
-                    stats.tests_executed += 1
-                elif op is TOp.MOV:
-                    stats.moves_executed += 1
-                value = _compute(op, inst, slots)
-                deliver(value, image.targets[index], index)
+                deliver(_compute(op, inst, slots), image.targets[index])
 
         # Inject register reads.
-        stats.reads_fetched += len(block.reads)
-        stats.register_reads += len(block.reads)
         for read, targets in zip(block.reads, image.read_targets):
-            deliver(self.regs[read.reg], targets, -1)
+            deliver(self.regs[read.reg], targets)
 
         # GENI/GENF and other zero-operand instructions are ready at fetch.
         for index in range(n):
@@ -295,25 +440,21 @@ class TripsSimulator:
                     and not fired[index]:
                 ready.append(index)
 
-        steps = 0
-        while True:
-            while ready:
-                index = ready.pop()
-                if fired[index] or mispredicated[index]:
-                    continue
-                inst = block.instructions[index]
-                self.fuel -= 1
-                steps += 1
-                if self.fuel <= 0:
-                    raise TrapError("out of fuel")
-                if inst.op in (TOp.LOAD, TOp.STORE) \
-                        and not _stores_resolved_below(inst.lsid):
-                    parked_mem.append(index)
-                    continue
-                _fire(index)
-            if self._block_complete(image, exit_taken, write_values,
+        while ready:
+            index = ready.pop()
+            if fired[index] or mispredicated[index]:
+                continue
+            inst = block.instructions[index]
+            self.fuel -= 1
+            if self.fuel <= 0:
+                raise TrapError("out of fuel")
+            if inst.op in (TOp.LOAD, TOp.STORE) \
+                    and not _stores_resolved_below(inst.lsid):
+                parked_mem.append(index)
+                continue
+            _fire(index)
+        if not self._block_complete(image, exit_taken, write_values,
                                     resolved_stores):
-                break
             raise TrapError(
                 f"block {block.label} deadlocked: exit={exit_taken}, "
                 f"writes {len(write_values)}/{image.write_count}, "
@@ -324,17 +465,7 @@ class TripsSimulator:
             value = write_values[slot]
             if value is not NULL_TOKEN:
                 self.regs[write.reg] = value
-            stats.register_writes += 1
-        stats.writes_committed += len(block.writes)
-        stats.blocks_committed += 1
-        stats.fetched += n
-        stats.fetched_blocks.add(block.label)
-        stats.per_block_fetch_count[block.label] = \
-            stats.per_block_fetch_count.get(block.label, 0) + 1
-
-        self._account_usage(image, fired, used_feed, write_producers,
-                            exit_taken, write_values)
-        return exit_taken
+        return exit_taken, order, addresses
 
     def _block_complete(self, image, exit_taken, write_values,
                         resolved_stores) -> bool:
@@ -347,60 +478,20 @@ class TripsSimulator:
                 return False
         return True
 
-    def _account_usage(self, image, fired, used_feed, write_producers,
-                       exit_taken, write_values) -> None:
-        """Classify fired instructions into useful / move / unused."""
-        block = image.block
-        stats = self.stats
-        n = len(block.instructions)
-        used = [False] * n
-        worklist: List[int] = []
-        for index in range(n):
-            if not fired[index]:
-                continue
-            op = block.instructions[index].op
-            if op is TOp.STORE or op is TOp.NULL or op in _EXIT_SET:
-                used[index] = True
-                worklist.append(index)
-        for producer in write_producers.values():
-            if not used[producer]:
-                used[producer] = True
-                worklist.append(producer)
-        while worklist:
-            index = worklist.pop()
-            for producer in used_feed[index]:
-                if not used[producer]:
-                    used[producer] = True
-                    worklist.append(producer)
 
-        for index in range(n):
-            category = image.categories[index]
-            if not fired[index]:
-                stats.fetched_not_executed += 1
-                stats.add_composition("fetched_not_executed")
-                continue
-            op = block.instructions[index].op
-            if op is TOp.MOV:
-                stats.add_composition("move")
-            elif not used[index]:
-                stats.executed_not_used += 1
-                stats.add_composition("executed_not_used")
-            else:
-                stats.useful += 1
-                stats.add_composition(category)
+def load_value(memory: Memory, address: int, inst: TInst):
+    """The value ``inst`` (a load) reads at ``address``."""
+    if inst.is_float:
+        return memory.load_float(address)
+    return memory.load_int(address, inst.width, inst.signed)
 
-    # -- memory helpers -----------------------------------------------------------
 
-    def _load(self, address: int, inst: TInst):
-        if inst.is_float:
-            return self.memory.load_float(address)
-        return self.memory.load_int(address, inst.width, inst.signed)
-
-    def _store(self, address: int, value, inst: TInst) -> None:
-        if isinstance(value, float):
-            self.memory.store_float(address, value)
-            return
-        self.memory.store_int(address, inst.width, _as_int(value))
+def store_value(memory: Memory, address: int, value, inst: TInst) -> None:
+    """Write ``value`` at ``address`` as ``inst`` (a store) does."""
+    if isinstance(value, float):
+        memory.store_float(address, value)
+        return
+    memory.store_int(address, inst.width, _as_int(value))
 
 
 def _as_int(value) -> int:
@@ -477,9 +568,8 @@ _BINOPS = {
 
 def run_trips(program: TripsProgram, entry: str = "main",
               args: Optional[List[object]] = None,
-              trace: Optional[Callable[[BlockEvent], None]] = None,
               memory_size: int = 16 * 1024 * 1024):
     """One-shot convenience: run and return (result, simulator)."""
     simulator = TripsSimulator(program, memory_size)
-    result = simulator.run(entry, args, trace)
+    result = simulator.run(entry, args)
     return result, simulator

@@ -39,7 +39,6 @@ from repro.robust.errors import SimulationBudgetExceeded
 from repro.isa.block import TripsBlock, TripsProgram
 from repro.isa.instructions import TInst, TOp
 from repro.trips.codegen import LoweredProgram
-from repro.trips.functional import _as_int
 
 from repro.uarch import components
 from repro.uarch.config import TripsConfig
@@ -393,79 +392,6 @@ class CycleSimulator:
             pair = sorted([src_kind, dst], key=lambda k: k != "ET")
             return f"{pair[0]}-{pair[1]}"
         return f"{src_kind}-{dst}"
-
-    # -- functional memory helpers ---------------------------------------------------
-
-    def _load_value(self, address: int, inst: TInst):
-        if inst.is_float:
-            return self.memory.load_float(address)
-        return self.memory.load_int(address, inst.width, inst.signed)
-
-    def _load_forwarded(self, address: int, inst: TInst,
-                        store_buffer) -> Tuple[object, int]:
-        """Load with store-buffer forwarding.
-
-        Returns (value, lsid of the youngest in-flight store that supplied
-        bytes, or -1).  Buffered stores are *not* written to memory here —
-        they commit in load/store-ID order at block completion — so the
-        view is reconstructed byte-wise over the memory image.
-        """
-        import struct
-
-        value, supplier = _buffered_load(self.memory, address, inst,
-                                         store_buffer, with_supplier=True)
-        return value, supplier
-
-    def _store_value(self, address: int, value, inst: TInst) -> None:
-        if isinstance(value, float):
-            self.memory.store_float(address, value)
-        else:
-            self.memory.store_int(address, inst.width, _as_int(value))
-
-
-def _overlap(addr_a: int, width_a: int, addr_b: int, width_b: int) -> bool:
-    return addr_a < addr_b + width_b and addr_b < addr_a + width_a
-
-
-def _buffered_load(memory, address: int, inst, store_buffer,
-                   with_supplier: bool = False):
-    """Read a value as seen past the in-flight store buffer.
-
-    Reconstructs the load's bytes from memory patched with every buffered
-    store whose load/store ID precedes the load — without committing the
-    stores (they commit in order at block completion).
-    """
-    import struct
-
-    from repro.ir.types import sign_extend, zero_extend
-
-    overlapping = sorted(
-        lsid for lsid, (a, _v, si) in store_buffer.items()
-        if lsid < inst.lsid and _overlap(address, inst.width, a, si.width))
-    if not overlapping:
-        if inst.is_float:
-            value = memory.load_float(address)
-        else:
-            value = memory.load_int(address, inst.width, inst.signed)
-        return (value, -1) if with_supplier else value
-    data = bytearray(memory.read_bytes(address, inst.width))
-    for lsid in overlapping:
-        saddr, svalue, sinst = store_buffer[lsid]
-        if isinstance(svalue, float):
-            payload = struct.pack("<d", svalue)
-        else:
-            payload = (int(svalue) & ((1 << (sinst.width * 8)) - 1)) \
-                .to_bytes(sinst.width, "little")
-        lo = max(address, saddr)
-        hi = min(address + inst.width, saddr + sinst.width)
-        data[lo - address:hi - address] = payload[lo - saddr:hi - saddr]
-    if inst.is_float:
-        value = struct.unpack("<d", bytes(data))[0]
-    else:
-        raw = int.from_bytes(bytes(data), "little")
-        value = sign_extend(raw, inst.width) if inst.signed \
-            else zero_extend(raw, inst.width)
-    return (value, overlapping[-1]) if with_supplier else value
 
 
 def run_cycles(lowered: LoweredProgram, entry: str = "main",

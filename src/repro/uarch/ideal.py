@@ -9,9 +9,13 @@ inter-tile delays; only two costs remain:
 * a finite instruction window (1K like the prototype, or 128K).
 
 Memory disambiguation is perfect: a load depends only on its address
-operand and the *actual* latest store to the same location.  The model
-executes the program functionally while computing, per instruction, the
-dataflow-critical-path time, then schedules blocks under the dispatch and
+operand and the *actual* latest store to the same location.
+
+The machine computes no values: it times one recorded functional run
+(an :class:`~repro.trips.functional.OutcomeStream`).  Each (block, fire
+order) key compiles into a fixed plan of operand producers, which the
+fold replays for every activation of the key to get each instruction's
+dataflow-critical-path time, scheduling blocks under the dispatch and
 window constraints.
 """
 
@@ -21,20 +25,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.interp import Memory, TrapError
-from repro.ir.types import wrap64
+from repro.ir.interp import TrapError
 
-from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsProgram
-from repro.isa.instructions import Slot, TInst, TOp, TRIPS_LATENCY, operand_count
+from repro.isa.instructions import TOp, TRIPS_LATENCY
 
-from repro.trips.functional import NULL_TOKEN, _as_int, _compute
-from repro.uarch.core import _buffered_load
+from repro.trips.functional import (
+    BlockOutcome, OutcomeStream, TripsSimulator,
+)
 
 _EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
 #: Load-use latency under perfect caching.
 PERFECT_LOAD_CYCLES = 1
+
+#: Step kinds of a compiled plan.
+_COMPUTE, _LOAD, _STORE = range(3)
 
 
 @dataclass
@@ -48,8 +54,104 @@ class IdealStats:
         return self.executed / self.cycles if self.cycles else 0.0
 
 
+def _plan(key: BlockOutcome) -> Tuple:
+    """The fixed timing schedule of one (block, fire order) key:
+    ``(size, nodes, reads, steps, writes, completion)``.
+
+    Times live in a flat list indexed by the key's nodes (reads, then
+    instructions), plus one last node that is always 0 and pads every
+    step to three sources.  ``steps`` holds one ``(node, kind, latency,
+    src0, src1, src2)`` per fired instruction, in fire order.
+    """
+    block = key.block
+    base = len(block.reads)
+    zero = base + len(block.instructions)
+    steps = []
+    for index in key.order:
+        op = block.instructions[index].op
+        sources = key.operands[index]
+        kind, latency = _COMPUTE, TRIPS_LATENCY.get(op, 1)
+        if op is TOp.LOAD:
+            kind = _LOAD
+        elif op is TOp.STORE:
+            kind = _STORE
+        elif op is TOp.NULL or op in _EXIT_SET:
+            latency = 0
+        steps.append((base + index, kind, latency, *sources,
+                      *(zero,) * (3 - len(sources))))
+    writes = tuple((write.reg, node)
+                   for write, node in zip(block.writes, key.writes))
+    completion = (base + key.exit.index,) + key.writes + tuple(
+        key.resolved[lsid] for lsid in sorted(block.store_lsids))
+    return (len(block.instructions), zero + 1,
+            tuple(enumerate(read.reg for read in block.reads)),
+            tuple(steps), writes, completion)
+
+
+def time_ideal(stream: OutcomeStream, window: int = 1024,
+               dispatch_cost: int = 8,
+               max_blocks: int = 2_000_000) -> IdealStats:
+    """Time a recorded execution on the ideal machine."""
+    if len(stream.activations) > max_blocks:
+        raise TrapError("ideal simulation exceeded block budget")
+    plans = [_plan(key) for key in stream.keys]
+    times = [[0] * plan[1] for plan in plans]
+    addresses = stream.addresses
+    cursor = 0
+    reg_time = [0] * 128
+    store_time: Dict[int, int] = {}   # 8-byte word -> availability
+    in_flight: deque = deque()        # (completion time, size)
+    in_flight_insts = 0
+    start = 0
+    cycles = 0
+    for key_id in stream.activations:
+        size, _nodes, reads, steps, writes, done_at = plans[key_id]
+        # Window constraint: retire the oldest blocks until this one fits.
+        while in_flight and in_flight_insts + size > window:
+            completion, old_size = in_flight.popleft()
+            in_flight_insts -= old_size
+            if completion > start:
+                start = completion
+        t = times[key_id]
+        for node, reg in reads:
+            when = reg_time[reg]
+            t[node] = when if when > start else start
+        for node, kind, latency, a, b, c in steps:
+            when = start
+            if t[a] > when:
+                when = t[a]
+            if t[b] > when:
+                when = t[b]
+            if t[c] > when:
+                when = t[c]
+            if kind == _COMPUTE:
+                t[node] = when + latency
+                continue
+            word = addresses[cursor] & -8
+            cursor += 1
+            if kind == _LOAD:
+                # Perfect disambiguation: wait only for the true producer.
+                stored = store_time.get(word, 0)
+                if stored > when:
+                    when = stored
+                t[node] = when + PERFECT_LOAD_CYCLES
+            else:
+                t[node] = store_time[word] = when + 1
+        completion = max([t[node] for node in done_at])
+        for reg, node in writes:
+            reg_time[reg] = t[node]
+        in_flight.append((completion, size))
+        in_flight_insts += size
+        if completion > cycles:
+            cycles = completion
+        start += dispatch_cost
+    return IdealStats(cycles=cycles, executed=stream.stats.executed,
+                      blocks=len(stream.activations))
+
+
 class IdealSimulator:
-    """Dataflow-limit executor with a window and a dispatch cost."""
+    """Dataflow-limit machine with a window and a dispatch cost: ``run``
+    executes the program once and times it with :func:`time_ideal`."""
 
     def __init__(self, program: TripsProgram, window: int = 1024,
                  dispatch_cost: int = 8,
@@ -68,236 +170,17 @@ class IdealSimulator:
         self.program = program
         self.window = window
         self.dispatch_cost = dispatch_cost
-        self.memory = Memory(memory_size)
-        self.stats = IdealStats()
+        self.memory_size = memory_size
         self.max_blocks = max_blocks
-        self.regs: List[object] = [0] * 128
-        self.reg_time: List[int] = [0] * 128
-        self.store_time: Dict[int, int] = {}   # address -> availability
-        for address, payload in program.globals_image:
-            self.memory.write_bytes(address, payload)
+        self.stats = IdealStats()
 
     def run(self, entry: str = "main",
             args: Optional[List[object]] = None):
-        self.regs[1] = self.memory.size - 64
-        for i, arg in enumerate(args or []):
-            self.regs[3 + i] = arg
-
-        func_name = entry
-        label = self.program.function(entry).entry
-        call_stack: List[Tuple[str, str]] = []
-        in_flight: deque = deque()    # (completion time, size)
-        in_flight_insts = 0
-        start = 0
-
-        while True:
-            if self.stats.blocks >= self.max_blocks:
-                raise TrapError("ideal simulation exceeded block budget")
-            block = self.program.function(func_name).blocks[label]
-            size = len(block.instructions)
-
-            # Window constraint: pop completed blocks; if the window is
-            # still full, wait for the oldest to finish.
-            while in_flight and in_flight_insts + size > self.window:
-                completion, old_size = in_flight.popleft()
-                in_flight_insts -= old_size
-                start = max(start, completion)
-
-            exit_inst, completion = self._execute_block(block, start)
-            in_flight.append((completion, size))
-            in_flight_insts += size
-            self.stats.blocks += 1
-            self.stats.cycles = max(self.stats.cycles, completion)
-            start = start + self.dispatch_cost
-
-            op = exit_inst.op
-            if op is TOp.BRO:
-                label = exit_inst.label
-            elif op is TOp.CALLO:
-                call_stack.append((func_name, exit_inst.cont))
-                func_name = exit_inst.label
-                label = self.program.function(func_name).entry
-            else:
-                if not call_stack:
-                    return self.regs[3]
-                func_name, label = call_stack.pop()
-
-    def _execute_block(self, block, start: int) -> Tuple[TInst, int]:
-        n = len(block.instructions)
-        need = [operand_count(i.op) for i in block.instructions]
-        preds = [i.predicate for i in block.instructions]
-        values: List[Optional[Dict[Slot, object]]] = [None] * n
-        times: List[Optional[Dict[Slot, int]]] = [None] * n
-        pred_val: List[object] = [None] * n
-        pred_time = [0] * n
-        arrived = [0] * n
-        fired = [False] * n
-        mispredicated = [False] * n
-        parked: List[int] = []
-        resolved_stores: Dict[int, int] = {}
-        store_buffer: Dict[int, Tuple[int, object, TInst]] = {}
-        store_lsids = sorted(block.store_lsids)
-        write_values: Dict[int, Tuple[object, int]] = {}
-        exit_taken: Optional[TInst] = None
-        exit_time = start
-        ready: List[int] = []
-
-        def deliver(value, when, targets) -> None:
-            nonlocal exit_taken, exit_time
-            for target in targets:
-                if is_write_target(target):
-                    write_values[write_slot_of(target)] = (value, when)
-                    continue
-                index = target.inst
-                if fired[index] or mispredicated[index]:
-                    continue
-                if target.slot is Slot.PRED:
-                    if pred_val[index] is None:
-                        pred_val[index] = (
-                            1 if value and value is not NULL_TOKEN else 0)
-                        pred_time[index] = when
-                        check_ready(index)
-                    continue
-                slots = values[index]
-                if slots is None:
-                    slots = values[index] = {}
-                    times[index] = {}
-                if target.slot in slots:
-                    continue
-                slots[target.slot] = value
-                times[index][target.slot] = when
-                arrived[index] += 1
-                check_ready(index)
-
-        def check_ready(index: int) -> None:
-            if fired[index] or mispredicated[index]:
-                return
-            if arrived[index] < need[index]:
-                return
-            predicate = preds[index]
-            if predicate is not None:
-                got = pred_val[index]
-                if got is None:
-                    return
-                wanted = 1 if predicate == "T" else 0
-                if got != wanted:
-                    mispredicated[index] = True
-                    inst = block.instructions[index]
-                    if inst.op is TOp.STORE:
-                        resolved_stores[inst.lsid] = pred_time[index]
-                        unpark()
-                    return
-            ready.append(index)
-
-        def stores_resolved_below(lsid: int) -> bool:
-            for s in store_lsids:
-                if s >= lsid:
-                    return True
-                if s not in resolved_stores:
-                    return False
-            return True
-
-        def unpark() -> None:
-            if parked:
-                ready.extend(parked)
-                parked.clear()
-
-        def fire(index: int) -> None:
-            nonlocal exit_taken, exit_time
-            inst = block.instructions[index]
-            slots = values[index] or {}
-            when = start
-            for t in (times[index] or {}).values():
-                when = max(when, t)
-            if preds[index] is not None:
-                when = max(when, pred_time[index])
-            op = inst.op
-            latency = TRIPS_LATENCY.get(op, 1)
-            fired[index] = True
-            self.stats.executed += 1
-
-            if op is TOp.LOAD:
-                if not stores_resolved_below(inst.lsid):
-                    fired[index] = False
-                    self.stats.executed -= 1
-                    parked.append(index)
-                    return
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                value = _buffered_load(self.memory, address, inst,
-                                       store_buffer)
-                # Perfect disambiguation: wait only for the true producer.
-                when = max(when, self.store_time.get(
-                    address // 8 * 8, start))
-                deliver(value, when + PERFECT_LOAD_CYCLES,
-                        inst.targets)
-                return
-            if op is TOp.STORE:
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                store_buffer[inst.lsid] = (address, slots[Slot.OP1], inst)
-                done = when + 1
-                self.store_time[address // 8 * 8] = done
-                resolved_stores[inst.lsid] = done
-                unpark()
-                return
-            if op is TOp.NULL:
-                if inst.lsid >= 0:
-                    resolved_stores[inst.lsid] = when
-                    unpark()
-                deliver(NULL_TOKEN, when, inst.targets)
-                return
-            if op in _EXIT_SET:
-                if exit_taken is None:
-                    exit_taken = inst
-                    exit_time = when
-                return
-            value = _compute(op, inst, slots)
-            deliver(value, when + latency, inst.targets)
-
-        for read in block.reads:
-            when = max(start, self.reg_time[read.reg])
-            deliver(self.regs[read.reg], when, read.targets)
-        for index in range(n):
-            if need[index] == 0 and preds[index] is None:
-                ready.append(index)
-
-        guard = 0
-        while ready:
-            index = ready.pop()
-            if fired[index] or mispredicated[index]:
-                continue
-            guard += 1
-            if guard > 40 * n + 1000:
-                raise TrapError(f"{block.label}: ideal livelock")
-            fire(index)
-
-        completion = exit_time
-        for slot, write in enumerate(block.writes):
-            if slot not in write_values:
-                raise TrapError(f"{block.label}: write w{slot} missing")
-            value, when = write_values[slot]
-            if value is not NULL_TOKEN:
-                self.regs[write.reg] = value
-            self.reg_time[write.reg] = when
-            completion = max(completion, when)
-        for lsid in store_lsids:
-            completion = max(completion, resolved_stores[lsid])
-        for lsid in sorted(store_buffer):
-            address, value, inst = store_buffer[lsid]
-            self._store_value(address, value, inst)
-        if exit_taken is None:
-            raise TrapError(f"{block.label}: no exit fired")
-        return exit_taken, completion
-
-    def _load_value(self, address: int, inst: TInst):
-        if inst.is_float:
-            return self.memory.load_float(address)
-        return self.memory.load_int(address, inst.width, inst.signed)
-
-    def _store_value(self, address: int, value, inst: TInst) -> None:
-        if isinstance(value, float):
-            self.memory.store_float(address, value)
-        else:
-            self.memory.store_int(address, inst.width, _as_int(value))
+        simulator = TripsSimulator(self.program, self.memory_size)
+        result = simulator.run(entry, args)
+        self.stats = time_ideal(simulator.outcomes, self.window,
+                                self.dispatch_cost, self.max_blocks)
+        return result
 
 
 def run_ideal(program: TripsProgram, entry: str = "main",

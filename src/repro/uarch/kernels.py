@@ -21,7 +21,9 @@ from repro.isa.block import TripsBlock
 from repro.isa.instructions import (
     Slot, TEST_OPS, TInst, TOp, TRIPS_LATENCY, operand_count,
 )
-from repro.trips.functional import NULL_TOKEN, _BINOPS, _as_int, _compute
+from repro.trips.functional import (
+    NULL_TOKEN, _BINOPS, _as_int, _compute, load_value, store_value,
+)
 from repro.trips.placement import Placement
 from repro.trips.regalloc import NUM_BANKS, bank_of
 
@@ -296,7 +298,7 @@ class BatchedKernel:
         rt_write_claims = self._rt_write_claims
         issue_claims = st.issue_claim
         pred_arrival = sim._predicate_arrival
-        load_forwarded = sim._load_forwarded
+        memory = sim.memory
         bank_sm = self._bank_shift_mask
         dt_coords = self._dt_coords
         gt_coord = self._gt_coord
@@ -519,8 +521,8 @@ class BatchedKernel:
                     bank = l1d.bank_of(address)
                 dt = dt_coords[bank]
                 depart = send(coord, dt, done, "ET-DT")
-                value, forwarded_from = load_forwarded(
-                    address, inst, store_buffer)
+                value, forwarded_from = _buffered_load(
+                    memory, address, inst, store_buffer)
                 finish = l1d_access(address, depart)
                 back = send(dt, coord, finish, "ET-DT")
                 if forwarded_from >= 0:
@@ -684,7 +686,7 @@ class BatchedKernel:
         # LSQ's sequential-memory-semantics guarantee.
         for lsid in sorted(store_buffer):
             address, value, inst = store_buffer[lsid]
-            sim._store_value(address, value, inst)
+            store_value(memory, address, value, inst)
         if exit_taken is None:
             raise TrapError(f"{block_label}: no exit fired")
         done_time += load_flush_penalty
@@ -698,3 +700,45 @@ class BatchedKernel:
         stats.window_inst_cycles += residency * n
         stats.window_useful_cycles += residency * sim._last_useful
         return exit_taken, exit_time, done_time
+
+
+def _overlap(addr_a: int, width_a: int, addr_b: int, width_b: int) -> bool:
+    return addr_a < addr_b + width_b and addr_b < addr_a + width_a
+
+
+def _buffered_load(memory, address: int, inst,
+                   store_buffer) -> Tuple[object, int]:
+    """Read a value as seen past the in-flight store buffer, and the
+    lsid of the youngest buffered store that supplied bytes (or -1).
+
+    Reconstructs the load's bytes from memory patched with every buffered
+    store whose load/store ID precedes the load — without committing the
+    stores (they commit in order at block completion).
+    """
+    import struct
+
+    from repro.ir.types import sign_extend, zero_extend
+
+    overlapping = sorted(
+        lsid for lsid, (a, _v, si) in store_buffer.items()
+        if lsid < inst.lsid and _overlap(address, inst.width, a, si.width))
+    if not overlapping:
+        return load_value(memory, address, inst), -1
+    data = bytearray(memory.read_bytes(address, inst.width))
+    for lsid in overlapping:
+        saddr, svalue, sinst = store_buffer[lsid]
+        if isinstance(svalue, float):
+            payload = struct.pack("<d", svalue)
+        else:
+            payload = (int(svalue) & ((1 << (sinst.width * 8)) - 1)) \
+                .to_bytes(sinst.width, "little")
+        lo = max(address, saddr)
+        hi = min(address + inst.width, saddr + sinst.width)
+        data[lo - address:hi - address] = payload[lo - saddr:hi - saddr]
+    if inst.is_float:
+        value = struct.unpack("<d", bytes(data))[0]
+    else:
+        raw = int.from_bytes(bytes(data), "little")
+        value = sign_extend(raw, inst.width) if inst.signed \
+            else zero_extend(raw, inst.width)
+    return value, overlapping[-1]

@@ -188,6 +188,25 @@ class TestConfigOverride:
                      "--cache-dir", cache_dir]) == 2
         assert "max_blocks_in_flight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["window=0", "dispatch_cost=-1"])
+    def test_out_of_domain_ideal_config_exits_2_before_any_stage(
+            self, override, tmp_path, monkeypatch, capsys):
+        from repro.pipeline.core import Pipeline
+
+        stages = []
+        real = Pipeline._resolve
+
+        def resolve(self, stage, *args):
+            stages.append(stage)
+            return real(self, stage, *args)
+
+        monkeypatch.setattr(Pipeline, "_resolve", resolve)
+        assert main(["run", "rspeed", "--system", "ideal",
+                     "--config", override,
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert stages == []
+
 
 class TestSweep:
     def test_list_presets(self, capsys):

@@ -212,6 +212,79 @@ class TestDiskCacheAcrossProcesses:
         assert warm == 0
 
 
+class TestOneExecutionPerSemantics:
+    """Each program runs once per semantics: one TRIPS execution per
+    (variant, formation), one RISC execution per level.  Every other
+    artifact is a fold over those recorded runs."""
+
+    KEYS = ("fig7", "fig10", "fig11", "sec44")
+    SCRIPT = textwrap.dedent("""\
+        import sys
+        from repro.eval.experiments import run_experiment
+        from repro.eval.runner import Runner
+        from repro.pipeline import SIMULATION_STAGES
+
+        cache_dir, mode = sys.argv[1], sys.argv[2]
+        if mode == "warm":
+            # Any execution on the warm run is a failure.
+            from repro.risc import RiscSimulator
+            from repro.trips.functional import TripsSimulator
+
+            def _boom(*args, **kwargs):
+                raise RuntimeError("program executed on warm run")
+
+            TripsSimulator.run = _boom
+            RiscSimulator.run = _boom
+
+        runner = Runner(cache_dir=cache_dir)
+        for key in ("fig7", "fig10", "fig11", "sec44"):
+            extra = {"spec": ()} if key == "fig10" else {}
+            run_experiment(key, runner, benchmarks=("rspeed",), **extra)
+        print("COMPUTES",
+              runner.pipeline.telemetry.computes(SIMULATION_STAGES))
+    """)
+
+    def test_cold_render_executes_each_program_once(self, monkeypatch):
+        from repro.eval.experiments import run_experiment
+        from repro.risc import RiscSimulator
+        from repro.trips.functional import TripsSimulator
+
+        calls = {"trips": 0, "risc": 0}
+
+        def counted(kind, real):
+            def run(*args, **kwargs):
+                calls[kind] += 1
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(TripsSimulator, "run",
+                            counted("trips", TripsSimulator.run))
+        monkeypatch.setattr(RiscSimulator, "run",
+                            counted("risc", RiscSimulator.run))
+        runner = Runner()
+        for key in self.KEYS:
+            extra = {"spec": ()} if key == "fig10" else {}
+            run_experiment(key, runner, benchmarks=("rspeed",), **extra)
+        # (compiled, hyper), (compiled, basic), (hand, hyper); O2, ICC.
+        assert calls == {"trips": 3, "risc": 2}
+        counters = runner.pipeline.telemetry.counters
+        assert counters("ideal").computes == 6
+        assert counters("platform").computes == 4
+
+    def _run(self, tmp_path, mode):
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "cache"),
+             mode],
+            capture_output=True, text=True, timeout=600, env=_env())
+        assert result.returncode == 0, result.stderr[-2000:]
+        return int(result.stdout.split("COMPUTES")[1].strip())
+
+    def test_warm_render_in_a_fresh_process_executes_nothing(self,
+                                                            tmp_path):
+        assert self._run(tmp_path, "cold") > 0
+        assert self._run(tmp_path, "warm") == 0
+
+
 class TestParallelFanout:
     """Acceptance: parallel warm + render == serial render, byte for byte."""
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.ir import Builder, Type, run_module
 from repro.opt import optimize
 from repro.risc import (
-    RClass, Reg, RiscSimulator, ROp, lower_module, run_program,
+    RClass, Reg, RiscSimulator, RiscTrace, ROp, lower_module, run_program,
 )
 from repro.risc.isa import CATEGORY, INT_ALLOCATABLE, RiscInst
 
@@ -121,14 +121,20 @@ class TestStatistics:
 class TestTrace:
     def test_trace_stream_matches_execution(self):
         module = sum_of_squares_module(6)
-        records = []
+        trace = RiscTrace()
         program = lower_module(module)
-        result, sim = run_program(program, trace=records.append)
-        assert len(records) == sim.stats.executed
-        loads = [r for r in records if r.category == "load"]
-        assert all(r.mem_address > 0 for r in loads)
-        branches = [r for r in records if r.branch]
-        assert branches, "a loop must produce branch records"
+        result, sim = run_program(program, record=trace)
+        assert len(trace) == sim.stats.executed
+        assert trace.stats is sim.stats
+        categories = [trace.static[pc][1] for pc in trace.pcs]
+        loads = [address for address, category
+                 in zip(trace.addresses, categories) if category == "load"]
+        assert loads and all(address > 0 for address in loads)
+        assert all(address == -1 for address, category
+                   in zip(trace.addresses, categories)
+                   if category not in ("load", "store"))
+        assert sum(trace.taken) == sim.stats.taken_branches
+        assert sim.stats.branches, "a loop must produce branch records"
 
     def test_fallthrough_branches_removed(self):
         program = lower_module(sum_of_squares_module(4))

@@ -636,6 +636,18 @@ def test_http_events_bad_params(server):
     assert excinfo.value.status == 400
 
 
+def test_http_run_rejects_out_of_domain_ideal_params_without_simulating(
+        server):
+    client = ServeClient(server.url)
+    for config in ({"window": 0}, {"dispatch_cost": -1}):
+        with pytest.raises(ServeError) as excinfo:
+            client.run(BENCH, config=config, system="ideal")
+        assert excinfo.value.status == 400, config
+        assert excinfo.value.kind == "SpecError"
+        assert next(iter(config)) in str(excinfo.value)
+    assert server.service.pipeline.telemetry.computes() == 0
+
+
 def test_http_trace_rejects_bad_buckets_without_simulating(server):
     client = ServeClient(server.url)
     for buckets in ("abc", 0, MAX_TRACE_BUCKETS + 1):
