@@ -53,18 +53,24 @@ class InterpStats:
         self.by_opcode[op] = self.by_opcode.get(op, 0) + 1
 
 
+#: Private, so a forked worker gets copy-on-write pages rather than
+#: shared ones (Windows has no ``MAP_PRIVATE``).
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
+    else {}
+
+
 class Memory:
     """Flat little-endian byte-addressable memory.
 
-    Backed by an anonymous mapping: pages are zero until first touched
-    and go back to the system when the memory is freed, so a simulator
-    costs only the pages its program uses, even while earlier runs'
-    recordings stay allocated.
+    Backed by a private anonymous mapping: pages are zero until first
+    touched and go back to the system when the memory is freed, so a
+    simulator costs only the pages its program uses, even while earlier
+    runs' recordings stay allocated.
     """
 
     def __init__(self, size: int = DEFAULT_MEMORY_SIZE) -> None:
         self.size = size
-        self.data = mmap.mmap(-1, size)
+        self.data = mmap.mmap(-1, size, **_PRIVATE)
 
     def check(self, address: int, width: int) -> None:
         if address < 0 or address + width > self.size:

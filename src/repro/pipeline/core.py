@@ -65,7 +65,7 @@ from repro.uarch import (
     CacheStats, CycleStats, IdealStats, OpnStats, TripsConfig, run_cycles,
     run_ideal,
 )
-from repro.uarch.ideal import time_ideal
+from repro.uarch.ideal import check_ideal_params, time_ideal
 
 from repro.obs import spans as obs_spans
 from repro.pipeline.keys import artifact_digest, config_digest
@@ -332,6 +332,8 @@ class Pipeline:
 
     def ideal(self, name: str, variant: str = "compiled",
               window: int = 1024, dispatch_cost: int = 8) -> IdealStats:
+        # Before the recording is requested: a bad point executes nothing.
+        check_ideal_params(window, dispatch_cost)
         return self._materialize(
             "ideal", (name, variant, window, dispatch_cost),
             lambda: time_ideal(self.trips_outcomes(name, variant), window,

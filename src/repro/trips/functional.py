@@ -33,7 +33,9 @@ from repro.ir.types import to_unsigned64, wrap64
 
 from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsBlock, TripsProgram
-from repro.isa.instructions import Slot, TEST_OPS, TInst, TOp, operand_count
+from repro.isa.instructions import (
+    EXIT_OPS, Slot, TEST_OPS, TInst, TOp, operand_count,
+)
 
 #: Unique sentinel carried by NULL tokens through the dataflow.
 NULL_TOKEN = object()
@@ -163,7 +165,7 @@ class BlockOutcome:
             closed.add(index)
             if op is TOp.STORE or (op is TOp.NULL and inst.lsid >= 0):
                 resolved[inst.lsid] = base + index
-            if op in _EXIT_SET:
+            if op in EXIT_OPS:
                 self.exit = inst
             elif op is not TOp.STORE:
                 arrive(base + index, inst.targets)
@@ -189,7 +191,7 @@ class BlockOutcome:
         base = len(self.block.reads)
         tally = self.tally
         worklist = [i for i in fires if insts[i].op is TOp.STORE
-                    or insts[i].op is TOp.NULL or insts[i].op in _EXIT_SET]
+                    or insts[i].op is TOp.NULL or insts[i].op in EXIT_OPS]
         worklist += [node - base for node in self.writes if node >= base]
         used = set(worklist)
         while worklist:
@@ -421,7 +423,7 @@ class TripsSimulator:
                     resolved_stores.add(inst.lsid)
                     _unpark()
                 deliver(NULL_TOKEN, image.targets[index])
-            elif op in _EXIT_SET:
+            elif op in EXIT_OPS:
                 if exit_taken is not None:
                     raise TrapError(
                         f"block {block.label}: two exits fired "
@@ -453,8 +455,8 @@ class TripsSimulator:
                 parked_mem.append(index)
                 continue
             _fire(index)
-        if not self._block_complete(image, exit_taken, write_values,
-                                    resolved_stores):
+        if exit_taken is None or len(write_values) < image.write_count \
+                or not resolved_stores.issuperset(image.store_lsids):
             raise TrapError(
                 f"block {block.label} deadlocked: exit={exit_taken}, "
                 f"writes {len(write_values)}/{image.write_count}, "
@@ -466,17 +468,6 @@ class TripsSimulator:
             if value is not NULL_TOKEN:
                 self.regs[write.reg] = value
         return exit_taken, order, addresses
-
-    def _block_complete(self, image, exit_taken, write_values,
-                        resolved_stores) -> bool:
-        if exit_taken is None:
-            return False
-        if len(write_values) < image.write_count:
-            return False
-        for lsid in image.store_lsids:
-            if lsid not in resolved_stores:
-                return False
-        return True
 
 
 def load_value(memory: Memory, address: int, inst: TInst):
@@ -498,9 +489,6 @@ def _as_int(value) -> int:
     if value is NULL_TOKEN:
         return 0
     return int(value)
-
-
-_EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
 
 def _compute(op: TOp, inst: TInst, slots) -> object:

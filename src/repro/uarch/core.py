@@ -37,7 +37,7 @@ from repro.ir.interp import Memory
 from repro.robust.errors import SimulationBudgetExceeded
 
 from repro.isa.block import TripsBlock, TripsProgram
-from repro.isa.instructions import TInst, TOp
+from repro.isa.instructions import EXIT_OPS, TInst, TOp
 from repro.trips.codegen import LoweredProgram
 
 from repro.uarch import components
@@ -45,8 +45,6 @@ from repro.uarch.config import TripsConfig
 from repro.uarch.kernels import BatchedKernel
 from repro.uarch.opn import OperandNetwork
 from repro.uarch.resources import SkipAheadPool
-
-_EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
 
 @dataclass
@@ -353,7 +351,7 @@ class CycleSimulator:
             if not fired[index]:
                 continue
             op = block.instructions[index].op
-            if op is TOp.STORE or op is TOp.NULL or op in _EXIT_SET:
+            if op is TOp.STORE or op is TOp.NULL or op in EXIT_OPS:
                 used[index] = True
                 worklist.append(index)
         for producer in write_producers.values():

@@ -28,13 +28,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.ir.interp import TrapError
 
 from repro.isa.block import TripsProgram
-from repro.isa.instructions import TOp, TRIPS_LATENCY
+from repro.isa.instructions import EXIT_OPS, TOp, TRIPS_LATENCY
 
 from repro.trips.functional import (
     BlockOutcome, OutcomeStream, TripsSimulator,
 )
-
-_EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
 #: Load-use latency under perfect caching.
 PERFECT_LOAD_CYCLES = 1
@@ -75,7 +73,7 @@ def _plan(key: BlockOutcome) -> Tuple:
             kind = _LOAD
         elif op is TOp.STORE:
             kind = _STORE
-        elif op is TOp.NULL or op in _EXIT_SET:
+        elif op is TOp.NULL or op in EXIT_OPS:
             latency = 0
         steps.append((base + index, kind, latency, *sources,
                       *(zero,) * (3 - len(sources))))
@@ -149,6 +147,18 @@ def time_ideal(stream: OutcomeStream, window: int = 1024,
                       blocks=len(stream.activations))
 
 
+def check_ideal_params(window: object, dispatch_cost: object) -> None:
+    """Raise :class:`~repro.uarch.config.ConfigError` unless ``window``
+    is an int >= 1 and ``dispatch_cost`` an int >= 0."""
+    from repro.uarch.config import ConfigError
+    for name, value, minimum in (("window", window, 1),
+                                 ("dispatch_cost", dispatch_cost, 0)):
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < minimum:
+            raise ConfigError(
+                f"ideal {name} must be an int >= {minimum}, got {value!r}")
+
+
 class IdealSimulator:
     """Dataflow-limit machine with a window and a dispatch cost: ``run``
     executes the program once and times it with :func:`time_ideal`."""
@@ -157,16 +167,7 @@ class IdealSimulator:
                  dispatch_cost: int = 8,
                  memory_size: int = 16 * 1024 * 1024,
                  max_blocks: int = 2_000_000) -> None:
-        from repro.uarch.config import ConfigError
-        if not isinstance(window, int) or isinstance(window, bool) \
-                or window < 1:
-            raise ConfigError(
-                f"ideal window must be an int >= 1, got {window!r}")
-        if not isinstance(dispatch_cost, int) \
-                or isinstance(dispatch_cost, bool) or dispatch_cost < 0:
-            raise ConfigError(
-                f"ideal dispatch_cost must be an int >= 0, got "
-                f"{dispatch_cost!r}")
+        check_ideal_params(window, dispatch_cost)
         self.program = program
         self.window = window
         self.dispatch_cost = dispatch_cost

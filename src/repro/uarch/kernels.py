@@ -19,7 +19,7 @@ from repro.ir.types import wrap64
 from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsBlock
 from repro.isa.instructions import (
-    Slot, TEST_OPS, TInst, TOp, TRIPS_LATENCY, operand_count,
+    EXIT_OPS, Slot, TEST_OPS, TInst, TOp, TRIPS_LATENCY, operand_count,
 )
 from repro.trips.functional import (
     NULL_TOKEN, _BINOPS, _as_int, _compute, load_value, store_value,
@@ -28,8 +28,6 @@ from repro.trips.placement import Placement
 from repro.trips.regalloc import NUM_BANKS, bank_of
 
 from repro.uarch.caches import L1DataBanks
-
-_EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
 
 
 def pow2_shift_mask(line_bytes: int,
@@ -189,7 +187,7 @@ class BatchedKernel:
                 kinds.append(_K_STORE)
             elif op is TOp.NULL:
                 kinds.append(_K_NULL)
-            elif op in _EXIT_SET:
+            elif op in EXIT_OPS:
                 kinds.append(_K_EXIT)
             else:
                 kinds.append(_K_COMPUTE)

@@ -284,6 +284,26 @@ class TestOneExecutionPerSemantics:
         assert self._run(tmp_path, "cold") > 0
         assert self._run(tmp_path, "warm") == 0
 
+    @pytest.mark.parametrize("params", [{"window": 0},
+                                        {"dispatch_cost": -1}])
+    def test_out_of_domain_ideal_point_executes_and_stores_nothing(
+            self, tmp_path, monkeypatch, params):
+        from repro.trips.functional import TripsSimulator
+        from repro.uarch import ConfigError
+
+        def _boom(*args, **kwargs):
+            raise AssertionError("program executed")
+
+        monkeypatch.setattr(TripsSimulator, "run", _boom)
+        pipeline = Pipeline(cache_dir=tmp_path / "cache")
+        with pytest.raises(ConfigError):
+            pipeline.ideal("rspeed", **params)
+        with pytest.raises(ConfigError):
+            Runner(pipeline=pipeline).ideal("rspeed", **params)
+        assert pipeline.telemetry.computes() == 0
+        assert not [path for path in (tmp_path / "cache").rglob("*")
+                    if path.is_file()]
+
 
 class TestParallelFanout:
     """Acceptance: parallel warm + render == serial render, byte for byte."""

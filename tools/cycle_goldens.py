@@ -39,13 +39,12 @@ the CI ``goldens`` job checks both whole tables::
 
     PYTHONPATH=src python tools/cycle_goldens.py --jobs 2
     PYTHONPATH=src python tools/cycle_goldens.py --programs rspeed,crc
-    PYTHONPATH=src python tools/cycle_goldens.py --table models --jobs 2
     PYTHONPATH=src python tools/cycle_goldens.py --write --jobs 2
 
-Without ``--write`` the tool checks and exits 1 on any mismatch, with
-one line per differing entry.  ``--write`` regenerates the selected
-tables; do that only for an intentional timing change, and say so in
-the commit.
+Without ``--write`` the tool checks both tables and exits 1 on any
+mismatch, with one line per differing entry.  ``--write`` regenerates
+both; do that only for an intentional timing change, and say so in the
+commit.
 """
 
 from __future__ import annotations
@@ -348,16 +347,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--programs", default=None,
                         help="comma-separated subset of suite programs "
                              "(default: all)")
-    parser.add_argument("--table", choices=("all",) + TABLES,
-                        default="all",
-                        help="which table to check or write "
-                             "(default: %(default)s)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
     parser.add_argument("--file", type=Path, default=GOLDEN_FILE,
                         help="cycle table (default %(default)s)")
-    parser.add_argument("--models-file", type=Path, default=MODEL_FILE,
-                        help="model table (default %(default)s)")
     args = parser.parse_args(argv)
 
     from repro.bench import all_benchmarks
@@ -371,17 +364,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--write regenerates whole tables; "
                      "drop --programs")
 
-    tables = TABLES if args.table == "all" else (args.table,)
-    files = {"cycles": args.file, "models": args.models_file}
+    files = {"cycles": args.file, "models": MODEL_FILE}
     stored = {} if args.write else {name: load(files[name])
-                                    for name in tables}
+                                    for name in TABLES}
     compare = {"cycles": differences, "models": model_differences}
     written: Dict[str, Dict[str, Dict[str, object]]] = {
-        name: {} for name in tables}
-    checked = dict.fromkeys(tables, 0)
-    failed = dict.fromkeys(tables, 0)
-    seconds = dict.fromkeys(tables, 0.0)
-    units = [(name, program) for name in tables for program in programs]
+        name: {} for name in TABLES}
+    checked = dict.fromkeys(TABLES, 0)
+    failed = dict.fromkeys(TABLES, 0)
+    seconds = dict.fromkeys(TABLES, 0.0)
+    units = [(name, program) for name in TABLES for program in programs]
     for table, program, entries, spent in _run_all(units, args.jobs):
         seconds[table] += spent
         written[table][program] = entries
@@ -405,7 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{table:6s} {program:12s} {spent:7.2f}s "
               f"{'FAIL' if bad else 'ok'}")
 
-    for table in tables:
+    for table in TABLES:
         if args.write:
             entries = {program: written[table][program]
                        for program in sorted(written[table])}
