@@ -12,6 +12,7 @@ benchmark                 what it times
 ``ir-interp``             the golden-model IR interpreter (``run_module``)
 ``risc-sim``              the RISC functional simulator end to end
 ``cycle-sim``             ``CycleSimulator.run`` via ``run_cycles``
+``cycle-configs``         one program's cold cycle runs, six configurations
 ``ideal-sim``             one program's cold Figure 10 ideal-machine trio
 ``ref-platforms``         one program's cold Figure 11 platform quartet
 ``opn-route``             operand-network routing + link contention
@@ -113,6 +114,30 @@ def _run_ideal_sim(warm):
     return [pipeline.ideal(_CYCLE_BENCH, variant, window, cost).cycles
             for variant in ("compiled", "hand")
             for window, cost in IDEAL_POINTS]
+
+
+#: The six configurations of the cycle golden table
+#: (``tools/cycle_goldens.py``): overrides on top of the prototype's
+#: explicitly pinned components.
+_GOLDEN_BASE = {"opn_topology": "mesh", "predictor_kind": "tournament",
+                "memory_kind": "trips"}
+_GOLDEN_CONFIGS = (
+    {},
+    {"opn_topology": "torus"},
+    {"opn_topology": "dwmesh"},
+    {"predictor_kind": "gshare"},
+    {"memory_kind": "perfect-l1"},
+    {"predicate_prediction": True},
+)
+
+
+def _run_cycle_configs(warm):
+    from repro.uarch import TripsConfig
+    pipeline = _compiled_pipeline(warm)
+    return [pipeline.trips_cycles(
+        _CYCLE_BENCH, "compiled",
+        TripsConfig(**{**_GOLDEN_BASE, **overrides})).stats.cycles
+        for overrides in _GOLDEN_CONFIGS]
 
 
 def _run_ref_platforms(warm):
@@ -321,6 +346,10 @@ _SUITE: List[BenchSpec] = [
     BenchSpec("cycle-sim", "simulators",
               f"cycle-level TRIPS simulator, {_CYCLE_BENCH} end to end",
               _setup_cycle_sim, _run_cycle_sim),
+    BenchSpec("cycle-configs", "simulators",
+              f"cycle-level TRIPS simulator, {_CYCLE_BENCH} under the six "
+              f"golden configurations, cold (compiler warm)",
+              _setup_timing_models, _run_cycle_configs),
     BenchSpec("ideal-sim", "simulators",
               f"ideal machine, {_CYCLE_BENCH} Figure 10 trio x both "
               f"variants, cold (compiler warm)",
