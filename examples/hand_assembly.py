@@ -93,7 +93,7 @@ def main() -> None:
           f"{sim.stats.executed} instructions executed, "
           f"{sim.stats.register_reads} register reads")
 
-    placements = {block.label: place_block(block, "sps")
+    placements = {(func.name, block.label): place_block(block, "sps")
                   for func in program.functions.values()
                   for block in func.blocks.values()}
     lowered = LoweredProgram(program, placements)

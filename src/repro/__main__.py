@@ -202,43 +202,34 @@ def _run_system(args, runner) -> int:
 
 def _traced_cycles(runner, name: str, variant: str, out_path: str,
                    config=None):
-    """Live cycle-level run with tracing; writes the compact stream.
+    """Traced cycle-level fold; writes the compact stream.
 
     Bypasses the ``trips-cycles`` artifact cache (the raw event stream
-    is not cached) but still reuses the lowering stages and validates
-    the result against the interpreter checksum.
+    is not cached) but folds over the held, checksum-validated
+    ``trips-outcomes`` recording.
     """
     import sys as _sys
 
-    from repro.trace import CollectingTracer, write_compact
-    from repro.uarch import run_cycles
+    from repro.trace import write_compact
 
-    lowered = runner.trips_lowered(name, variant)
-    tracer = CollectingTracer()
-    result, sim = run_cycles(lowered, config=config, tracer=tracer)
-    runner.pipeline.check(name, result, f"uarch-trace/{variant}")
-    count = write_compact(tracer.events, out_path)
+    sim, events = runner.pipeline.traced_cycles(name, variant, config)
+    count = write_compact(events, out_path)
     print(f"wrote {count} events to {out_path}", file=_sys.stderr)
     return sim.stats, sim
 
 
 def _cmd_trace(args, runner) -> int:
     from repro.trace import (
-        CollectingTracer, render_event_counts, render_occupancy_timeline,
-        render_opn_heatmap, render_tile_histogram, summarize, write_compact,
+        render_event_counts, render_occupancy_timeline, render_opn_heatmap,
+        render_tile_histogram, summarize, write_compact,
     )
-    from repro.uarch import run_cycles
 
     name = args.benchmark
-    lowered = runner.trips_lowered(name, args.variant)
-    tracer = CollectingTracer()
-    result, sim = run_cycles(lowered, tracer=tracer)
-    runner.pipeline.check(name, result, f"trace/{args.system}")
-
+    sim, events = runner.pipeline.traced_cycles(name, args.variant)
     stats = sim.stats
-    print(f"{name} ({args.system}, {args.variant}): {stats.cycles} cycles, "
-          f"IPC {stats.ipc:.2f}, {len(tracer.events)} events")
-    metrics = summarize(tracer.events, stats.cycles, buckets=args.buckets)
+    print(f"{name} (cycles, {args.variant}): {stats.cycles} cycles, "
+          f"IPC {stats.ipc:.2f}, {len(events)} events")
+    metrics = summarize(events, stats.cycles, buckets=args.buckets)
     print()
     print(render_event_counts(metrics))
     print()
@@ -248,7 +239,7 @@ def _cmd_trace(args, runner) -> int:
     print()
     print(render_tile_histogram(metrics))
     if args.out:
-        count = write_compact(tracer.events, args.out)
+        count = write_compact(events, args.out)
         print(f"\nwrote {count} events to {args.out}")
     return 0
 
@@ -1021,8 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="per-cycle microarchitectural event trace")
     trace_p.add_argument("benchmark")
-    trace_p.add_argument("--system", default="cycles", choices=["cycles"],
-                         help="simulator to trace (cycle-level only)")
     trace_p.add_argument("--variant", default="compiled",
                          choices=["compiled", "hand"])
     trace_p.add_argument("--out", default=None, metavar="FILE",

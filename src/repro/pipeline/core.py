@@ -34,7 +34,7 @@ they are cheap to rebuild and expensive to serialise.
 
 Each program runs once per semantics: the memory-only ``trips-outcomes``
 and ``risc-trace`` recordings feed every functional, block-trace,
-ideal, PowerPC and platform artifact.  An artifact is still computed and
+ideal, cycle-level, trace-summary, PowerPC and platform artifact.  An artifact is still computed and
 stored only when first requested.  Every recording is validated against
 the interpreter checksum before anything derives from it (a wrong
 simulator must never produce a figure); warm artifacts were validated
@@ -293,7 +293,8 @@ class Pipeline:
     def trips_outcomes(self, name: str, variant: str = "compiled",
                        formation: str = "hyper") -> OutcomeStream:
         """The checksum-validated TRIPS run that the functional stats,
-        block trace and ideal machine derive from (memory-only)."""
+        block trace, ideal machine and cycle model derive from
+        (memory-only)."""
         def compute():
             lowered = self.trips_lowered(name, variant, formation)
             result, sim = run_trips(lowered.program)
@@ -312,9 +313,10 @@ class Pipeline:
     def trips_cycles(self, name: str, variant: str = "compiled",
                      config: Optional[TripsConfig] = None) -> CycleArtifact:
         def compute():
-            lowered = self.trips_lowered(name, variant)
-            result, sim = run_cycles(lowered, config=config)
-            self.check(name, result, f"trips-cycles/{variant}")
+            _result, sim = run_cycles(self.trips_lowered(name, variant),
+                                      config=config,
+                                      outcomes=self.trips_outcomes(name,
+                                                                   variant))
             l2 = CacheStats()
             for bank in sim.hierarchy.l2.banks:
                 l2.accesses += bank.stats.accesses
@@ -340,6 +342,19 @@ class Pipeline:
                                dispatch_cost),
             persist=True)
 
+    def traced_cycles(self, name: str, variant: str = "compiled",
+                      config: Optional[TripsConfig] = None):
+        """A cycle-level fold with event tracing over the held
+        recording: ``(simulator, events)``.  Not an artifact: the raw
+        event stream is never cached."""
+        from repro.trace import CollectingTracer
+
+        tracer = CollectingTracer()
+        _result, sim = run_cycles(self.trips_lowered(name, variant),
+                                  config=config, tracer=tracer,
+                                  outcomes=self.trips_outcomes(name, variant))
+        return sim, tracer.events
+
     def trace_summary(self, name: str, variant: str = "compiled",
                       config: Optional[TripsConfig] = None,
                       buckets: Optional[int] = None):
@@ -350,17 +365,13 @@ class Pipeline:
         are cached, keyed like ``trips-cycles`` plus the timeline
         resolution.
         """
-        from repro.trace import DEFAULT_BUCKETS, CollectingTracer, summarize
+        from repro.trace import DEFAULT_BUCKETS, summarize
 
         resolution = buckets if buckets is not None else DEFAULT_BUCKETS
 
         def compute():
-            lowered = self.trips_lowered(name, variant)
-            tracer = CollectingTracer()
-            result, sim = run_cycles(lowered, config=config, tracer=tracer)
-            self.check(name, result, f"trace-summary/{variant}")
-            return summarize(tracer.events, sim.stats.cycles,
-                             buckets=resolution)
+            sim, events = self.traced_cycles(name, variant, config)
+            return summarize(events, sim.stats.cycles, buckets=resolution)
 
         key = (name, variant, config_digest(config, TripsConfig), resolution)
         return self._materialize("trace-summary", key, compute, persist=True)

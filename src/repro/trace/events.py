@@ -80,13 +80,13 @@ EVENT_SCHEMA: Dict[str, EventSpec] = {
         "exit = actual exit number, correct = exit AND target right."),
     "inst_issue": EventSpec(
         ("label", "index", "op", "tile"),
-        "repro.uarch.kernels.BatchedKernel.execute_block (fire)",
+        "repro.uarch.kernels.FoldKernel.replay (plan step)",
         "An instruction issued on its execution tile; cycle = issue, "
         "index = position in block, tile = ET number (0..15 on the "
         "prototype grid)."),
     "inst_retire": EventSpec(
         ("label", "index", "op", "tile"),
-        "repro.uarch.kernels.BatchedKernel.execute_block (fire)",
+        "repro.uarch.kernels.FoldKernel.replay (plan step)",
         "An instruction's result became available (load data returned, "
         "store entered the DT write buffer, ALU result produced); "
         "cycle = completion."),
@@ -111,13 +111,13 @@ EVENT_SCHEMA: Dict[str, EventSpec] = {
         "address = byte address (synthetic code address for l1i)."),
     "load_forward": EventSpec(
         ("label", "index", "lsid", "supplier", "address"),
-        "repro.uarch.kernels.BatchedKernel.execute_block (fire)",
+        "repro.uarch.kernels.FoldKernel.replay (plan step)",
         "A load consumed in-flight store data from the DT write buffer; "
         "cycle = data ready, supplier = LSID of the youngest store that "
         "supplied bytes."),
     "load_flush": EventSpec(
         ("label", "index", "penalty"),
-        "repro.uarch.kernels.BatchedKernel.execute_block (fire)",
+        "repro.uarch.kernels.FoldKernel.replay (plan step)",
         "First dynamic instance of a static load consuming in-flight "
         "store data: the dependence predictor trains and a violation "
         "flush is charged; cycle = load data ready."),

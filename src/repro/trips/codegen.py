@@ -15,7 +15,7 @@ Pipeline per function:
 from __future__ import annotations
 
 import copy as _copy
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Opcode
@@ -47,13 +47,14 @@ def lower_module(module: Module, placement_policy: str = "sps",
     """
     working = _copy.deepcopy(module)
     program = TripsProgram()
-    placements: Dict[str, Placement] = {}
+    placements: Dict[Tuple[str, str], Placement] = {}
     for func in working.functions.values():
         tfunc = lower_function(func, formation)
         program.functions[tfunc.name] = tfunc
+        # Keyed by (function, label): every function has an ``entry``.
         for block in tfunc.blocks.values():
-            placements[block.label] = place_block(block, placement_policy,
-                                                  grid=grid)
+            placements[(tfunc.name, block.label)] = place_block(
+                block, placement_policy, grid=grid)
     for data in working.globals.values():
         if data.init:
             program.globals_image.append((data.address, data.init))
@@ -66,12 +67,12 @@ class LoweredProgram:
     """A TRIPS program together with per-block instruction placements."""
 
     def __init__(self, program: TripsProgram,
-                 placements: Dict[str, Placement]) -> None:
+                 placements: Dict[Tuple[str, str], Placement]) -> None:
         self.program = program
         self.placements = placements
 
-    def placement(self, label: str) -> Placement:
-        return self.placements[label]
+    def placement(self, function: str, label: str) -> Placement:
+        return self.placements[(function, label)]
 
 
 def _cross_block_estimate(func: Function) -> Set[VReg]:

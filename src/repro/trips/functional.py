@@ -24,12 +24,14 @@ executing the program again.
 
 from __future__ import annotations
 
+import time
 from array import array
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.interp import Memory, TrapError
 from repro.ir.types import to_unsigned64, wrap64
+from repro.robust.errors import SimulationBudgetExceeded
 
 from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsBlock, TripsProgram
@@ -88,23 +90,28 @@ _COUNTERS = tuple(f.name for f in fields(TripsStats) if f.type == "int")
 
 
 class BlockOutcome:
-    """One (block, fire order) key of an execution.
+    """One (block, fire order, predicate bits) key of an execution.
 
-    ``order`` lists the instructions that fired, in firing order.  With
-    the block's static dataflow it fixes which producer fed every
-    operand, so what depends only on that — the ISA statistics an
-    activation adds (``tally``), the ideal machine's timing — is worked
-    out once per key.  Producers are *nodes*: read ``r`` is node
-    ``r``, instruction ``i`` node ``len(block.reads) + i``.
-    ``operands[i]`` holds the nodes that fed fired instruction ``i``,
-    ``writes`` the node each write slot commits, and ``resolved`` the
-    node that resolved each store LSID.
+    ``order`` lists the instructions that fired, in firing order, and
+    ``bits`` holds each instruction's first-arrived predicate bit (0, 1,
+    or ``None`` when no predicate reached it).  With the block's static
+    dataflow the order fixes which producer fed every operand, so what
+    depends only on that — the ISA statistics an activation adds
+    (``tally``), the ideal machine's timing, the cycle model's timing
+    plan — is worked out once per key.  Producers are *nodes*: read
+    ``r`` is node ``r``, instruction ``i`` node ``len(block.reads) +
+    i``.  ``operands[i]`` holds the nodes that fed fired instruction
+    ``i``, ``writes`` the node each write slot commits, and
+    ``resolved`` the node that resolved each store LSID.  ``function``
+    names the function the block belongs to: labels repeat across
+    functions (every function starts at ``entry``).
     """
 
-    __slots__ = ("block", "order", "serial", "exit", "exit_index",
-                 "operands", "writes", "resolved", "tally")
+    __slots__ = ("block", "function", "order", "bits", "serial", "exit",
+                 "exit_index", "operands", "writes", "resolved", "tally")
 
-    def __init__(self, block: TripsBlock, order: Tuple[int, ...],
+    def __init__(self, block: TripsBlock, function: str,
+                 order: Tuple[int, ...], bits: Tuple[Optional[int], ...],
                  serial: int) -> None:
         insts = block.instructions
         base = len(block.reads)
@@ -171,7 +178,9 @@ class BlockOutcome:
                 arrive(base + index, inst.targets)
 
         self.block = block
+        self.function = function
         self.order = order
+        self.bits = bits
         self.serial = serial
         self.exit_index = next((k for k, e in enumerate(block.exits)
                                 if e is self.exit), 0)
@@ -223,7 +232,8 @@ class OutcomeStream:
     ``activations`` holds, per committed block, the index of its
     :class:`BlockOutcome` in ``keys``; ``addresses`` holds the effective
     address of every load and store that fired, in fire order.
-    ``stats`` is the run's :class:`TripsStats`.
+    ``stats`` is the run's :class:`TripsStats` and ``result`` the
+    program's return value (``None`` until the run completes).
     """
 
     def __init__(self, stats: TripsStats) -> None:
@@ -231,6 +241,7 @@ class OutcomeStream:
         self.activations = array("I")
         self.addresses = array("q")
         self.stats = stats
+        self.result: object = None
 
     def block_events(self) -> List[Tuple[str, int, str, str, str]]:
         """The committed-block trace: per activation its label, exit
@@ -243,33 +254,121 @@ class OutcomeStream:
                 for key, after in zip(run, run[1:] + [None])]
 
 
+#: Kinds of a decoded instruction.
+K_COMPUTE, K_LOAD, K_STORE, K_NULL, K_EXIT = range(5)
+
+#: "No operand delivered yet" sentinel for the flat operand arrays
+#: (distinct from NULL_TOKEN, which is a real dataflow value).
+_ABSENT = object()
+
+
+def kind_of(op: TOp) -> int:
+    """The decoded kind of an opcode."""
+    if op is TOp.LOAD:
+        return K_LOAD
+    if op is TOp.STORE:
+        return K_STORE
+    if op is TOp.NULL:
+        return K_NULL
+    if op in EXIT_OPS:
+        return K_EXIT
+    return K_COMPUTE
+
+
+def decode_targets(targets) -> Tuple[Tuple[int, ...], ...]:
+    """A target list as flat tuples, in delivery order: ``(0, slot)``
+    for a register-write slot, ``(1, inst)`` for a predicate and
+    ``(2, inst, 0 | 1)`` for a data operand."""
+    decoded = []
+    for target in targets:
+        if is_write_target(target):
+            decoded.append((0, write_slot_of(target)))
+        elif target.slot is Slot.PRED:
+            decoded.append((1, target.inst))
+        else:
+            decoded.append((2, target.inst,
+                            0 if target.slot is Slot.OP0 else 1))
+    return tuple(decoded)
+
+
+def _compute_plan(inst: TInst) -> Tuple[int, object]:
+    """How a compute instruction makes its value, resolved once:
+    ``(0, handler)`` for a two-operand op, ``(1, value)`` for a
+    constant, ``(2, None)`` for MOV, ``(3, None)`` for I2F, ``(4,
+    None)`` for F2I and ``(5, None)`` for anything :func:`_compute`
+    must handle."""
+    op = inst.op
+    if op is TOp.GENI:
+        return 1, inst.imm
+    if op is TOp.GENF:
+        return 1, inst.fimm
+    if op is TOp.MOV:
+        return 2, None
+    if op is TOp.I2F:
+        return 3, None
+    if op is TOp.F2I:
+        return 4, None
+    handler = _BINOPS.get(op)
+    if handler is not None and operand_count(op) == 2:
+        return 0, handler
+    return 5, None
+
+
 class _BlockImage:
-    """Precompiled per-block metadata reused across activations."""
+    """One block decoded once, reused by every activation."""
 
-    __slots__ = ("block", "need", "targets", "preds", "write_count",
-                 "store_lsids", "read_targets", "keys")
+    __slots__ = ("block", "function", "insts", "need", "want", "kinds",
+                 "ccode", "carg", "imm", "lsid", "targets", "reads",
+                 "static_ready", "store_lsids", "write_count", "keys")
 
-    def __init__(self, block: TripsBlock) -> None:
+    def __init__(self, block: TripsBlock, function: str) -> None:
+        insts = block.instructions
         self.block = block
-        self.need = [operand_count(i.op) for i in block.instructions]
-        self.preds = [i.predicate for i in block.instructions]
-        self.targets = [i.targets for i in block.instructions]
+        self.function = function
+        self.insts = insts
+        self.need = [operand_count(i.op) for i in insts]
+        self.want = [None if i.predicate is None
+                     else (1 if i.predicate == "T" else 0) for i in insts]
+        self.kinds = [kind_of(i.op) for i in insts]
+        plans = [_compute_plan(i) for i in insts]
+        self.ccode = [code for code, _arg in plans]
+        self.carg = [arg for _code, arg in plans]
+        self.imm = [i.imm for i in insts]
+        self.lsid = [i.lsid for i in insts]
+        self.targets = [decode_targets(i.targets) for i in insts]
+        self.reads = [(r.reg, decode_targets(r.targets))
+                      for r in block.reads]
+        # Zero-operand, unpredicated instructions are ready at fetch.
+        self.static_ready = tuple(
+            index for index in range(len(insts))
+            if self.need[index] == 0 and self.want[index] is None)
+        self.store_lsids = tuple(sorted(block.store_lsids))
         self.write_count = len(block.writes)
-        self.store_lsids = sorted(block.store_lsids)
-        self.read_targets = [r.targets for r in block.reads]
-        #: This block's keys seen so far, by fire order.
-        self.keys: Dict[Tuple[int, ...], BlockOutcome] = {}
+        #: This block's keys seen so far, by (fire order, bits).
+        self.keys: Dict[Tuple, BlockOutcome] = {}
 
 
 class TripsSimulator:
-    """Block-atomic dataflow executor over a :class:`TripsProgram`."""
+    """Block-atomic dataflow executor over a :class:`TripsProgram`.
+
+    ``max_blocks`` and ``max_wall_seconds`` are the cycle simulator's
+    watchdog budgets, which it hands down because its timing pass runs
+    after this recording: past either, :meth:`run` raises
+    :class:`~repro.robust.SimulationBudgetExceeded` (no cycle or window
+    yet; the cycle simulator re-raises with its own) and ``outcomes``
+    holds the blocks committed so far.
+    """
 
     def __init__(self, program: TripsProgram,
                  memory_size: int = 16 * 1024 * 1024,
-                 fuel: int = DEFAULT_FUEL) -> None:
+                 fuel: int = DEFAULT_FUEL,
+                 max_blocks: Optional[int] = None,
+                 max_wall_seconds: Optional[float] = None) -> None:
         self.program = program
         self.memory = Memory(memory_size)
         self.fuel = fuel
+        self.max_blocks = max_blocks
+        self.max_wall_seconds = max_wall_seconds
         self.stats = TripsStats()
         self.regs: List[object] = [0] * 128
         #: This run's recording.
@@ -277,13 +376,16 @@ class TripsSimulator:
         self._images: Dict[Tuple[str, str], _BlockImage] = {}
         for name, func in program.functions.items():
             for label, block in func.blocks.items():
-                self._images[(name, label)] = _BlockImage(block)
+                self._images[(name, label)] = _BlockImage(block, name)
         for address, payload in program.globals_image:
             self.memory.write_bytes(address, payload)
 
     def run(self, entry: str = "main", args: Optional[List[object]] = None):
         """Run ``entry`` to completion; returns the integer return value."""
         outcomes = self.outcomes
+        activations = outcomes.activations
+        addresses = outcomes.addresses
+        stats = self.stats
         self.regs[1] = self.memory.size - 64       # stack pointer
         for i, arg in enumerate(args or []):
             self.regs[3 + i] = arg
@@ -291,19 +393,26 @@ class TripsSimulator:
         func_name = entry
         label = self.program.function(entry).entry
         call_stack: List[Tuple[str, str]] = []
+        max_blocks = self.max_blocks
+        wall_start = time.monotonic() \
+            if self.max_wall_seconds is not None else None
 
         while True:
+            if max_blocks is not None or wall_start is not None:
+                self._check_budgets(label, len(activations), wall_start)
             image = self._images[(func_name, label)]
-            exit_inst, order, addresses = self._execute_block(image)
-            fired = tuple(order)
-            key = image.keys.get(fired)
+            order, bits, fired_addresses = self._execute_block(image)
+            signature = (tuple(order), tuple(bits))
+            key = image.keys.get(signature)
             if key is None:
-                key = image.keys[fired] = BlockOutcome(
-                    image.block, fired, len(outcomes.keys))
+                key = image.keys[signature] = BlockOutcome(
+                    image.block, func_name, signature[0], signature[1],
+                    len(outcomes.keys))
                 outcomes.keys.append(key)
-            self.stats.add(key.tally)
-            outcomes.activations.append(key.serial)
-            outcomes.addresses.extend(addresses)
+            stats.add(key.tally)
+            activations.append(key.serial)
+            addresses.extend(fired_addresses)
+            exit_inst = key.exit
             op = exit_inst.op
             if op is TOp.BRO:
                 label = exit_inst.label
@@ -313,161 +422,208 @@ class TripsSimulator:
                 label = self.program.function(func_name).entry
             elif op is TOp.RET:
                 if not call_stack:
-                    return self.regs[3]
+                    outcomes.result = self.regs[3]
+                    return outcomes.result
                 func_name, label = call_stack.pop()
             else:
                 raise AssertionError(f"bad exit {op}")
 
+    def _check_budgets(self, label: str, blocks: int,
+                       wall_start: Optional[float]) -> None:
+        if self.max_blocks is not None and blocks >= self.max_blocks:
+            raise SimulationBudgetExceeded(
+                kind="block", budget=self.max_blocks, label=label,
+                blocks_committed=blocks, cycle=0, window=())
+        if wall_start is not None and blocks % 64 == 0:
+            elapsed = time.monotonic() - wall_start
+            if elapsed > self.max_wall_seconds:
+                raise SimulationBudgetExceeded(
+                    kind="wall-clock", budget=self.max_wall_seconds,
+                    label=label, blocks_committed=blocks, cycle=0,
+                    window=(), elapsed=elapsed)
+
     # -- block execution --------------------------------------------------------
 
     def _execute_block(self, image: _BlockImage
-                       ) -> Tuple[TInst, List[int], List[int]]:
-        """Execute one activation; returns its exit, the indices of the
-        instructions that fired in fire order, and the addresses of its
-        loads and stores in the same order."""
-        block = image.block
-        n = len(block.instructions)
+                       ) -> Tuple[List[int], List[Optional[int]], List[int]]:
+        """Execute one activation and commit its register writes.
 
-        operands: List[Dict[Slot, object]] = [None] * n
-        pred_value: List[object] = [None] * n       # arrived predicate value
-        fired = [False] * n
-        mispredicated = [False] * n
-        parked_mem: List[int] = []
-        resolved_stores: Set[int] = set()
+        Returns the indices of the instructions that fired in fire
+        order, each instruction's first-arrived predicate bit, and the
+        addresses of the activation's loads and stores in fire order.
+        """
+        block = image.block
+        insts = image.insts
+        need = image.need
+        want = image.want
+        kinds = image.kinds
+        ccode = image.ccode
+        carg = image.carg
+        imm = image.imm
+        lsid_of = image.lsid
+        targets_of = image.targets
+        store_lsids = image.store_lsids
+        memory = self.memory
+        n = len(insts)
+
+        v0s: List[object] = [_ABSENT] * n
+        v1s: List[object] = [_ABSENT] * n
+        arrived = [0] * n
+        bits: List[Optional[int]] = [None] * n
+        closed = [False] * n                # fired or mispredicated
+        parked: List[int] = []
+        resolved: Set[int] = set()
         write_values: Dict[int, object] = {}
         exit_taken: Optional[TInst] = None
         ready: List[int] = []
-        arrived_count = [0] * n
         order: List[int] = []
         addresses: List[int] = []
 
-        def deliver(value, targets) -> None:
-            for target in targets:
-                if is_write_target(target):
-                    write_values[write_slot_of(target)] = value
-                    continue
-                index = target.inst
-                if fired[index] or mispredicated[index]:
-                    continue
-                if target.slot is Slot.PRED:
-                    if pred_value[index] is None:
-                        pred_value[index] = (1 if value else 0) \
-                            if value is not NULL_TOKEN else 0
-                        _check_ready(index)
-                    continue
-                slots = operands[index]
-                if slots is None:
-                    slots = operands[index] = {}
-                if target.slot in slots:
-                    continue  # predicated merge: first arrival wins
-                slots[target.slot] = value
-                arrived_count[index] += 1
-                _check_ready(index)
+        def deliver(value, decoded) -> None:
+            for entry in decoded:
+                tag = entry[0]
+                if tag == 2:
+                    index = entry[1]
+                    if closed[index]:
+                        continue
+                    # Predicated merge: a slot keeps its first arrival.
+                    if entry[2]:
+                        if v1s[index] is not _ABSENT:
+                            continue
+                        v1s[index] = value
+                    else:
+                        if v0s[index] is not _ABSENT:
+                            continue
+                        v0s[index] = value
+                    arrived[index] += 1
+                    check_ready(index)
+                elif tag == 1:
+                    index = entry[1]
+                    if closed[index] or bits[index] is not None:
+                        continue
+                    bits[index] = 1 if value and value is not NULL_TOKEN \
+                        else 0
+                    check_ready(index)
+                else:
+                    write_values[entry[1]] = value
 
-        def _check_ready(index: int) -> None:
-            if fired[index] or mispredicated[index]:
+        def check_ready(index: int) -> None:
+            if arrived[index] < need[index]:
                 return
-            if arrived_count[index] < image.need[index]:
-                return
-            predicate = image.preds[index]
-            if predicate is not None:
-                arrived = pred_value[index]
-                if arrived is None:
+            wanted = want[index]
+            if wanted is not None:
+                got = bits[index]
+                if got is None:
                     return
-                wanted = 1 if predicate == "T" else 0
-                if arrived != wanted:
-                    mispredicated[index] = True
-                    inst = block.instructions[index]
-                    if inst.op is TOp.STORE:
-                        resolved_stores.add(inst.lsid)
-                        _unpark()
+                if got != wanted:
+                    closed[index] = True        # mispredicated
+                    if kinds[index] == K_STORE:
+                        resolved.add(lsid_of[index])
+                        unpark()
                     return
             ready.append(index)
 
-        def _stores_resolved_below(lsid: int) -> bool:
-            for s in image.store_lsids:
-                if s >= lsid:
-                    return True
-                if s not in resolved_stores:
-                    return False
-            return True
-
-        def _unpark() -> None:
+        def unpark() -> None:
             # Re-enqueue parked memory ops; the main loop re-checks their
             # store-ordering constraint (iterative to bound stack depth).
-            if parked_mem:
-                ready.extend(parked_mem)
-                parked_mem.clear()
+            if parked:
+                ready.extend(parked)
+                parked.clear()
 
-        def _fire(index: int) -> None:
-            nonlocal exit_taken
-            inst = block.instructions[index]
-            fired[index] = True
+        regs = self.regs
+        for reg, decoded in image.reads:
+            deliver(regs[reg], decoded)
+        ready.extend(image.static_ready)
+
+        fuel = self.fuel
+        pop = ready.pop
+        while ready:
+            index = pop()
+            if closed[index]:
+                continue
+            fuel -= 1
+            if fuel <= 0:
+                self.fuel = fuel
+                raise TrapError("out of fuel")
+            kind = kinds[index]
+            if kind == K_COMPUTE:
+                closed[index] = True
+                order.append(index)
+                code = ccode[index]
+                if code == 0:
+                    a = v0s[index]
+                    b = v1s[index]
+                    value = NULL_TOKEN \
+                        if a is NULL_TOKEN or b is NULL_TOKEN \
+                        else carg[index](a, b)
+                elif code == 1:
+                    value = carg[index]
+                elif code == 2:
+                    value = v0s[index]
+                elif code == 3:
+                    value = float(_as_int(v0s[index]))
+                elif code == 4:
+                    value = wrap64(int(v0s[index]))
+                else:
+                    slots: Dict[Slot, object] = {}
+                    if v0s[index] is not _ABSENT:
+                        slots[Slot.OP0] = v0s[index]
+                    if v1s[index] is not _ABSENT:
+                        slots[Slot.OP1] = v1s[index]
+                    value = _compute(insts[index].op, insts[index], slots)
+                deliver(value, targets_of[index])
+                continue
+            if kind == K_LOAD or kind == K_STORE:
+                # A memory op waits for every lower-ID store.
+                lsid = lsid_of[index]
+                waiting = False
+                for earlier in store_lsids:
+                    if earlier >= lsid:
+                        break
+                    if earlier not in resolved:
+                        waiting = True
+                        break
+                if waiting:
+                    parked.append(index)
+                    continue
+            closed[index] = True
             order.append(index)
-            op = inst.op
-            slots = operands[index] or {}
-            if op is TOp.LOAD:
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
+            if kind == K_LOAD:
+                address = wrap64(_as_int(v0s[index]) + imm[index])
                 addresses.append(address)
-                value = load_value(self.memory, address, inst)
-                deliver(value, image.targets[index])
-            elif op is TOp.STORE:
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
+                deliver(load_value(memory, address, insts[index]),
+                        targets_of[index])
+            elif kind == K_STORE:
+                address = wrap64(_as_int(v0s[index]) + imm[index])
                 addresses.append(address)
-                value = slots[Slot.OP1]
-                store_value(self.memory, address, value, inst)
-                resolved_stores.add(inst.lsid)
-                _unpark()
-            elif op is TOp.NULL:
-                if inst.lsid >= 0:
-                    resolved_stores.add(inst.lsid)
-                    _unpark()
-                deliver(NULL_TOKEN, image.targets[index])
-            elif op in EXIT_OPS:
+                store_value(memory, address, v1s[index], insts[index])
+                resolved.add(lsid_of[index])
+                unpark()
+            elif kind == K_NULL:
+                if lsid_of[index] >= 0:
+                    resolved.add(lsid_of[index])
+                    unpark()
+                deliver(NULL_TOKEN, targets_of[index])
+            else:
                 if exit_taken is not None:
                     raise TrapError(
                         f"block {block.label}: two exits fired "
-                        f"(i{exit_taken.index} and i{inst.index})")
-                exit_taken = inst
-            else:
-                deliver(_compute(op, inst, slots), image.targets[index])
-
-        # Inject register reads.
-        for read, targets in zip(block.reads, image.read_targets):
-            deliver(self.regs[read.reg], targets)
-
-        # GENI/GENF and other zero-operand instructions are ready at fetch.
-        for index in range(n):
-            if image.need[index] == 0 and image.preds[index] is None \
-                    and not fired[index]:
-                ready.append(index)
-
-        while ready:
-            index = ready.pop()
-            if fired[index] or mispredicated[index]:
-                continue
-            inst = block.instructions[index]
-            self.fuel -= 1
-            if self.fuel <= 0:
-                raise TrapError("out of fuel")
-            if inst.op in (TOp.LOAD, TOp.STORE) \
-                    and not _stores_resolved_below(inst.lsid):
-                parked_mem.append(index)
-                continue
-            _fire(index)
+                        f"(i{exit_taken.index} and i{index})")
+                exit_taken = insts[index]
+        self.fuel = fuel
         if exit_taken is None or len(write_values) < image.write_count \
-                or not resolved_stores.issuperset(image.store_lsids):
+                or not resolved.issuperset(store_lsids):
             raise TrapError(
                 f"block {block.label} deadlocked: exit={exit_taken}, "
                 f"writes {len(write_values)}/{image.write_count}, "
-                f"stores {len(resolved_stores)}/{len(image.store_lsids)}")
+                f"stores {len(resolved)}/{len(store_lsids)}")
 
         # Commit: register writes.
         for slot, write in enumerate(block.writes):
             value = write_values[slot]
             if value is not NULL_TOKEN:
-                self.regs[write.reg] = value
-        return exit_taken, order, addresses
+                regs[write.reg] = value
+        return order, bits, addresses
 
 
 def load_value(memory: Memory, address: int, inst: TInst):

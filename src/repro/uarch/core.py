@@ -1,8 +1,10 @@
 """Cycle-level model of the TRIPS processor.
 
-The model executes the *correct* path (functional execution and timing are
-computed in the same pass) and charges time for everything the prototype's
-distributed microarchitecture does:
+The model times the *correct* path of one recorded functional run (an
+:class:`~repro.trips.functional.OutcomeStream`: which instructions fired
+in each block activation, and the address of every load and store) and
+charges time for everything the prototype's distributed
+microarchitecture does:
 
 * block fetch through the banked I-cache (compressed chunks) and dispatch
   at 16 instructions/cycle into ET reservation stations;
@@ -21,10 +23,13 @@ distributed microarchitecture does:
   until the exit resolves, then pays the flush penalty;
 * an eight-block in-flight window with in-order commit.
 
-Mispredicted-path work is modeled as fetch-pipeline dead time rather than
-simulated instruction-by-instruction — standard trace-driven practice that
-preserves the cycle counts the paper's Figures 6/9/11/12 and Table 3 rest
-on.
+The timing pass computes no values: the recording carries the data
+dependences, and the block kernel (:mod:`repro.uarch.kernels`) replays
+one compiled plan per recorded key.  Mispredicted-path work is modeled
+as fetch-pipeline dead time rather than simulated
+instruction-by-instruction — standard trace-driven practice that
+preserves the cycle counts the paper's Figures 6/9/11/12 and Table 3
+rest on.
 """
 
 from __future__ import annotations
@@ -33,16 +38,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.interp import Memory
+from repro.ir.interp import TrapError
 from repro.robust.errors import SimulationBudgetExceeded
 
 from repro.isa.block import TripsBlock, TripsProgram
-from repro.isa.instructions import EXIT_OPS, TInst, TOp
 from repro.trips.codegen import LoweredProgram
+from repro.trips.functional import EXIT_KINDS, OutcomeStream, TripsSimulator
 
 from repro.uarch import components
 from repro.uarch.config import TripsConfig
-from repro.uarch.kernels import BatchedKernel
+from repro.uarch.kernels import FoldKernel
 from repro.uarch.opn import OperandNetwork
 from repro.uarch.resources import SkipAheadPool
 
@@ -101,7 +106,10 @@ class CycleStats:
 
 
 class CycleSimulator:
-    """Runs a lowered TRIPS program and reports cycle-accurate statistics."""
+    """Times a lowered TRIPS program and reports cycle-accurate
+    statistics: :meth:`run` records the program once on the functional
+    simulator, then folds the timing model over that recording;
+    :meth:`fold` times a recording made elsewhere."""
 
     def __init__(self, lowered: LoweredProgram,
                  config: Optional[TripsConfig] = None,
@@ -113,7 +121,7 @@ class CycleSimulator:
         self.lowered = lowered
         self.program: TripsProgram = lowered.program
         self.config = (config or TripsConfig()).validate()
-        self.memory = Memory(memory_size)
+        self.memory_size = memory_size
         #: Optional :class:`repro.trace.Tracer`.  Every emission site is
         #: guarded with ``is not None`` and no timing decision reads the
         #: tracer, so cycle counts are identical traced or not and the
@@ -134,15 +142,16 @@ class CycleSimulator:
         # runaway guard; cycle and wall-clock budgets are opt-in.  All
         # three raise a diagnosable SimulationBudgetExceeded (block
         # label, committed count, cycle, window state) — never a bare
-        # message.  Only the wall-clock check reads a real clock, and it
-        # can only abort, never change a timing decision, so cycle
-        # counts stay deterministic.
+        # message.  The recording honours the block and wall-clock
+        # budgets itself, so a runaway program stops there.  Only the
+        # wall-clock check reads a real clock, and it can only abort,
+        # never change a timing decision, so cycle counts stay
+        # deterministic.
         self.max_blocks = max_blocks
         self.max_cycles = max_cycles
         self.max_wall_seconds = max_wall_seconds
         self._wall_start: Optional[float] = None
 
-        self.regs: List[object] = [0] * 128
         self.reg_ready: List[int] = [0] * 128
         self.rt_read_ports = SkipAheadPool()
         self.rt_write_ports = SkipAheadPool()
@@ -151,111 +160,140 @@ class CycleSimulator:
         # Predicate predictor (Section 7 extension): static predicate arc
         # -> [last value, 2-bit confidence].
         self._pred_table: Dict[Tuple[str, int], List[int]] = {}
-        # label -> {id(exit inst): exit number} (see _exit_number).
-        self._exit_numbers: Dict[str, Dict[int, int]] = {}
 
         self._commit_times: List[int] = []      # ring of recent commits
         self._prev_commit = 0
-        for address, payload in self.program.globals_image:
-            self.memory.write_bytes(address, payload)
         # Built last: the kernel binds the simulator's resources and
         # precomputes its tables from the fully wired simulator.
-        self.kernel = BatchedKernel(self)
+        self.kernel = FoldKernel(self)
 
     # -- program loop ------------------------------------------------------------
 
     def run(self, entry: str = "main", args: Optional[List[object]] = None):
-        """Execute to completion; returns the program result."""
-        self.regs[1] = self.memory.size - 64
-        for i, arg in enumerate(args or []):
-            self.regs[3 + i] = arg
+        """Record the program, time the recording; returns the program
+        result."""
+        self._start_clock()
+        recorder = TripsSimulator(self.program, self.memory_size,
+                                  max_blocks=self.max_blocks,
+                                  max_wall_seconds=self.max_wall_seconds)
+        stop = result = None
+        try:
+            result = recorder.run(entry, args)
+        except SimulationBudgetExceeded as exhausted:
+            # Time what was recorded; the fold then stops with this
+            # model's cycle and window.
+            stop = exhausted
+        self._fold(recorder.outcomes, stop)
+        return result
 
-        func_name = entry
-        label = self.program.function(entry).entry
-        call_stack: List[Tuple[str, str]] = []
-        fetch_ready = 0          # when the GT may begin the next fetch
-        predicted_next: Optional[str] = None
+    def fold(self, outcomes: OutcomeStream):
+        """Time a complete recording of this program; returns its
+        result."""
+        self._start_clock()
+        self._fold(outcomes)
+        return outcomes.result
+
+    def _start_clock(self) -> None:
         self._wall_start = time.monotonic() \
             if self.max_wall_seconds is not None else None
 
-        while True:
+    def _fold(self, outcomes: OutcomeStream,
+              stop: Optional[SimulationBudgetExceeded] = None) -> None:
+        """Time the recorded activations in order.  ``stop`` is the
+        budget the recording ran out of: its label is the block that
+        would have come next, and the fold raises it once the recorded
+        blocks are timed."""
+        keys = outcomes.keys
+        activations = outcomes.activations
+        addresses = outcomes.addresses
+        plans: List[Optional[object]] = [None] * len(keys)
+        config = self.config
+        stats = self.stats
+        tracer = self.tracer
+        kernel = self.kernel
+        predictor = self.predictor
+        commit_times = self._commit_times
+        window = config.max_blocks_in_flight
+        fetch_ready = 0          # when the GT may begin the next fetch
+        cursor = 0
+        last = len(activations) - 1
+        for position, key_id in enumerate(activations):
+            key = keys[key_id]
+            block = key.block
+            label = block.label
             self._check_budgets(label)
-            block = self.program.function(func_name).blocks[label]
-            placement = self.lowered.placement(label)
+            plan = plans[key_id]
+            if plan is None:
+                plan = plans[key_id] = kernel.plan(
+                    self, key, self.lowered.placement(key.function, label))
 
             # Window capacity: at most 8 blocks in flight.
-            window = self.config.max_blocks_in_flight
-            if len(self._commit_times) >= window:
-                fetch_ready = max(fetch_ready,
-                                  self._commit_times[-window])
+            if len(commit_times) >= window:
+                fetch_ready = max(fetch_ready, commit_times[-window])
 
             fetch_start = fetch_ready
-            fetch_done, icache_miss = self._fetch(block, fetch_start)
+            fetch_done, icache_miss = self.hierarchy.l1i.fetch_block(
+                label, plan.chunks, fetch_start)
             if icache_miss:
-                self.stats.icache_misses += 1
-            tracer = self.tracer
+                stats.icache_misses += 1
             if tracer is not None:
                 tracer.emit("block_fetch", fetch_done, label=label,
-                            start=fetch_start, chunks=self._chunks(block),
+                            start=fetch_start, chunks=plan.chunks,
                             miss=icache_miss)
 
-            exit_inst, exit_time, done_time = self.kernel.execute_block(
-                self, block, placement, fetch_done)
+            exit_time, done_time = kernel.replay(
+                self, plan, label, fetch_done, addresses, cursor)
+            cursor += plan.memory_ops
 
             # The distributed commit protocol is pipelined: a block's
             # commit completes commit_protocol_cycles after it finishes,
             # and commits retire in order at up to one block per cycle.
-            commit = max(done_time + self.config.commit_protocol_cycles,
+            commit = max(done_time + config.commit_protocol_cycles,
                          self._prev_commit + 1)
             self._prev_commit = commit
-            self._commit_times.append(commit)
-            if len(self._commit_times) > window:
-                self._commit_times.pop(0)
+            commit_times.append(commit)
+            if len(commit_times) > window:
+                commit_times.pop(0)
             if tracer is not None:
                 tracer.emit(
                     "block_commit", commit, label=label,
-                    dispatch=fetch_done + self.config.fetch_to_dispatch_cycles,
-                    done=done_time, size=len(block.instructions),
-                    useful=self._last_useful)
+                    dispatch=fetch_done + config.fetch_to_dispatch_cycles,
+                    done=done_time, size=plan.fetched, useful=plan.useful)
 
-            # Resolve control flow and the prediction made at fetch.
-            kind = {TOp.BRO: "br", TOp.CALLO: "call", TOp.RET: "ret"}[
-                exit_inst.op]
-            if exit_inst.op is TOp.BRO:
-                next_func, next_label = func_name, exit_inst.label
-            elif exit_inst.op is TOp.CALLO:
-                call_stack.append((func_name, exit_inst.cont))
-                next_func = exit_inst.label
-                next_label = self.program.function(next_func).entry
-            else:
-                if not call_stack:
-                    self.stats.cycles = commit
-                    return self.regs[3]
-                next_func, next_label = call_stack.pop()
-
-            exit_index = self._exit_number(block, exit_inst)
-            correct = self.predictor.predict_and_update(
-                label, exit_index, kind, next_label,
+            if position == last and stop is None:
+                stats.cycles = commit      # the program's final return
+                return
+            # Resolve control flow and the prediction made at fetch: the
+            # next recorded activation is where control went.
+            next_label = stop.label if position == last \
+                else keys[activations[position + 1]].block.label
+            exit_inst = key.exit
+            kind = EXIT_KINDS[exit_inst.op]
+            correct = predictor.predict_and_update(
+                label, key.exit_index, kind, next_label,
                 continuation=exit_inst.cont, now=exit_time)
             if correct:
                 # Pipelined fetch: the ITs can begin streaming the next
                 # block once the current block's chunks have been
                 # delivered (16 instructions per cycle).
-                dispatch_cycles = max(
-                    1, -(-len(block.instructions)
-                         // self.config.dispatch_bandwidth))
-                fetch_ready = max(fetch_done, fetch_start + dispatch_cycles)
+                fetch_ready = max(fetch_done,
+                                  fetch_start + plan.dispatch_cycles)
             else:
                 if kind == "br":
-                    self.stats.branch_mispredictions += 1
+                    stats.branch_mispredictions += 1
                 else:
-                    self.stats.call_ret_mispredictions += 1
+                    stats.call_ret_mispredictions += 1
                 if tracer is not None:
                     tracer.emit("flush", exit_time, label=label, kind=kind,
-                                penalty=self.config.mispredict_flush_cycles)
-                fetch_ready = exit_time + self.config.mispredict_flush_cycles
-
-            func_name, label = next_func, next_label
+                                penalty=config.mispredict_flush_cycles)
+                fetch_ready = exit_time + config.mispredict_flush_cycles
+        if stop is None:
+            raise TrapError("the recording has no activations")
+        raise SimulationBudgetExceeded(
+            kind=stop.kind, budget=stop.budget, label=stop.label,
+            blocks_committed=stats.blocks_committed,
+            cycle=self._prev_commit, window=tuple(commit_times),
+            elapsed=stop.elapsed)
 
     # -- watchdog ----------------------------------------------------------
 
@@ -314,16 +352,6 @@ class CycleSimulator:
             entry[0] = actual
         return effective
 
-    def _exit_number(self, block: TripsBlock, exit_inst: TInst) -> int:
-        # Memoized per label: block bodies are static for the life of a
-        # run, and ``block.exits`` rebuilds its list on every access.
-        numbers = self._exit_numbers.get(block.label)
-        if numbers is None:
-            numbers = self._exit_numbers[block.label] = {
-                id(candidate): number
-                for number, candidate in enumerate(block.exits)}
-        return numbers.get(id(exit_inst), 0)
-
     # -- fetch -------------------------------------------------------------------
 
     def _chunks(self, block: TripsBlock) -> int:
@@ -333,49 +361,6 @@ class CycleSimulator:
             # header — no NOP padding in the I-cache.
             return max(1, -(-(32 + 4 * n) // 128))
         return max(1, -(-n // 32)) + 1  # 32-inst quanta + header
-
-    def _fetch(self, block: TripsBlock, start: int) -> Tuple[int, bool]:
-        done, missed = self.hierarchy.l1i.fetch_block(
-            block.label, self._chunks(block), start)
-        return done, missed
-
-    # -- block accounting ------------------------------------------------------
-
-    _last_useful = 0
-
-    def _account(self, block, fired, used_feed, write_producers, n) -> None:
-        stats = self.stats
-        used = [False] * n
-        worklist: List[int] = []
-        for index in range(n):
-            if not fired[index]:
-                continue
-            op = block.instructions[index].op
-            if op is TOp.STORE or op is TOp.NULL or op in EXIT_OPS:
-                used[index] = True
-                worklist.append(index)
-        for producer in write_producers.values():
-            if not used[producer]:
-                used[producer] = True
-                worklist.append(producer)
-        while worklist:
-            index = worklist.pop()
-            for producer in used_feed[index]:
-                if not used[producer]:
-                    used[producer] = True
-                    worklist.append(producer)
-        useful = 0
-        for index in range(n):
-            if not fired[index]:
-                stats.fetched_not_executed += 1
-            elif block.instructions[index].op is TOp.MOV:
-                pass
-            elif not used[index]:
-                stats.executed_not_used += 1
-            else:
-                useful += 1
-        stats.useful += useful
-        self._last_useful = useful
 
     @staticmethod
     def _class_of(src_coord, dst_kind: str) -> str:
@@ -398,7 +383,8 @@ def run_cycles(lowered: LoweredProgram, entry: str = "main",
                memory_size: int = 16 * 1024 * 1024,
                tracer=None, max_blocks: int = 2_000_000,
                max_cycles: Optional[int] = None,
-               max_wall_seconds: Optional[float] = None):
+               max_wall_seconds: Optional[float] = None,
+               outcomes: Optional[OutcomeStream] = None):
     """One-shot convenience: returns (result, simulator).
 
     ``tracer`` (a :class:`repro.trace.Tracer`) enables per-cycle event
@@ -407,10 +393,16 @@ def run_cycles(lowered: LoweredProgram, entry: str = "main",
     runaway simulation raises
     :class:`~repro.robust.SimulationBudgetExceeded` with the current
     block label, committed block count, cycle, and window state.
+    ``outcomes`` is a complete recording of ``lowered.program`` to time
+    instead of recording a new one (``entry``, ``args`` and
+    ``memory_size`` then went into that recording); the result is the
+    recording's.
     """
     simulator = CycleSimulator(lowered, config, memory_size,
                                max_blocks=max_blocks, tracer=tracer,
                                max_cycles=max_cycles,
                                max_wall_seconds=max_wall_seconds)
+    if outcomes is not None:
+        return simulator.fold(outcomes), simulator
     result = simulator.run(entry, args)
     return result, simulator

@@ -1,11 +1,17 @@
-"""The cycle simulator's execution kernel.
+"""The cycle simulator's timing kernel: a fold over one recorded run.
 
-:class:`BatchedKernel` owns the simulator's hot inner loop: one block
-activation's dataflow wake-up, operand routing, memory access, and
-commit bookkeeping.  ``docs/KERNELS.md`` documents its performance
-model and its equivalence contract: every run must match the golden
-digests in ``tests/data/cycle_goldens.json`` (cycles, statistics, OPN
-traffic and trace streams), which ``tools/cycle_goldens.py`` checks and
+The cycle model computes no values.  It times the checksum-validated
+:class:`~repro.trips.functional.OutcomeStream` that the functional
+simulator records: every key of the recording (one block, its fire
+order and its predicate bits) fixes the kernel's whole control
+sequence, so :meth:`FoldKernel.plan` compiles each key once into a flat
+*plan* of the timing operations the kernel performs, in the kernel's
+order, and :meth:`FoldKernel.replay` runs that plan for every
+activation of the key with the activation's load and store addresses
+from the recording.  ``docs/KERNELS.md`` documents the plan and the
+equivalence contract: every run must match the golden digests in
+``tests/data/cycle_goldens.json`` (cycles, statistics, OPN traffic and
+trace streams), which ``tools/cycle_goldens.py`` checks and
 regenerates.
 """
 
@@ -14,15 +20,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.interp import TrapError
-from repro.ir.types import wrap64
 
-from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsBlock
-from repro.isa.instructions import (
-    EXIT_OPS, Slot, TEST_OPS, TInst, TOp, TRIPS_LATENCY, operand_count,
-)
+from repro.isa.instructions import TOp, TRIPS_LATENCY, operand_count
 from repro.trips.functional import (
-    NULL_TOKEN, _BINOPS, _as_int, _compute, load_value, store_value,
+    K_EXIT, K_LOAD, K_NULL, K_STORE, BlockOutcome, decode_targets, kind_of,
 )
 from repro.trips.placement import Placement
 from repro.trips.regalloc import NUM_BANKS, bank_of
@@ -42,64 +44,76 @@ def pow2_shift_mask(line_bytes: int,
     return line_bytes.bit_length() - 1, banks - 1
 
 
-#: Instruction kind codes for the kernel's dispatch table.
-_K_COMPUTE, _K_LOAD, _K_STORE, _K_NULL, _K_EXIT = range(5)
+#: Plan step codes, most frequent first (the replay loop tests them in
+#: this order).
+(_SEND, _ISSUE, _READ, _WRITE, _PRED, _LOAD, _STORE, _EXIT, _LSEND,
+ _LWRITE, _LPRED, _TRACE_ISSUE, _TRACE_RETIRE) = range(13)
 
-#: "No operand delivered yet" sentinel for the flat operand arrays
-#: (distinct from NULL_TOKEN, which is a real dataflow value).
-_ABSENT = object()
-
-_SLOT_OP0 = Slot.OP0
-_SLOT_OP1 = Slot.OP1
+#: Fixed slots of a plan's time array: a constant 0, and a sink for
+#: arrivals that change no time (duplicate operands).
+_ZERO, _SINK = 0, 1
 
 
-class _BlockStatics:
-    """Per-label static decode of one block, cached by BatchedKernel.
+class _BlockDecode:
+    """One block's static decode, bound to one simulator's resources:
+    a pure function of (block, placement, topology, config), built once
+    per (function, label) and shared by every key of the block."""
 
-    Everything here is a pure function of (block, placement, topology,
-    config): it is computed once per label and reused by every
-    activation.
+    __slots__ = ("block", "n", "insts", "need", "want", "kinds",
+                 "latency", "disp_off", "static_ready", "store_lsids",
+                 "tiles", "coords", "targets", "reads", "exit_send",
+                 "issue_claim", "load_ids")
+
+
+class Plan:
+    """The timing operations of one key, in the kernel's order.
+
+    ``steps`` are flat tuples over a per-activation time array of
+    ``size`` slots; ``done`` lists the slots whose maximum is the
+    block's completion, ``writes`` the ``(register, slot)`` each write
+    commits; the rest are the counts every activation of the key adds.
     """
 
-    __slots__ = ("placement", "n", "insts", "need", "pred_want", "kinds",
-                 "is_mov", "latency", "disp_off", "static_ready",
-                 "store_lsids", "tiles", "coords", "targets", "read_plan",
-                 "load_ids", "guard", "issue_claim", "ccode", "carg",
-                 "exit_send", "has_senders")
+    __slots__ = ("steps", "size", "done", "writes", "memory_ops", "chunks",
+                 "dispatch_cycles", "fetched", "executed", "loads",
+                 "stores", "moves", "l1d_bytes", "useful", "unused",
+                 "unexecuted")
 
 
-class BatchedKernel:
-    """The block-execution engine: skip-ahead timing + cached decode.
+class FoldKernel:
+    """Compiles recorded keys into plans and replays them.
 
     One kernel serves one :class:`~repro.uarch.core.CycleSimulator`,
-    which builds it last in its constructor.  The speed comes from
-    three mechanisms that cannot change any timing decision:
+    which builds it last in its constructor.  Plans bind that
+    simulator's resources (register ports, issue slots, OPN routes), so
+    they are built per simulator and never stored on the shared
+    recording.
 
-    * **event-driven skip-ahead** — every resource pool (register
-      ports, ET issue slots, OPN links, cache-bank ports, DRAM
-      channels) is a :class:`~repro.uarch.resources.SkipAheadPool`,
-      which jumps over a busy run of cycles in one bisect instead of
-      probing it cycle by cycle;
-    * **static decode caching** — operand counts, predicate wants,
-      dispatch offsets, tile coordinates, decoded target lists, and
-      latencies are computed once per block label instead of on every
-      activation;
-    * **pre-bound operand routing** — deliveries from a static source
-      go through :meth:`~repro.uarch.opn.OperandNetwork.sender`
-      closures that hold the route and its channel resources; the rest
-      go through :meth:`~repro.uarch.opn.OperandNetwork.send`, which
-      caches the same materialized routes.
+    Timing is fast for three reasons that cannot change a decision:
 
-    The kernel keeps no reference to its simulator (``execute_block``
-    receives it per call), so a finished simulator and its memory image
-    are freed as soon as the caller drops them, without waiting for the
-    cyclic garbage collector.
+    * **no control at replay** — the kernel's worklist, operand dedup,
+      predicate checks and load parking run once per key, symbolically,
+      when the plan is compiled;
+    * **skip-ahead resources** — every pool is a
+      :class:`~repro.uarch.resources.SkipAheadPool`, which jumps over a
+      busy run of cycles in one bisect;
+    * **pre-bound operand routing** — a delivery from a static source
+      goes through an :meth:`~repro.uarch.opn.OperandNetwork.sender`
+      closure that holds the route and its channels; load results,
+      whose source bank is dynamic, and traced runs, which emit per-hop
+      events, go through :meth:`~repro.uarch.opn.OperandNetwork.send`.
+
+    The kernel keeps no reference to its simulator (``plan`` and
+    ``replay`` receive it per call), so a finished simulator is freed as
+    soon as the caller drops it, without waiting for the cyclic garbage
+    collector.
     """
 
     def __init__(self, sim) -> None:
         topology = sim.topology
         config = sim.config
-        self._statics: Dict[str, _BlockStatics] = {}
+        self._decodes: Dict[Tuple[str, str], _BlockDecode] = {}
+        self._senders: Dict[Tuple, object] = {}
         self._rt_read_claims = tuple(sim.rt_read_ports.resource(bank).claim
                                      for bank in range(NUM_BANKS))
         self._rt_write_claims = tuple(
@@ -127,616 +141,496 @@ class BatchedKernel:
 
     # -- static decode ----------------------------------------------------
 
-    def _decode_targets(self, block: TripsBlock, targets, coords, opn,
-                        src_coord, cls_to_et: str,
-                        cls_to_rt: str) -> Tuple:
-        """Decode a target list once: write targets to
-        ``(0, slot, bank, rt_coord, sender)``, predicate targets to
-        ``(1, index, dst_coord, sender)``, operand targets to
-        ``(2, index, slot, dst_coord, sender)`` — order preserved,
-        because delivery order decides resource arbitration.
-
-        ``sender`` is a bound fast-path route closure for the *static*
-        source coordinate (``opn.sender``); it is ``None`` when the
-        simulator traces (per-hop events need the generic path) and is
-        never used for load-result deliveries, whose source bank is
-        dynamic.
-        """
-        rt_coords = self._rt_coords
-        decoded = []
-        for target in targets:
-            if is_write_target(target):
-                slot = write_slot_of(target)
-                bank = bank_of(block.writes[slot].reg)
-                sender = None if opn is None else \
-                    opn.sender(src_coord, rt_coords[bank], cls_to_rt)
-                decoded.append((0, slot, bank, rt_coords[bank], sender))
-            elif target.slot is Slot.PRED:
-                dst = coords[target.inst]
-                sender = None if opn is None else \
-                    opn.sender(src_coord, dst, cls_to_et)
-                decoded.append((1, target.inst, dst, sender))
+    def _sender(self, sim, src, dst, klass: str):
+        """A ``ready -> arrival`` closure for one static packet shape:
+        the network's bound fast path, or under a tracer a call to
+        :meth:`~repro.uarch.opn.OperandNetwork.send` (per-hop events)."""
+        shape = (src, dst, klass)
+        sender = self._senders.get(shape)
+        if sender is None:
+            if sim.tracer is None:
+                sender = sim.opn.sender(src, dst, klass)
             else:
-                dst = coords[target.inst]
-                sender = None if opn is None else \
-                    opn.sender(src_coord, dst, cls_to_et)
-                decoded.append((2, target.inst,
-                                0 if target.slot is Slot.OP0 else 1,
-                                dst, sender))
+                send = sim.opn.send
+
+                def sender(ready: int) -> int:
+                    return send(src, dst, ready, klass)
+            self._senders[shape] = sender
+        return sender
+
+    def _decode_targets(self, sim, block: TripsBlock, targets, coords,
+                        src_coord, cls_to_et: str, cls_to_rt: str,
+                        bound: bool) -> Tuple:
+        """The recorder's decode of a target list
+        (:func:`~repro.trips.functional.decode_targets`), each entry
+        extended with its destination coordinate, traffic class and
+        sender: ``(0, slot, bank, ...)`` for a write, ``(1, index, ...)``
+        for a predicate, ``(2, index, slot, ...)`` for an operand — order
+        preserved, because delivery order decides resource arbitration.
+        ``sender`` is ``None`` when ``bound`` is false: load results
+        leave from a dynamic cache bank."""
+        decoded = []
+        for entry in decode_targets(targets):
+            if entry[0] == 0:
+                bank = bank_of(block.writes[entry[1]].reg)
+                entry += (bank,)
+                dst, klass = self._rt_coords[bank], cls_to_rt
+            else:
+                dst, klass = coords[entry[1]], cls_to_et
+            sender = self._sender(sim, src_coord, dst, klass) \
+                if bound else None
+            decoded.append(entry + (dst, klass, sender))
         return tuple(decoded)
 
-    def _build(self, sim, block: TripsBlock,
-               placement: Placement) -> _BlockStatics:
+    def _decode(self, sim, block: TripsBlock,
+                placement: Placement) -> _BlockDecode:
         topology = sim.topology
         insts = list(block.instructions)
         n = len(insts)
-        st = _BlockStatics()
-        st.placement = placement
+        st = _BlockDecode()
+        st.block = block
         st.n = n
         st.insts = insts
         st.need = [operand_count(inst.op) for inst in insts]
-        st.pred_want = [None if inst.predicate is None
-                        else (1 if inst.predicate == "T" else 0)
-                        for inst in insts]
-        kinds = []
-        for inst in insts:
-            op = inst.op
-            if op is TOp.LOAD:
-                kinds.append(_K_LOAD)
-            elif op is TOp.STORE:
-                kinds.append(_K_STORE)
-            elif op is TOp.NULL:
-                kinds.append(_K_NULL)
-            elif op in EXIT_OPS:
-                kinds.append(_K_EXIT)
-            else:
-                kinds.append(_K_COMPUTE)
-        st.kinds = kinds
-        st.is_mov = [inst.op is TOp.MOV and inst.op not in TEST_OPS
-                     for inst in insts]
+        st.want = [None if inst.predicate is None
+                   else (1 if inst.predicate == "T" else 0)
+                   for inst in insts]
+        st.kinds = [kind_of(inst.op) for inst in insts]
         st.latency = [TRIPS_LATENCY.get(inst.op, 1) for inst in insts]
         bandwidth = sim.config.dispatch_bandwidth
         st.disp_off = [i // bandwidth for i in range(n)]
         # Ready at dispatch: zero operands and no predicate guard, in
-        # ascending order (see the seeding note in execute_block).
+        # ascending order (see the seeding note in plan).
         st.static_ready = tuple(
-            i for i in range(n)
-            if st.need[i] == 0 and st.pred_want[i] is None)
+            i for i in range(n) if st.need[i] == 0 and st.want[i] is None)
         st.store_lsids = tuple(sorted(block.store_lsids))
         st.tiles = [placement.tiles[i] for i in range(n)]
         st.coords = [topology.et_coord(tile) for tile in st.tiles]
-        # Bound send closures are only built for a non-tracing simulator
-        # (per-hop events need the generic path) and only for targets
-        # whose source coordinate is static — load results come back
-        # from a dynamic cache bank, so loads get no senders.
-        opn = sim.opn if sim.tracer is None else None
-        st.has_senders = opn is not None
         cls_et_et, cls_et_rt = self._cls_from_et
         cls_rt_et, cls_rt_rt = self._cls_from_rt
+        cls_dt_et, cls_dt_rt = self._cls_from_dt
         st.targets = [
-            self._decode_targets(
-                block, inst.targets, st.coords,
-                None if kinds[i] == _K_LOAD else opn,
-                st.coords[i], cls_et_et, cls_et_rt)
+            self._decode_targets(sim, block, inst.targets, st.coords,
+                                 None, cls_dt_et, cls_dt_rt, False)
+            if st.kinds[i] == K_LOAD else
+            self._decode_targets(sim, block, inst.targets, st.coords,
+                                 st.coords[i], cls_et_et, cls_et_rt, True)
             for i, inst in enumerate(insts)]
         rt_coords = self._rt_coords
-        st.read_plan = [
+        st.reads = [
             (read.reg, bank_of(read.reg),
-             self._decode_targets(block, read.targets, st.coords, opn,
+             self._decode_targets(sim, block, read.targets, st.coords,
                                   rt_coords[bank_of(read.reg)],
-                                  cls_rt_et, cls_rt_rt))
+                                  cls_rt_et, cls_rt_rt, True))
             for read in block.reads]
-        gt = self._gt_coord
-        st.exit_send = [opn.sender(st.coords[i], gt, "ET-GT")
-                        if opn is not None and kinds[i] == _K_EXIT
-                        else None for i in range(n)]
-        # Compute plan: the per-op dispatch that _compute re-derives on
-        # every fire, resolved once.  Codes: 0 binop (carg = handler),
-        # 1 constant (carg = value), 2 MOV passthrough, 3 I2F, 4 F2I,
-        # 5 fall back to _compute for anything else.
-        ccode = []
-        carg: List[object] = []
-        for i, inst in enumerate(insts):
-            op = inst.op
-            if kinds[i] != _K_COMPUTE:
-                ccode.append(-1)
-                carg.append(None)
-            elif op is TOp.GENI:
-                ccode.append(1)
-                carg.append(inst.imm)
-            elif op is TOp.GENF:
-                ccode.append(1)
-                carg.append(inst.fimm)
-            elif op is TOp.MOV:
-                ccode.append(2)
-                carg.append(None)
-            elif op is TOp.I2F:
-                ccode.append(3)
-                carg.append(None)
-            elif op is TOp.F2I:
-                ccode.append(4)
-                carg.append(None)
-            else:
-                handler = _BINOPS.get(op)
-                if handler is not None and operand_count(op) == 2:
-                    ccode.append(0)
-                    carg.append(handler)
-                else:
-                    ccode.append(5)
-                    carg.append(None)
-        st.ccode = ccode
-        st.carg = carg
+        st.exit_send = [
+            self._sender(sim, st.coords[i], self._gt_coord, "ET-GT")
+            if st.kinds[i] == K_EXIT else None for i in range(n)]
+        # The load-wait table's static load ids stay keyed by label.
         st.load_ids = [hash((block.label, i)) & 0xFFFF
-                       if kinds[i] == _K_LOAD else -1 for i in range(n)]
-        st.guard = 40 * n + 1000
+                       if st.kinds[i] == K_LOAD else -1 for i in range(n)]
         et_issue = sim.et_issue
         st.issue_claim = [et_issue.resource(tile).claim
                           for tile in st.tiles]
         return st
 
-    # -- execution --------------------------------------------------------
+    # -- plan compilation -------------------------------------------------
 
-    def execute_block(self, sim, block: TripsBlock, placement: Placement,
-                      fetch_done: int) -> Tuple[TInst, int, int]:
-        st = self._statics.get(block.label)
-        if st is None or st.placement is not placement:
-            st = self._statics[block.label] = \
-                self._build(sim, block, placement)
+    def plan(self, sim, key: BlockOutcome, placement: Placement) -> Plan:
+        """Compile one key: run the kernel's worklist once, symbolically,
+        and record its timing operations in order.
 
+        The recorder's fire order is not the kernel's (register reads
+        deliver first, stores do not wait for earlier stores, and a load
+        with an unresolved earlier store claims its issue slot, parks,
+        and claims again when it re-fires), so the kernel's order is
+        re-derived here.  The predicate bits come from the key; the
+        fired set must come out equal to the recorder's.
+        """
+        block = key.block
+        decode_key = (key.function, block.label)
+        st = self._decodes.get(decode_key)
+        if st is None:
+            st = self._decodes[decode_key] = self._decode(sim, block,
+                                                          placement)
         config = sim.config
-        stats = sim.stats
-        tracer = sim.tracer
-        send = sim.opn.send
-        lwt = sim.lwt
-        regs = sim.regs
-        reg_ready = sim.reg_ready
-        l1d = sim.hierarchy.l1d
-        l1d_access = l1d.access
-        rt_read_claims = self._rt_read_claims
-        rt_write_claims = self._rt_write_claims
-        issue_claims = st.issue_claim
-        pred_arrival = sim._predicate_arrival
-        memory = sim.memory
-        bank_sm = self._bank_shift_mask
-        dt_coords = self._dt_coords
-        gt_coord = self._gt_coord
-        cls_et_et, cls_et_rt = self._cls_from_et
-        cls_dt_et, cls_dt_rt = self._cls_from_dt
-        cls_rt_et, cls_rt_rt = self._cls_from_rt
-
-        block_label = block.label
+        traced = sim.tracer is not None
+        predicting = config.predicate_prediction
+        label = block.label
         n = st.n
         insts = st.insts
         need = st.need
-        pred_want = st.pred_want
+        want = st.want
         kinds = st.kinds
-        is_mov = st.is_mov
-        latency_of = st.latency
-        disp_off = st.disp_off
-        tiles = st.tiles
-        coords = st.coords
-        targets_of = st.targets
-        store_lsids = st.store_lsids
-        load_ids = st.load_ids
-        ccode = st.ccode
-        carg = st.carg
-        exit_send = st.exit_send
-        has_senders = st.has_senders
-        l1d_hit = config.l1d_hit_cycles
+        bits = key.bits
+        rt_write_claims = self._rt_write_claims
+        # Time slots: per instruction its operand arrival, predicate
+        # arrival, issue completion and result (load data back, store
+        # written, exit resolved), a load's cache-bank coordinate; then
+        # one per register read and per write slot.
+        arrival = [2 + i for i in range(n)]
+        predicate = [2 + n + i for i in range(n)]
+        complete = [2 + 2 * n + i for i in range(n)]
+        result = [2 + 3 * n + i for i in range(n)]
+        bank_at = [2 + 4 * n + i for i in range(n)]
+        read_at = 2 + 5 * n
+        write_at = read_at + len(st.reads)
+        # The recording lists an activation's addresses in recorder
+        # fire order; ``position`` maps an instruction to its entry.
+        position: Dict[int, int] = {}
+        for index in key.order:
+            if kinds[index] == K_LOAD or kinds[index] == K_STORE:
+                position[index] = len(position)
 
-        dispatch_base = fetch_done + config.fetch_to_dispatch_cycles
-        v0s: List[object] = [_ABSENT] * n
-        v1s: List[object] = [_ABSENT] * n
-        arr_max = [0] * n
-        pred_val: List[Optional[int]] = [None] * n
-        pred_time = [0] * n
-        arrived = [0] * n
+        steps: List[Tuple] = []
         fired = [False] * n
-        mispredicated = [False] * n
-
+        closed = [False] * n            # fired or mispredicated
+        filled = [[False, False] for _ in range(n)]
+        arrived = [0] * n
+        got_bit: List[Optional[int]] = [None] * n
         ready: List[int] = []
         parked: List[int] = []
-        resolved_stores: Dict[int, int] = {}
-        store_addr_time: Dict[int, Tuple[int, int, int]] = {}
-        store_buffer: Dict[int, Tuple[int, object, TInst]] = {}
-        write_values: Dict[int, Tuple[object, int]] = {}
-        write_producers: Dict[int, int] = {}
-        used_feed: List[List[int]] = [[] for _ in range(n)]
-        exit_taken: Optional[TInst] = None
-        exit_time = 0
-        load_flush_penalty = 0
+        resolved: Dict[int, int] = {}   # store lsid -> slot of its time
+        stores_fired: List[Tuple[int, int, int, int]] = []
+        written = [False] * len(block.writes)
+        exit_index = -1
 
-        def deliver(value, when: int, decoded, producer_index: int,
-                    src_coord, cls_to_et: str, cls_to_rt: str) -> None:
-            """Generic delivery: source coordinate supplied per call
-            (load results, tracing runs).  The per-entry sender closure
-            is ignored."""
+        def deliver(decoded, when: int, bank_slot: int) -> None:
+            """The kernel's delivery rules; ``bank_slot`` is the slot of
+            a load's cache-bank coordinate, or -1 for a static source."""
             for entry in decoded:
                 tag = entry[0]
+                if tag == 0:
+                    _, slot, bank, dst, klass, sender = entry
+                    written[slot] = True
+                    steps.append(
+                        (_WRITE, sender, when, write_at + slot,
+                         rt_write_claims[bank]) if bank_slot < 0 else
+                        (_LWRITE, bank_slot, dst, klass, when,
+                         write_at + slot, rt_write_claims[bank]))
+                    continue
+                index = entry[1]
+                if closed[index]:
+                    continue
                 if tag == 2:
-                    _, index, tslot, dst, _snd = entry
-                    if fired[index] or mispredicated[index]:
+                    _, _, slot, dst, klass, sender = entry
+                    # A duplicate operand still occupies the network.
+                    into = _SINK if filled[index][slot] else arrival[index]
+                    steps.append(
+                        (_SEND, sender, when, into) if bank_slot < 0 else
+                        (_LSEND, bank_slot, dst, klass, when, into))
+                    if into == _SINK:
                         continue
-                    arrive = send(src_coord, dst, when, cls_to_et)
-                    if tslot == 0:
-                        if v0s[index] is not _ABSENT:
-                            continue
-                        v0s[index] = value
-                    else:
-                        if v1s[index] is not _ABSENT:
-                            continue
-                        v1s[index] = value
-                    if arrive > arr_max[index]:
-                        arr_max[index] = arrive
+                    filled[index][slot] = True
                     arrived[index] += 1
-                    if producer_index >= 0:
-                        used_feed[index].append(producer_index)
                     check_ready(index)
-                elif tag == 1:
-                    _, index, dst, _snd = entry
-                    if fired[index] or mispredicated[index]:
-                        continue
-                    arrive = send(src_coord, dst, when, cls_to_et)
-                    if pred_val[index] is None:
-                        actual = 1 if value and value is not NULL_TOKEN \
-                            else 0
-                        pred_val[index] = actual
-                        pred_time[index] = pred_arrival(
-                            block_label, index, actual, arrive,
-                            dispatch_base + disp_off[index])
-                        if producer_index >= 0:
-                            used_feed[index].append(producer_index)
-                        check_ready(index)
+                    continue
+                _, _, dst, klass, sender = entry
+                if got_bit[index] is not None:
+                    steps.append(
+                        (_SEND, sender, when, _SINK) if bank_slot < 0 else
+                        (_LSEND, bank_slot, dst, klass, when, _SINK))
+                    continue
+                bit = bits[index]
+                if bit is None:
+                    raise TrapError(f"{label}: i{index} got a predicate "
+                                    f"the recording never delivered")
+                got_bit[index] = bit
+                if not predicting:
+                    # The predicate arrives when the test's operand does.
+                    steps.append(
+                        (_SEND, sender, when, predicate[index])
+                        if bank_slot < 0 else
+                        (_LSEND, bank_slot, dst, klass, when,
+                         predicate[index]))
                 else:
-                    _, slot, bank, rt_dst, _snd = entry
-                    arrive = send(src_coord, rt_dst, when, cls_to_rt)
-                    port = rt_write_claims[bank](arrive)
-                    write_values[slot] = (value, port)
-                    if producer_index >= 0:
-                        write_producers[slot] = producer_index
-
-        def deliver_static(value, when: int, decoded,
-                           producer_index: int) -> None:
-            """Delivery over the pre-resolved sender closures (static
-            source; tracer off).  Timing-identical to :func:`deliver` —
-            the send still happens before operand dedup, because a
-            duplicate operand occupies the network too."""
-            for entry in decoded:
-                tag = entry[0]
-                if tag == 2:
-                    _, index, tslot, _dst, snd = entry
-                    if fired[index] or mispredicated[index]:
-                        continue
-                    arrive = snd(when)
-                    if tslot == 0:
-                        if v0s[index] is not _ABSENT:
-                            continue
-                        v0s[index] = value
-                    else:
-                        if v1s[index] is not _ABSENT:
-                            continue
-                        v1s[index] = value
-                    if arrive > arr_max[index]:
-                        arr_max[index] = arrive
-                    arrived[index] += 1
-                    if producer_index >= 0:
-                        used_feed[index].append(producer_index)
-                    check_ready(index)
-                elif tag == 1:
-                    _, index, _dst, snd = entry
-                    if fired[index] or mispredicated[index]:
-                        continue
-                    arrive = snd(when)
-                    if pred_val[index] is None:
-                        actual = 1 if value and value is not NULL_TOKEN \
-                            else 0
-                        pred_val[index] = actual
-                        pred_time[index] = pred_arrival(
-                            block_label, index, actual, arrive,
-                            dispatch_base + disp_off[index])
-                        if producer_index >= 0:
-                            used_feed[index].append(producer_index)
-                        check_ready(index)
-                else:
-                    _, slot, bank, _dst, snd = entry
-                    arrive = snd(when)
-                    port = rt_write_claims[bank](arrive)
-                    write_values[slot] = (value, port)
-                    if producer_index >= 0:
-                        write_producers[slot] = producer_index
+                    steps.append(
+                        (_PRED, sender, when, predicate[index], index, bit,
+                         st.disp_off[index]) if bank_slot < 0 else
+                        (_LPRED, bank_slot, dst, klass, when,
+                         predicate[index], index, bit, st.disp_off[index]))
+                check_ready(index)
 
         def check_ready(index: int) -> None:
-            if fired[index] or mispredicated[index]:
-                return
             if arrived[index] < need[index]:
                 return
-            want = pred_want[index]
-            if want is not None:
-                got = pred_val[index]
+            wanted = want[index]
+            if wanted is not None:
+                got = got_bit[index]
                 if got is None:
                     return
-                if got != want:
-                    mispredicated[index] = True
-                    if kinds[index] == _K_STORE:
-                        resolved_stores[insts[index].lsid] = \
-                            pred_time[index]
+                if got != wanted:
+                    closed[index] = True        # mispredicated
+                    if kinds[index] == K_STORE:
+                        resolved[insts[index].lsid] = predicate[index]
                         unpark()
                     return
             ready.append(index)
-
-        def stores_resolved_below(lsid: int) -> bool:
-            for s in store_lsids:
-                if s >= lsid:
-                    break
-                if s not in resolved_stores:
-                    return False
-            return True
 
         def unpark() -> None:
             if parked:
                 ready.extend(parked)
                 parked.clear()
 
-        def fire(index: int) -> None:
-            nonlocal exit_taken, exit_time, load_flush_penalty
-            inst = insts[index]
-            fired[index] = True
-            stats.executed += 1
-            tile = tiles[index]
-            coord = coords[index]
-            t_ready = dispatch_base + disp_off[index]
-            arrival = arr_max[index]
-            if arrival > t_ready:
-                t_ready = arrival
-            if pred_want[index] is not None:
-                predicated = pred_time[index]
-                if predicated > t_ready:
-                    t_ready = predicated
-            issue = issue_claims[index](t_ready)
-            done = issue + latency_of[index]
-            kind = kinds[index]
-            # Loads may still park below (unresolved earlier stores), so
-            # their issue event is emitted after the disambiguation check.
-            if tracer is not None and kind != _K_LOAD:
-                tracer.emit("inst_issue", issue, label=block_label,
-                            index=index, op=inst.op.value, tile=tile)
-
-            if kind == _K_LOAD:
-                address = wrap64(_as_int(v0s[index]) + inst.imm)
-                if not stores_resolved_below(inst.lsid):
-                    parked.append(index)
-                    fired[index] = False
-                    stats.executed -= 1
-                    return
-                stats.loads += 1
-                stats.l1d_bytes += inst.width
-                if tracer is not None:
-                    tracer.emit("inst_issue", issue, label=block_label,
-                                index=index, op=inst.op.value, tile=tile)
-                if bank_sm is not None:
-                    bank = (address >> bank_sm[0]) & bank_sm[1]
-                else:
-                    bank = l1d.bank_of(address)
-                dt = dt_coords[bank]
-                depart = send(coord, dt, done, "ET-DT")
-                value, forwarded_from = _buffered_load(
-                    memory, address, inst, store_buffer)
-                finish = l1d_access(address, depart)
-                back = send(dt, coord, finish, "ET-DT")
-                if forwarded_from >= 0:
-                    when, _addr, _w = store_addr_time[forwarded_from]
-                    if when + l1d_hit > back:
-                        back = when + l1d_hit
-                    static_id = load_ids[index]
-                    if static_id not in lwt:
-                        lwt.add(static_id)
-                        stats.load_flushes += 1
-                        load_flush_penalty += \
-                            config.load_violation_flush_cycles
-                        if tracer is not None:
-                            tracer.emit(
-                                "load_flush", back, label=block_label,
-                                index=index,
-                                penalty=config
-                                .load_violation_flush_cycles)
-                if tracer is not None:
-                    if forwarded_from >= 0:
-                        tracer.emit("load_forward", back,
-                                    label=block_label, index=index,
-                                    lsid=inst.lsid,
-                                    supplier=forwarded_from,
-                                    address=address)
-                    tracer.emit("inst_retire", back, label=block_label,
-                                index=index, op=inst.op.value, tile=tile)
-                deliver(value, back, targets_of[index], index, dt,
-                        cls_dt_et, cls_dt_rt)
-                return
-            if kind == _K_STORE:
-                stats.stores += 1
-                stats.l1d_bytes += inst.width
-                address = wrap64(_as_int(v0s[index]) + inst.imm)
-                value = v1s[index]
-                if bank_sm is not None:
-                    bank = (address >> bank_sm[0]) & bank_sm[1]
-                else:
-                    bank = l1d.bank_of(address)
-                arrive = send(coord, dt_coords[bank], done, "ET-DT")
-                l1d_access(address, arrive, is_store=True)
-                finish = arrive + l1d_hit
-                store_buffer[inst.lsid] = (address, value, inst)
-                resolved_stores[inst.lsid] = finish
-                store_addr_time[inst.lsid] = (finish, address, inst.width)
-                if tracer is not None:
-                    tracer.emit("inst_retire", finish, label=block_label,
-                                index=index, op=inst.op.value, tile=tile)
-                unpark()
-                return
-            if kind == _K_NULL:
-                if inst.lsid >= 0:
-                    resolved_stores[inst.lsid] = done
-                    unpark()
-                if tracer is not None:
-                    tracer.emit("inst_retire", done, label=block_label,
-                                index=index, op=inst.op.value, tile=tile)
-                if has_senders:
-                    deliver_static(NULL_TOKEN, done, targets_of[index],
-                                   index)
-                else:
-                    deliver(NULL_TOKEN, done, targets_of[index], index,
-                            coord, cls_et_et, cls_et_rt)
-                return
-            if kind == _K_EXIT:
-                if exit_taken is not None:
-                    raise TrapError(f"{block_label}: two exits fired")
-                exit_taken = inst
-                snd = exit_send[index]
-                if snd is not None:
-                    exit_time = snd(done)
-                else:
-                    exit_time = send(coord, gt_coord, done, "ET-GT")
-                if tracer is not None:
-                    tracer.emit("inst_retire", exit_time,
-                                label=block_label, index=index,
-                                op=inst.op.value, tile=tile)
-                return
-            if is_mov[index]:
-                stats.moves += 1
-            code = ccode[index]
-            if code == 0:
-                a = v0s[index]
-                b = v1s[index]
-                value = NULL_TOKEN \
-                    if a is NULL_TOKEN or b is NULL_TOKEN \
-                    else carg[index](a, b)
-            elif code == 1:
-                value = carg[index]
-            elif code == 2:
-                value = v0s[index]
-            elif code == 3:
-                value = float(_as_int(v0s[index]))
-            elif code == 4:
-                value = wrap64(int(v0s[index]))
-            else:
-                slots: Dict[Slot, object] = {}
-                operand = v0s[index]
-                if operand is not _ABSENT:
-                    slots[_SLOT_OP0] = operand
-                operand = v1s[index]
-                if operand is not _ABSENT:
-                    slots[_SLOT_OP1] = operand
-                value = _compute(inst.op, inst, slots)
-            if tracer is not None:
-                tracer.emit("inst_retire", done, label=block_label,
-                            index=index, op=inst.op.value, tile=tile)
-            if has_senders:
-                deliver_static(value, done, targets_of[index], index)
-            else:
-                deliver(value, done, targets_of[index], index, coord,
-                        cls_et_et, cls_et_rt)
+        def trace_retire(index: int, slot: int) -> None:
+            if traced:
+                steps.append((_TRACE_RETIRE, slot, index,
+                              insts[index].op.value, st.tiles[index]))
 
         # Register reads: RT bank ports, then routed to consumers.
-        rt_coords = self._rt_coords
-        for reg, bank, decoded in st.read_plan:
-            pending = reg_ready[reg]
-            if pending < dispatch_base:
-                pending = dispatch_base
-            when = rt_read_claims[bank](pending)
-            if has_senders:
-                deliver_static(regs[reg], when, decoded, -1)
-            else:
-                deliver(regs[reg], when, decoded, -1, rt_coords[bank],
-                        cls_rt_et, cls_rt_rt)
-
+        for number, (reg, bank, decoded) in enumerate(st.reads):
+            steps.append((_READ, self._rt_read_claims[bank], reg,
+                          read_at + number))
+            deliver(decoded, read_at + number, -1)
         # Zero-operand, unpredicated instructions become ready *after*
         # the read deliveries: the worklist is a LIFO, so seeding order
         # is part of the timing contract the goldens pin.
         ready.extend(st.static_ready)
 
         guard = 0
-        guard_limit = st.guard
-        pop = ready.pop
         while ready:
-            index = pop()
-            if fired[index] or mispredicated[index]:
+            index = ready.pop()
+            if closed[index]:
                 continue
             guard += 1
-            if guard > guard_limit:
-                raise TrapError(f"{block_label}: execution livelock")
-            fire(index)
+            if guard > 40 * n + 1000:
+                raise TrapError(f"{label}: execution livelock")
+            inst = insts[index]
+            kind = kinds[index]
+            steps.append((_ISSUE, st.issue_claim[index], st.disp_off[index],
+                          arrival[index],
+                          _ZERO if want[index] is None else predicate[index],
+                          st.latency[index], complete[index]))
+            if kind == K_LOAD and any(
+                    lsid < inst.lsid and lsid not in resolved
+                    for lsid in st.store_lsids):
+                parked.append(index)    # the issue slot stays claimed
+                continue
+            closed[index] = fired[index] = True
+            if traced:
+                steps.append((_TRACE_ISSUE, complete[index],
+                              st.latency[index], index, inst.op.value,
+                              st.tiles[index]))
+            if kind == K_LOAD:
+                # Forwarding candidates: the fired earlier-LSID stores,
+                # youngest first; replay picks the first that overlaps.
+                candidates = tuple(sorted(
+                    (store for store in stores_fired if store[3] < inst.lsid),
+                    key=lambda store: -store[3]))
+                steps.append((_LOAD, position[index], st.coords[index],
+                              complete[index], result[index], bank_at[index],
+                              inst.width, st.load_ids[index], candidates,
+                              index, inst.lsid, inst.op.value,
+                              st.tiles[index]))
+                deliver(st.targets[index], result[index], bank_at[index])
+            elif kind == K_STORE:
+                steps.append((_STORE, position[index], st.coords[index],
+                              complete[index], result[index]))
+                trace_retire(index, result[index])
+                resolved[inst.lsid] = result[index]
+                stores_fired.append((result[index], position[index],
+                                     inst.width, inst.lsid))
+                unpark()
+            elif kind == K_NULL:
+                if inst.lsid >= 0:
+                    resolved[inst.lsid] = complete[index]
+                    unpark()
+                trace_retire(index, complete[index])
+                deliver(st.targets[index], complete[index], -1)
+            elif kind == K_EXIT:
+                if exit_index >= 0:
+                    raise TrapError(f"{label}: two exits fired")
+                exit_index = index
+                steps.append((_EXIT, st.exit_send[index], complete[index],
+                              result[index]))
+                trace_retire(index, result[index])
+            else:
+                trace_retire(index, complete[index])
+                deliver(st.targets[index], complete[index], -1)
 
-        done_time = exit_time
-        for slot, write in enumerate(block.writes):
-            if slot not in write_values:
-                raise TrapError(f"{block_label}: write w{slot} missing")
-            value, when = write_values[slot]
-            if value is not NULL_TOKEN:
-                regs[write.reg] = value
-            reg_ready[write.reg] = when
-            if when > done_time:
-                done_time = when
-        for lsid in store_lsids:
-            if lsid not in resolved_stores:
-                raise TrapError(f"{block_label}: store {lsid} unresolved")
-            resolved = resolved_stores[lsid]
-            if resolved > done_time:
-                done_time = resolved
-        # Commit buffered stores to memory in load/store-ID order — the
-        # LSQ's sequential-memory-semantics guarantee.
-        for lsid in sorted(store_buffer):
-            address, value, inst = store_buffer[lsid]
-            store_value(memory, address, value, inst)
-        if exit_taken is None:
-            raise TrapError(f"{block_label}: no exit fired")
-        done_time += load_flush_penalty
+        for slot, seen in enumerate(written):
+            if not seen:
+                raise TrapError(f"{label}: write w{slot} missing")
+        for lsid in st.store_lsids:
+            if lsid not in resolved:
+                raise TrapError(f"{label}: store {lsid} unresolved")
+        if exit_index < 0:
+            raise TrapError(f"{label}: no exit fired")
+        if sorted(index for index in range(n) if fired[index]) \
+                != sorted(key.order):
+            raise TrapError(f"{label}: the timing plan fires other "
+                            f"instructions than the recording")
 
-        sim._account(block, fired, used_feed, write_producers, n)
+        plan = Plan()
+        plan.steps = tuple(steps)
+        plan.size = write_at + len(block.writes)
+        plan.done = (result[exit_index],) \
+            + tuple(write_at + slot for slot in range(len(block.writes))) \
+            + tuple(resolved[lsid] for lsid in st.store_lsids)
+        plan.writes = tuple((write.reg, write_at + slot)
+                            for slot, write in enumerate(block.writes))
+        plan.memory_ops = len(position)
+        plan.chunks = sim._chunks(block)
+        plan.dispatch_cycles = max(1, -(-n // config.dispatch_bandwidth))
+        ops = [insts[index].op for index in key.order]
+        plan.fetched = n
+        plan.executed = len(ops)
+        plan.loads = ops.count(TOp.LOAD)
+        plan.stores = ops.count(TOp.STORE)
+        plan.moves = ops.count(TOp.MOV)
+        plan.l1d_bytes = sum(insts[index].width for index in key.order
+                             if kinds[index] == K_LOAD
+                             or kinds[index] == K_STORE)
+        plan.useful = key.tally.useful
+        plan.unused = key.tally.executed_not_used
+        plan.unexecuted = key.tally.fetched_not_executed
+        return plan
+
+    # -- replay -----------------------------------------------------------
+
+    def replay(self, sim, plan: Plan, label: str, fetch_done: int,
+               addresses, cursor: int) -> Tuple[int, int]:
+        """Time one activation of ``plan``; returns its exit resolution
+        and completion times.  ``addresses[cursor:]`` holds the
+        activation's recorded load and store addresses."""
+        config = sim.config
+        stats = sim.stats
+        tracer = sim.tracer
+        send = sim.opn.send
+        lwt = sim.lwt
+        reg_ready = sim.reg_ready
+        l1d = sim.hierarchy.l1d
+        l1d_access = l1d.access
+        l1d_hit = config.l1d_hit_cycles
+        pred_arrival = sim._predicate_arrival
+        bank_sm = self._bank_shift_mask
+        dt_coords = self._dt_coords
+        base = fetch_done + config.fetch_to_dispatch_cycles
+        penalty = 0
+        t = [0] * plan.size
+        for step in plan.steps:
+            code = step[0]
+            if code == _SEND:
+                _, sender, src, into = step
+                arrive = sender(t[src])
+                if arrive > t[into]:
+                    t[into] = arrive
+            elif code == _ISSUE:
+                _, claim, offset, arrival, guard, latency, into = step
+                ready = base + offset
+                if t[arrival] > ready:
+                    ready = t[arrival]
+                if t[guard] > ready:
+                    ready = t[guard]
+                t[into] = claim(ready) + latency
+            elif code == _READ:
+                _, claim, reg, into = step
+                pending = reg_ready[reg]
+                t[into] = claim(pending if pending > base else base)
+            elif code == _WRITE:
+                _, sender, src, into, claim = step
+                t[into] = claim(sender(t[src]))
+            elif code == _PRED:
+                _, sender, src, into, index, bit, offset = step
+                t[into] = pred_arrival(label, index, bit, sender(t[src]),
+                                       base + offset)
+            elif code == _LOAD:
+                (_, k, coord, issued, into, bank_slot, width, static_id,
+                 candidates, index, lsid, op, tile) = step
+                address = addresses[cursor + k]
+                if bank_sm is not None:
+                    dt = dt_coords[(address >> bank_sm[0]) & bank_sm[1]]
+                else:
+                    dt = dt_coords[l1d.bank_of(address)]
+                t[bank_slot] = dt
+                depart = send(coord, dt, t[issued], "ET-DT")
+                back = send(dt, coord, l1d_access(address, depart),
+                            "ET-DT")
+                # Forwarding: the youngest earlier store whose bytes
+                # overlap the load's supplies it.
+                for written, at, store_width, store_lsid in candidates:
+                    store_address = addresses[cursor + at]
+                    if address < store_address + store_width \
+                            and store_address < address + width:
+                        if t[written] + l1d_hit > back:
+                            back = t[written] + l1d_hit
+                        if static_id not in lwt:
+                            lwt.add(static_id)
+                            stats.load_flushes += 1
+                            penalty += config.load_violation_flush_cycles
+                            if tracer is not None:
+                                tracer.emit(
+                                    "load_flush", back, label=label,
+                                    index=index,
+                                    penalty=config
+                                    .load_violation_flush_cycles)
+                        if tracer is not None:
+                            tracer.emit("load_forward", back, label=label,
+                                        index=index, lsid=lsid,
+                                        supplier=store_lsid,
+                                        address=address)
+                        break
+                if tracer is not None:
+                    tracer.emit("inst_retire", back, label=label,
+                                index=index, op=op, tile=tile)
+                t[into] = back
+            elif code == _LSEND:
+                _, bank_slot, dst, klass, src, into = step
+                arrive = send(t[bank_slot], dst, t[src], klass)
+                if arrive > t[into]:
+                    t[into] = arrive
+            elif code == _LWRITE:
+                _, bank_slot, dst, klass, src, into, claim = step
+                t[into] = claim(send(t[bank_slot], dst, t[src], klass))
+            elif code == _STORE:
+                _, k, coord, issued, into = step
+                address = addresses[cursor + k]
+                if bank_sm is not None:
+                    dt = dt_coords[(address >> bank_sm[0]) & bank_sm[1]]
+                else:
+                    dt = dt_coords[l1d.bank_of(address)]
+                arrive = send(coord, dt, t[issued], "ET-DT")
+                l1d_access(address, arrive, is_store=True)
+                t[into] = arrive + l1d_hit
+            elif code == _EXIT:
+                _, sender, src, into = step
+                t[into] = sender(t[src])
+            elif code == _LPRED:
+                (_, bank_slot, dst, klass, src, into, index, bit,
+                 offset) = step
+                t[into] = pred_arrival(
+                    label, index, bit,
+                    send(t[bank_slot], dst, t[src], klass), base + offset)
+            elif code == _TRACE_ISSUE:
+                _, issued, latency, index, op, tile = step
+                tracer.emit("inst_issue", t[issued] - latency, label=label,
+                            index=index, op=op, tile=tile)
+            else:
+                _, slot, index, op, tile = step
+                tracer.emit("inst_retire", t[slot], label=label,
+                            index=index, op=op, tile=tile)
+
+        done_time = 0
+        for slot in plan.done:
+            if t[slot] > done_time:
+                done_time = t[slot]
+        for reg, slot in plan.writes:
+            reg_ready[reg] = t[slot]
+        done_time += penalty
+
         stats.blocks_committed += 1
-        stats.fetched += n
-        residency = done_time - dispatch_base
+        stats.fetched += plan.fetched
+        stats.executed += plan.executed
+        stats.loads += plan.loads
+        stats.stores += plan.stores
+        stats.moves += plan.moves
+        stats.l1d_bytes += plan.l1d_bytes
+        stats.useful += plan.useful
+        stats.executed_not_used += plan.unused
+        stats.fetched_not_executed += plan.unexecuted
+        residency = done_time - base
         if residency < 1:
             residency = 1
-        stats.window_inst_cycles += residency * n
-        stats.window_useful_cycles += residency * sim._last_useful
-        return exit_taken, exit_time, done_time
-
-
-def _overlap(addr_a: int, width_a: int, addr_b: int, width_b: int) -> bool:
-    return addr_a < addr_b + width_b and addr_b < addr_a + width_a
-
-
-def _buffered_load(memory, address: int, inst,
-                   store_buffer) -> Tuple[object, int]:
-    """Read a value as seen past the in-flight store buffer, and the
-    lsid of the youngest buffered store that supplied bytes (or -1).
-
-    Reconstructs the load's bytes from memory patched with every buffered
-    store whose load/store ID precedes the load — without committing the
-    stores (they commit in order at block completion).
-    """
-    import struct
-
-    from repro.ir.types import sign_extend, zero_extend
-
-    overlapping = sorted(
-        lsid for lsid, (a, _v, si) in store_buffer.items()
-        if lsid < inst.lsid and _overlap(address, inst.width, a, si.width))
-    if not overlapping:
-        return load_value(memory, address, inst), -1
-    data = bytearray(memory.read_bytes(address, inst.width))
-    for lsid in overlapping:
-        saddr, svalue, sinst = store_buffer[lsid]
-        if isinstance(svalue, float):
-            payload = struct.pack("<d", svalue)
-        else:
-            payload = (int(svalue) & ((1 << (sinst.width * 8)) - 1)) \
-                .to_bytes(sinst.width, "little")
-        lo = max(address, saddr)
-        hi = min(address + inst.width, saddr + sinst.width)
-        data[lo - address:hi - address] = payload[lo - saddr:hi - saddr]
-    if inst.is_float:
-        value = struct.unpack("<d", bytes(data))[0]
-    else:
-        raw = int.from_bytes(bytes(data), "little")
-        value = sign_extend(raw, inst.width) if inst.signed \
-            else zero_extend(raw, inst.width)
-    return value, overlapping[-1]
+        stats.window_inst_cycles += residency * plan.fetched
+        stats.window_useful_cycles += residency * plan.useful
+        return t[plan.done[0]], done_time

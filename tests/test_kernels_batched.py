@@ -13,12 +13,10 @@ pruning horizon.
 """
 
 import gc
-import importlib.util
 import random
 import sys
 import weakref
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -28,17 +26,10 @@ from repro.uarch.resources import (
     _HORIZON, _PRUNE_LIMIT, SkipAheadPool, SkipAheadResource,
 )
 
-
-def _load_tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / \
-        "cycle_goldens.py"
-    spec = importlib.util.spec_from_file_location("cycle_goldens", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.util import load_goldens_tool
 
 
-goldens = _load_tool()
+goldens = load_goldens_tool()
 GOLDENS = goldens.load()
 VARIANTS = [name for name in goldens.CONFIGS if name != "default"]
 

@@ -271,6 +271,28 @@ class TestOneExecutionPerSemantics:
         assert counters("ideal").computes == 6
         assert counters("platform").computes == 4
 
+    def test_cycle_runs_fold_over_the_one_recording(self, monkeypatch):
+        # Six configurations and a traced summary build two memory
+        # images: the interpreter's and the one recording's.
+        from repro.ir.interp import Memory
+        from tests.util import load_goldens_tool
+
+        goldens = load_goldens_tool()
+        built = []
+        real_init = Memory.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Memory, "__init__", counted)
+        pipeline = Pipeline()
+        for name in goldens.CONFIGS:
+            pipeline.trips_cycles("rspeed", config=goldens.config(name))
+        pipeline.trace_summary("rspeed")
+        assert len(built) == 2
+        assert pipeline.telemetry.counters("trips-cycles").computes == 6
+
     def _run(self, tmp_path, mode):
         result = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(tmp_path / "cache"),

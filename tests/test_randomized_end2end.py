@@ -13,7 +13,17 @@ from repro.trips import lower_module, run_trips
 from repro.uarch import run_cycles, run_ideal
 from repro.uarch.ideal import time_ideal
 
-from tests.util import random_program
+from tests.util import load_goldens_tool, random_program
+
+GOLDENS = load_goldens_tool()
+
+#: Cycle-model counters and the recording's counterparts.
+COUNTERS = (("executed", "executed"), ("useful", "useful"),
+            ("moves", "moves_executed"), ("fetched", "fetched"),
+            ("blocks_committed", "blocks_committed"),
+            ("loads", "loads_executed"), ("stores", "stores_committed"),
+            ("executed_not_used", "executed_not_used"),
+            ("fetched_not_executed", "fetched_not_executed"))
 
 #: Figure 10's ideal-machine lanes, ``(window, dispatch cost)``.
 FIG10_LANES = ((1024, 8), (1024, 0), (128 * 1024, 0))
@@ -25,6 +35,18 @@ def test_cycle_simulator_matches_interpreter(module):
     expected = run_module(module)[0]
     lowered = lower_module(optimize(module, "O2"))
     assert run_cycles(lowered)[0] == expected
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_program(max_ops=8))
+def test_cycle_counts_do_not_depend_on_timing_knobs(module):
+    lowered = lower_module(optimize(module, "O2"))
+    recorded = run_trips(lowered.program)[1].stats
+    for name in GOLDENS.CONFIGS:
+        stats = run_cycles(lowered, config=GOLDENS.config(name))[1].stats
+        for cycle_field, functional_field in COUNTERS:
+            assert getattr(stats, cycle_field) \
+                == getattr(recorded, functional_field), (name, cycle_field)
 
 
 @settings(max_examples=12, deadline=None)

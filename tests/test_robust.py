@@ -329,6 +329,38 @@ class TestSimulationWatchdog:
         assert info.value.kind == "wall-clock"
         assert info.value.elapsed is not None
 
+    @pytest.fixture(scope="class")
+    def spinning(self):
+        from repro.opt import optimize
+        from repro.trips import lower_module
+        from tests.util import spinning_module
+        return lower_module(optimize(spinning_module(), "O2"))
+
+    def test_runaway_program_stops_at_block_budget(self, spinning):
+        # The recording precedes the timing pass, so it honours the
+        # budget itself instead of running until its fuel is spent.
+        import time
+        from repro.uarch import run_cycles
+        started = time.monotonic()
+        with pytest.raises(SimulationBudgetExceeded) as info:
+            run_cycles(spinning, max_blocks=100)
+        error = info.value
+        assert error.kind == "block"
+        assert error.blocks_committed == 100
+        assert error.label
+        assert error.cycle > 0
+        assert len(error.window) > 0
+        assert time.monotonic() - started < 30
+
+    def test_runaway_program_stops_at_wall_clock_budget(self, spinning):
+        import time
+        from repro.uarch import run_cycles
+        started = time.monotonic()
+        with pytest.raises(SimulationBudgetExceeded) as info:
+            run_cycles(spinning, max_wall_seconds=0.0)
+        assert info.value.kind == "wall-clock"
+        assert time.monotonic() - started < 30
+
     def test_generous_budgets_do_not_fire(self, lowered):
         from repro.uarch import run_cycles
         result, sim = run_cycles(lowered, max_cycles=10_000_000,

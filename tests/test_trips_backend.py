@@ -16,7 +16,10 @@ from repro.trips.hyperblock import (
 from repro.trips.placement import NUM_TILES, SLOTS_PER_TILE
 from repro.trips.regalloc import CALLEE_SAVED, CALLER_SAVED, bank_of
 
-from tests.util import branchy_module, random_program, sum_of_squares_module
+from tests.util import (
+    branchy_module, calls_module, random_program, recursion_module,
+    sum_of_squares_module,
+)
 
 
 class TestPredicateChains:
@@ -130,16 +133,9 @@ class TestFunctionalCorrectness:
         assert run_trips(lowered.program)[0] == expected
 
     def test_calls_with_callee_saved_registers(self):
-        b = Builder()
-        p = b.function("addmul", [Type.I64, Type.I64], Type.I64)
-        b.ret(b.add(b.mul(p[0], p[1]), 1))
-        b.function("main", return_type=Type.I64)
-        keep = b.mov(1000)   # live across both calls
-        x = b.call("addmul", [3, 4], Type.I64)
-        y = b.call("addmul", [x, 2], Type.I64)
-        b.ret(b.add(keep, y))
-        expected = run_module(b.module)[0]
-        lowered = lower_module(optimize(b.module, "O0"))
+        module = calls_module()
+        expected = run_module(module)[0]
+        lowered = lower_module(optimize(module, "O0"))
         assert run_trips(lowered.program)[0] == expected
         # The callee uses callee-saved registers only via prologue blocks.
         main = lowered.program.function("main")
@@ -147,18 +143,9 @@ class TestFunctionalCorrectness:
                    for label in main.blocks)
 
     def test_recursion(self):
-        b = Builder()
-        p = b.function("fact", [Type.I64], Type.I64)
-        n = p[0]
-        base = b.le(n, 1)
-        with b.if_then(base):
-            b.ret(1)
-        rec = b.call("fact", [b.sub(n, 1)], Type.I64)
-        b.ret(b.mul(n, rec))
-        b.function("main", return_type=Type.I64)
-        b.ret(b.call("fact", [9], Type.I64))
-        expected = run_module(b.module)[0]
-        lowered = lower_module(optimize(b.module, "O2"))
+        module = recursion_module()
+        expected = run_module(module)[0]
+        lowered = lower_module(optimize(module, "O2"))
         assert run_trips(lowered.program)[0] == expected
 
     @settings(max_examples=20, deadline=None)

@@ -15,6 +15,8 @@ from repro.trips.regalloc import (
     allocate_registers, bank_of,
 )
 
+from tests.util import nested_calls_module
+
 
 class TestBanks:
     def test_four_banks_interleaved(self):
@@ -141,16 +143,7 @@ class TestAbiEndToEnd:
         assert run_trips(lowered.program)[0] == expected
 
     def test_nested_calls_preserve_live_values(self):
-        b = Builder()
-        p = b.function("inc", [Type.I64], Type.I64)
-        b.ret(b.add(p[0], 1))
-        b.function("main", return_type=Type.I64)
-        keep1 = b.mov(100)
-        keep2 = b.mov(200)
-        a = b.call("inc", [1], Type.I64)
-        c = b.call("inc", [a], Type.I64)
-        d = b.call("inc", [c], Type.I64)
-        b.ret(b.add(b.add(keep1, keep2), d))
-        expected = run_module(b.module)[0]
-        lowered = lower_module(optimize(b.module, "O0"))
+        module = nested_calls_module()
+        expected = run_module(module)[0]
+        lowered = lower_module(optimize(module, "O0"))
         assert run_trips(lowered.program)[0] == expected

@@ -7,7 +7,10 @@ from repro.opt import optimize
 from repro.trips import lower_module
 from repro.uarch import TripsConfig, run_cycles, run_ideal
 
-from tests.util import branchy_module, sum_of_squares_module
+from tests.util import (
+    branchy_module, calls_module, nested_calls_module, recursion_module,
+    sum_of_squares_module,
+)
 
 
 def _lowered(module, level="O2"):
@@ -25,6 +28,18 @@ class TestCycleCorrectness:
         module = branchy_module([6, -2, 9, -9, 3, 3, -7, 1])
         expected = run_module(module)[0]
         assert run_cycles(_lowered(module))[0] == expected
+
+    @pytest.mark.parametrize("builder, level", [
+        (calls_module, "O0"), (nested_calls_module, "O0"),
+        (recursion_module, "O0"), (recursion_module, "O2")])
+    def test_calls(self, builder, level):
+        # Every function's first block is labelled ``entry``: blocks of
+        # different functions must not share a placement or a plan.
+        module = builder()
+        expected = run_module(module)[0]
+        result, sim = run_cycles(_lowered(module, level))
+        assert result == expected
+        assert sim.stats.cycles > 0
 
 
 class TestCycleStatistics:

@@ -49,6 +49,76 @@ def branchy_module(values) -> Module:
     return b.module
 
 
+def calls_module() -> Module:
+    """Two calls to a callee, with a value live across both."""
+    b = Builder()
+    p = b.function("addmul", [Type.I64, Type.I64], Type.I64)
+    b.ret(b.add(b.mul(p[0], p[1]), 1))
+    b.function("main", return_type=Type.I64)
+    keep = b.mov(1000)   # live across both calls
+    x = b.call("addmul", [3, 4], Type.I64)
+    y = b.call("addmul", [x, 2], Type.I64)
+    b.ret(b.add(keep, y))
+    return b.module
+
+
+def recursion_module() -> Module:
+    """Recursive factorial (recursion is never inlined)."""
+    b = Builder()
+    p = b.function("fact", [Type.I64], Type.I64)
+    n = p[0]
+    base = b.le(n, 1)
+    with b.if_then(base):
+        b.ret(1)
+    rec = b.call("fact", [b.sub(n, 1)], Type.I64)
+    b.ret(b.mul(n, rec))
+    b.function("main", return_type=Type.I64)
+    b.ret(b.call("fact", [9], Type.I64))
+    return b.module
+
+
+def nested_calls_module() -> Module:
+    """Three chained calls with two values live across all of them."""
+    b = Builder()
+    p = b.function("inc", [Type.I64], Type.I64)
+    b.ret(b.add(p[0], 1))
+    b.function("main", return_type=Type.I64)
+    keep1 = b.mov(100)
+    keep2 = b.mov(200)
+    a = b.call("inc", [1], Type.I64)
+    c = b.call("inc", [a], Type.I64)
+    d = b.call("inc", [c], Type.I64)
+    b.ret(b.add(b.add(keep1, keep2), d))
+    return b.module
+
+
+def spinning_module() -> Module:
+    """A loop that runs for 2**63 iterations: never finishes in a test.
+    Do not hand it to the interpreter."""
+    b = Builder()
+    b.function("main", return_type=Type.I64)
+    count = b.mov(0, "count")
+    with b.while_loop(lambda: b.ge(count, 0)):
+        b.assign(count, b.add(count, 1))
+    b.ret(count)
+    verify_module(b.module)
+    return b.module
+
+
+def load_goldens_tool():
+    """``tools/cycle_goldens.py`` as a module (the tools directory is
+    not a package)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / \
+        "cycle_goldens.py"
+    spec = importlib.util.spec_from_file_location("cycle_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @st.composite
 def random_program(draw, max_ops: int = 12):
     """Hypothesis strategy: a random module plus its source recipe.
