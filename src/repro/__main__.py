@@ -999,9 +999,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--icc", action="store_true",
                        help="use the icc-class optimizer on Intel models")
     run_p.add_argument("--uarch-trace", default=None, metavar="FILE",
-                       help="with --system cycles: run live with event "
-                            "tracing and write the compact stream to FILE "
-                            "(see docs/TRACE.md)")
+                       help="with --system cycles: time the run with "
+                            "event tracing (not cached) and write the "
+                            "compact stream to FILE (see docs/TRACE.md)")
     run_p.add_argument("--config", action="append", default=None,
                        metavar="KEY=VALUE[,KEY=VALUE]",
                        help="override TripsConfig fields (--system cycles) "

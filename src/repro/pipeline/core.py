@@ -34,11 +34,11 @@ they are cheap to rebuild and expensive to serialise.
 
 Each program runs once per semantics: the memory-only ``trips-outcomes``
 and ``risc-trace`` recordings feed every functional, block-trace,
-ideal, cycle-level, trace-summary, PowerPC and platform artifact.  An artifact is still computed and
-stored only when first requested.  Every recording is validated against
-the interpreter checksum before anything derives from it (a wrong
-simulator must never produce a figure); warm artifacts were validated
-when first computed.
+ideal, cycle-level, trace-summary, PowerPC and platform artifact.  An
+artifact is still computed and stored only when first requested.  Every
+recording is validated against the interpreter checksum before anything
+derives from it (a wrong simulator must never produce a figure); warm
+artifacts were validated when first computed.
 """
 
 from __future__ import annotations

@@ -294,9 +294,8 @@ def decode_targets(targets) -> Tuple[Tuple[int, ...], ...]:
 def _compute_plan(inst: TInst) -> Tuple[int, object]:
     """How a compute instruction makes its value, resolved once:
     ``(0, handler)`` for a two-operand op, ``(1, value)`` for a
-    constant, ``(2, None)`` for MOV, ``(3, None)`` for I2F, ``(4,
-    None)`` for F2I and ``(5, None)`` for anything :func:`_compute`
-    must handle."""
+    constant, ``(2, None)`` for MOV, ``(3, None)`` for I2F and ``(4,
+    None)`` for F2I."""
     op = inst.op
     if op is TOp.GENI:
         return 1, inst.imm
@@ -309,9 +308,9 @@ def _compute_plan(inst: TInst) -> Tuple[int, object]:
     if op is TOp.F2I:
         return 4, None
     handler = _BINOPS.get(op)
-    if handler is not None and operand_count(op) == 2:
-        return 0, handler
-    return 5, None
+    if handler is None:
+        raise AssertionError(f"unhandled op {op}")
+    return 0, handler
 
 
 class _BlockImage:
@@ -330,7 +329,8 @@ class _BlockImage:
         self.want = [None if i.predicate is None
                      else (1 if i.predicate == "T" else 0) for i in insts]
         self.kinds = [kind_of(i.op) for i in insts]
-        plans = [_compute_plan(i) for i in insts]
+        plans = [_compute_plan(i) if kind == K_COMPUTE else (-1, None)
+                 for i, kind in zip(insts, self.kinds)]
         self.ccode = [code for code, _arg in plans]
         self.carg = [arg for _code, arg in plans]
         self.imm = [i.imm for i in insts]
@@ -551,6 +551,7 @@ class TripsSimulator:
                 order.append(index)
                 code = ccode[index]
                 if code == 0:
+                    # A null propagates through the dataflow.
                     a = v0s[index]
                     b = v1s[index]
                     value = NULL_TOKEN \
@@ -562,15 +563,8 @@ class TripsSimulator:
                     value = v0s[index]
                 elif code == 3:
                     value = float(_as_int(v0s[index]))
-                elif code == 4:
-                    value = wrap64(int(v0s[index]))
                 else:
-                    slots: Dict[Slot, object] = {}
-                    if v0s[index] is not _ABSENT:
-                        slots[Slot.OP0] = v0s[index]
-                    if v1s[index] is not _ABSENT:
-                        slots[Slot.OP1] = v1s[index]
-                    value = _compute(insts[index].op, insts[index], slots)
+                    value = wrap64(int(v0s[index]))
                 deliver(value, targets_of[index])
                 continue
             if kind == K_LOAD or kind == K_STORE:
@@ -645,27 +639,6 @@ def _as_int(value) -> int:
     if value is NULL_TOKEN:
         return 0
     return int(value)
-
-
-def _compute(op: TOp, inst: TInst, slots) -> object:
-    if op is TOp.GENI:
-        return inst.imm
-    if op is TOp.GENF:
-        return inst.fimm
-    if op is TOp.MOV:
-        return slots[Slot.OP0]
-    a = slots.get(Slot.OP0)
-    b = slots.get(Slot.OP1)
-    if op is TOp.I2F:
-        return float(_as_int(a))
-    if op is TOp.F2I:
-        return wrap64(int(a))
-    if a is NULL_TOKEN or b is NULL_TOKEN:
-        return NULL_TOKEN  # null propagates through the dataflow
-    handler = _BINOPS.get(op)
-    if handler is None:
-        raise AssertionError(f"unhandled op {op}")
-    return handler(a, b)
 
 
 def _idiv(a, b):

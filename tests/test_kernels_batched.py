@@ -26,7 +26,7 @@ from repro.uarch.resources import (
     _HORIZON, _PRUNE_LIMIT, SkipAheadPool, SkipAheadResource,
 )
 
-from tests.util import load_goldens_tool
+from tests.util import aliasing_module, load_goldens_tool
 
 
 goldens = load_goldens_tool()
@@ -104,11 +104,45 @@ class TestNumpyFallback:
         assert vars(sim.stats) == expected["stats"]
 
 
+class TestStoreForwarding:
+    """No suite program forwards a store to a load in flight, so the
+    golden table never reaches the forwarding and load-flush paths.
+    The reference values below come from the value-executing kernel that
+    preceded the fold."""
+
+    EXPECTED = {
+        "O0": (989, 2, "4e56e55585c1ea548c934bf85f1e90ef"
+                       "845f8a808eca201feba5e99eb2dc7a6e"),
+        "O2": (789, 4, "13dbff09e7f12a46d9ff67b489d87baa"
+                       "415bde746566513f2fd9faf121211ee8"),
+    }
+
+    @pytest.mark.parametrize("level", sorted(EXPECTED))
+    def test_forwarding_timing_and_trace(self, level):
+        from repro.ir import run_module
+        from repro.opt import optimize
+        from repro.trace import CollectingTracer
+        from repro.trips import lower_module
+        from repro.uarch import run_cycles
+
+        module = aliasing_module()
+        tracer = CollectingTracer()
+        result, sim = run_cycles(lower_module(optimize(module, level)),
+                                 tracer=tracer)
+        assert result == run_module(module)[0]
+        cycles, flushes, digest = self.EXPECTED[level]
+        assert sim.stats.cycles == cycles
+        assert sim.stats.load_flushes == flushes
+        assert sum(event.kind == "load_forward"
+                   for event in tracer.events) == 48
+        assert goldens.trace_digest(tracer.events) == digest
+
+
 class TestLifetime:
     def test_finished_simulator_freed_without_gc(self):
         # The kernel keeps no reference back to its simulator, so a
-        # finished run (and its 16 MB memory image) is freed by
-        # reference counting alone, not at the next cyclic collection.
+        # finished run is freed by reference counting alone, not at the
+        # next cyclic collection.
         lowered = _lowered("rspeed")
         enabled = gc.isenabled()
         gc.disable()

@@ -92,6 +92,26 @@ def nested_calls_module() -> Module:
     return b.module
 
 
+def aliasing_module(n: int = 24) -> Module:
+    """Stores and loads through two pointers that alias on some
+    iterations, with mixed widths: loads forward from stores in flight."""
+    b = Builder()
+    arr = b.global_array("arr", 4, 8)
+    b.function("main", return_type=Type.I64)
+    total = b.mov(0, "total")
+    with b.loop(0, n) as i:
+        p = b.add(arr, b.shl(b.and_(i, 1), 3))
+        q = b.add(arr, b.shl(b.and_(b.shr(i, 1), 1), 3))
+        b.store(b.add(i, 7), p)
+        b.store(b.mul(i, 3), q, width=4)
+        v = b.load(q)
+        w = b.load(p, width=4)
+        b.assign(total, b.add(total, b.add(v, w)))
+    b.ret(total)
+    verify_module(b.module)
+    return b.module
+
+
 def spinning_module() -> Module:
     """A loop that runs for 2**63 iterations: never finishes in a test.
     Do not hand it to the interpreter."""
