@@ -47,7 +47,7 @@ from repro.trips.functional import EXIT_KINDS, OutcomeStream, TripsSimulator
 
 from repro.uarch import components
 from repro.uarch.config import TripsConfig
-from repro.uarch.kernels import FoldKernel
+from repro.uarch.kernels import FoldKernel, Plan
 from repro.uarch.opn import OperandNetwork
 from repro.uarch.resources import SkipAheadPool
 
@@ -206,7 +206,7 @@ class CycleSimulator:
         keys = outcomes.keys
         activations = outcomes.activations
         addresses = outcomes.addresses
-        plans: List[Optional[object]] = [None] * len(keys)
+        plans: List[Optional[Plan]] = [None] * len(keys)
         config = self.config
         stats = self.stats
         tracer = self.tracer

@@ -59,7 +59,7 @@ class _BlockDecode:
     a pure function of (block, placement, topology, config), built once
     per (function, label) and shared by every key of the block."""
 
-    __slots__ = ("block", "n", "insts", "need", "want", "kinds",
+    __slots__ = ("n", "insts", "need", "want", "kinds",
                  "latency", "disp_off", "static_ready", "store_lsids",
                  "tiles", "coords", "targets", "reads", "exit_send",
                  "issue_claim", "load_ids")
@@ -188,7 +188,6 @@ class FoldKernel:
         insts = list(block.instructions)
         n = len(insts)
         st = _BlockDecode()
-        st.block = block
         st.n = n
         st.insts = insts
         st.need = [operand_count(inst.op) for inst in insts]
