@@ -203,9 +203,7 @@ def test_ablation_composable_grid(benchmark):
         rows = []
         for grid in (2, 4, 8):
             lowered = lower_module(module, grid=grid)
-            config = TripsConfig()
-            config.ets_per_side = grid
-            _, sim = run_cycles(lowered, config=config)
+            _, sim = run_cycles(lowered)
             rows.append([f"{grid}x{grid}", sim.stats.cycles, sim.stats.ipc,
                          sim.opn.stats.average_hops()])
         return format_table(

@@ -793,9 +793,10 @@ def _cmd_config(args, _runner) -> int:
 
     from repro.explore.spec import SpecError, parse_overrides
     from repro.pipeline.keys import config_digest
-    from repro.uarch import components
     from repro.uarch.area import estimate_area
-    from repro.uarch.config import ConfigError, TripsConfig
+    from repro.uarch.config import (
+        ConfigError, TripsConfig, component_tables,
+    )
 
     try:
         overrides = parse_overrides(args.config or [], system="cycles")
@@ -819,12 +820,11 @@ def _cmd_config(args, _runner) -> int:
         print("  (* differs from the prototype default)")
 
     print()
-    print("components (repro.uarch.components registry):")
-    for field_name, kind in sorted(components.COMPONENT_FIELDS.items()):
-        names = components.component_names(kind)
+    print("components (name -> class tables):")
+    for field_name, table in sorted(component_tables().items()):
         selected = getattr(config, field_name)
         print(f"  {field_name:16s} = {selected:12s} "
-              f"[registered: {', '.join(names)}]")
+              f"[choices: {', '.join(sorted(table))}]")
 
     area = estimate_area(config)
     print()
@@ -1127,8 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
     config_sub = config_p.add_subparsers(dest="config_command",
                                          required=True)
     config_show = config_sub.add_parser(
-        "show", help="print the resolved TripsConfig, registered "
-                     "component variants, area estimate, and digest")
+        "show", help="print the resolved TripsConfig, the component "
+                     "tables, area estimate, and digest")
     config_show.add_argument("--config", action="append", default=None,
                              metavar="KEY=VALUE[,KEY=VALUE]",
                              help="override TripsConfig fields before "

@@ -27,6 +27,7 @@ from repro.uarch import (
     AlphaTournamentPredictor, NextBlockPredictor, TripsConfig,
     improved_predictor_config,
 )
+from repro.uarch.config import CLOCK_MHZ
 from repro.isa import static_code_size, dynamic_code_size
 
 #: SPEC benchmark name lists (proxy programs).
@@ -45,9 +46,8 @@ SIMPLE = EEMBC8 + ("802.11a", "8b10b", "fmradio", "ct", "conv", "matrix",
 # ---------------------------------------------------------------------------
 
 def table1_platforms():
-    config = TripsConfig()
     rows = [
-        ["TRIPS", f"{config.clock_mhz} MHz", "200 MHz", "1.83",
+        ["TRIPS", f"{CLOCK_MHZ} MHz", "200 MHz", "1.83",
          "32 KB / 80 KB", "1 MB", "2 GB"],
     ]
     for key in ("core2", "p4", "p3"):
@@ -334,7 +334,7 @@ def fig7_prediction(runner: Runner = SHARED_RUNNER,
 
 def fig8_bandwidth(runner: Runner = SHARED_RUNNER):
     config = TripsConfig()
-    mhz = config.clock_mhz
+    mhz = CLOCK_MHZ
     headers = ["Interface", "accesses", "achieved GB/s", "peak GB/s",
                "% of peak"]
     rows = []

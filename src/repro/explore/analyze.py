@@ -70,18 +70,18 @@ def point_cost(system: str, settings: Dict[str, Any]) -> Dict[str, Any]:
         window = settings.get("window", 1024)
         return {"window_slots": window, "ets": 0, "opn_links": 0,
                 "area_mm2": 0.0, "cost": window}
+    from repro.isa.block import MAX_BLOCK_INSTS
+    from repro.trips.placement import GRID_W
     from repro.uarch.area import estimate_area
-    from repro.uarch.components import create_topology
+    from repro.uarch.topologies import TOPOLOGIES
 
     config = TripsConfig(**settings)
-    blocks = config.max_blocks_in_flight
-    block_size = config.block_size_limit
-    grid = config.ets_per_side
-    window_slots = blocks * block_size
-    return {"window_slots": window_slots, "ets": grid * grid,
-            "opn_links": create_topology(config).link_count(),
+    window_slots = config.max_blocks_in_flight * MAX_BLOCK_INSTS
+    ets = GRID_W * GRID_W
+    return {"window_slots": window_slots, "ets": ets,
+            "opn_links": TOPOLOGIES[config.opn_topology](GRID_W).link_count(),
             "area_mm2": estimate_area(config).total_mm2,
-            "cost": window_slots * grid * grid}
+            "cost": window_slots * ets}
 
 
 def geomean(values: Sequence[float]) -> float:

@@ -13,14 +13,15 @@ answers in the paper's Section 5:
     Figure 10's ideal-machine grid, extended: instruction window
     256..128K crossed with per-block dispatch cost 0/4/8 cycles.
 ``predictor-budget``
-    Exit/target predictor storage and return-address-stack depth
-    (Section 5.1's prediction study and the Section 7 "config I"
-    lesson) on control-heavy EEMBC workloads.
+    Exit and target predictor storage (Section 5.1's prediction study
+    and the Section 7 "config I" target budget) on the SPECINT proxies
+    whose cycles those budgets move: parser, vpr and gcc (exit) and
+    vpr (target).
 ``smoke``
     A 4-point sweep (2 benchmarks x 2 speculation depths) small enough
     for CI: cold it simulates, warm it must be a 100% cache hit.
 ``opn-topology``
-    Component-registry sweep: three operand-network topologies (mesh /
+    Component sweep: three operand-network topologies (mesh /
     torus / double-width mesh) crossed with two next-block predictors,
     ranked by IPC per estimated mm² (the area model of
     :mod:`repro.uarch.area`).
@@ -53,14 +54,13 @@ PRESETS: Dict[str, dict] = {
         },
     },
     "predictor-budget": {
-        "description": "Exit/target predictor budgets and RAS depth "
-                       "(Section 5.1, Section 7 config I)",
+        "description": "Exit/target predictor budgets (Section 5.1, "
+                       "Section 7 config I)",
         "system": "cycles",
-        "benchmarks": ["a2time", "rspeed", "routelookup"],
+        "benchmarks": ["parser", "vpr", "gcc"],
         "axes": {
             "exit_predictor_bytes": [2048, 5120, 10240],
             "target_predictor_bytes": [2048, 5120, 9216],
-            "ras_entries": [4, 16],
         },
     },
     "smoke": {
@@ -72,7 +72,7 @@ PRESETS: Dict[str, dict] = {
     },
     "opn-topology": {
         "description": "Operand-network topology x next-block predictor "
-                       "(component registry variants, ranked by IPC per "
+                       "(component table variants, ranked by IPC per "
                        "area)",
         "system": "cycles",
         "benchmarks": ["crc", "vadd", "rspeed"],

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.uarch.config import TripsConfig
+from repro.uarch.config import ConfigError, TripsConfig, component_tables
 
 __all__ = [
     "IDEAL_AXES", "SPEC_KEYS", "SpecError", "SweepSpec", "axis_domain",
@@ -56,20 +56,17 @@ CONFIG_FIELDS: Dict[str, str] = {
 
 
 def _check_component_value(axis: str, value: str) -> str:
-    """Component-selection axes must name a registered variant.
-
-    Validated here — before any simulation — with the registry's
-    did-you-mean, so ``opn_topology=taurus`` fails like any typo'd axis.
-    """
-    from repro.uarch import components
-
-    kind = components.COMPONENT_FIELDS.get(axis)
-    if kind is not None:
+    """A component-selection axis must name an entry of that field's
+    table, checked here — before any simulation — with
+    :meth:`TripsConfig.validate`'s did-you-mean, so
+    ``opn_topology=taurus`` fails like any typo'd axis."""
+    if axis in component_tables():
         try:
-            components.validate_selection(kind, value)
-        except components.ComponentError as error:
+            TripsConfig(**{axis: value}).validate()
+        except ConfigError as error:
             raise SpecError(f"axis {axis!r}: {error}") from None
     return value
+
 
 #: Ideal-machine axes: name -> (default, minimum legal value).
 IDEAL_AXES: Dict[str, Tuple[int, int]] = {

@@ -64,10 +64,6 @@ class Builder:
             block_or_label = self.func.block(block_or_label)
         self._block = block_or_label
 
-    @property
-    def current_block(self):
-        return self._block
-
     def fresh_label(self, hint: str = "bb") -> str:
         self._label_counter += 1
         return f"{hint}{self._label_counter}"

@@ -186,10 +186,6 @@ class TInst:
         return self.op in EXIT_OPS
 
     @property
-    def is_test(self) -> bool:
-        return self.op in TEST_OPS
-
-    @property
     def category(self) -> str:
         """Figure 3 composition category."""
         if self.op in MEM_OPS or self.op is TOp.NULL:

@@ -70,10 +70,6 @@ class EventBus:
             next_cursor = batch[-1]["seq"] if batch else self._seq
             return batch, next_cursor
 
-    def latest_cursor(self) -> int:
-        with self._cond:
-            return self._seq
-
     def stats(self) -> Dict[str, int]:
         with self._cond:
             return {"published": self._seq, "buffered": len(self._events),

@@ -152,8 +152,10 @@ def _run_ref_platforms(warm):
 def _setup_opn_route():
     # A deterministic pseudo-random traffic pattern (LCG, fixed seed)
     # over ET<->ET and ET<->DT routes; built once, replayed per sample.
-    from repro.uarch.opn import dt_coord, et_coord
+    from repro.uarch.topologies import MeshTopology
 
+    mesh = MeshTopology()
+    et_coord, dt_coord = mesh.et_coord, mesh.dt_coord
     state = 0x2545F491
     plan = []
     for index in range(_OPN_SENDS):

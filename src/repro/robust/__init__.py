@@ -12,8 +12,7 @@ Four pieces, each usable on its own:
   :class:`CacheCorruption`, :class:`SimulationBudgetExceeded`), every
   instance carrying stage/benchmark/digest context.
 * :mod:`repro.robust.retry` — :class:`RetryPolicy`, capped exponential
-  backoff whose jitter is seeded (never wall-clock random), and
-  :func:`call_with_retry`.
+  backoff whose jitter is seeded (never wall-clock random).
 * :mod:`repro.robust.report` — :class:`RunReport`, the per-unit outcome
   ledger every ``report``/``run`` invocation fills in.
 * :mod:`repro.robust.faults` — :class:`FaultPlan`, the deterministic
@@ -36,7 +35,7 @@ from repro.robust.faults import (
 from repro.robust.report import (
     COMPLETED, DEGRADED, FAILED, RETRIED, RunReport, UnitOutcome,
 )
-from repro.robust.retry import RetryPolicy, call_with_retry
+from repro.robust.retry import RetryPolicy
 from repro.robust.supervise import replace_pool, supervise_units
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "WorkerCrash",
     "apply_driver_fault",
     "apply_unit_faults",
-    "call_with_retry",
     "maybe_corrupt",
     "replace_pool",
     "supervise_units",

@@ -4,15 +4,14 @@ Backoff delays are a pure function of ``(policy, unit, attempt)``: the
 jitter is drawn from a :class:`random.Random` seeded with those three
 values, never from wall-clock entropy, so a retry schedule replays
 byte-identically across runs and the chaos tests can assert exact
-delays.  The sleep itself is injectable (tests pass a no-op).
+delays.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -41,27 +40,3 @@ class RetryPolicy:
         """The full deterministic backoff schedule for one unit."""
         return [self.delay(attempt, unit)
                 for attempt in range(max(0, self.max_attempts - 1))]
-
-
-def call_with_retry(fn: Callable[[int], object], policy: RetryPolicy,
-                    unit: str = "",
-                    sleep: Callable[[float], None] = time.sleep,
-                    on_retry: Optional[Callable[[str, int, BaseException],
-                                                None]] = None
-                    ) -> Tuple[object, int]:
-    """Call ``fn(attempt)`` until it succeeds or attempts run out.
-
-    Returns ``(value, attempts_used)``; re-raises the last exception
-    once ``policy.max_attempts`` tries have failed.  ``on_retry`` is
-    invoked with ``(unit, attempt, exception)`` before each backoff.
-    """
-    for attempt in range(policy.max_attempts):
-        try:
-            return fn(attempt), attempt + 1
-        except Exception as exc:
-            if attempt + 1 >= policy.max_attempts:
-                raise
-            if on_retry is not None:
-                on_retry(unit, attempt, exc)
-            sleep(policy.delay(attempt, unit))
-    raise RuntimeError("unreachable")  # pragma: no cover

@@ -75,14 +75,6 @@ class TraceMetrics:
                         key=lambda item: (-item[1], item[0]))
         return ranked[:top]
 
-    def node_traffic(self) -> Dict[Tuple[int, int], int]:
-        """Packets flowing through each mesh node (either endpoint)."""
-        traffic: Dict[Tuple[int, int], int] = {}
-        for (sx, sy, dx, dy), packets in self.link_packets.items():
-            traffic[(sx, sy)] = traffic.get((sx, sy), 0) + packets
-            traffic[(dx, dy)] = traffic.get((dx, dy), 0) + packets
-        return traffic
-
 
 def summarize(events: Sequence[TraceEvent], cycles: int,
               buckets: int = DEFAULT_BUCKETS) -> TraceMetrics:

@@ -30,7 +30,7 @@ from repro.trips.hyperblock import (
     Hyperblock, canonicalize_returns, form_hyperblocks, split_calls,
     split_oversized_blocks,
 )
-from repro.trips.placement import Placement, place_block
+from repro.trips.placement import GRID_W, Placement, place_block
 from repro.trips.regalloc import (
     ARG_REGS, Allocation, RETURN_REG, SP_REG, allocate_registers,
     insert_spill_code,
@@ -38,12 +38,16 @@ from repro.trips.regalloc import (
 
 
 def lower_module(module: Module, placement_policy: str = "sps",
-                 formation: str = "hyper", grid: int = 4) -> "LoweredProgram":
+                 formation: str = "hyper",
+                 grid: int = GRID_W) -> "LoweredProgram":
     """Lower an entire IR module to TRIPS blocks with placements.
 
     ``formation`` selects block formation: "hyper" grows full hyperblocks
     (the prototype compiler); "basic" emits one TRIPS block per IR basic
     block — the basic-block code of the Figure 7 predictor study.
+    ``grid`` is the side of the execution array the blocks are placed on
+    (see :func:`~repro.trips.placement.place_block`); the cycle model
+    times the program on that array.
     """
     working = _copy.deepcopy(module)
     program = TripsProgram()
@@ -60,16 +64,19 @@ def lower_module(module: Module, placement_policy: str = "sps",
             program.globals_image.append((data.address, data.init))
     program.data_end = working.data_end
     program.validate()
-    return LoweredProgram(program, placements)
+    return LoweredProgram(program, placements, grid)
 
 
 class LoweredProgram:
-    """A TRIPS program together with per-block instruction placements."""
+    """A TRIPS program together with per-block instruction placements on
+    a ``grid`` x ``grid`` execution array."""
 
     def __init__(self, program: TripsProgram,
-                 placements: Dict[Tuple[str, str], Placement]) -> None:
+                 placements: Dict[Tuple[str, str], Placement],
+                 grid: int = GRID_W) -> None:
         self.program = program
         self.placements = placements
+        self.grid = grid
 
     def placement(self, function: str, label: str) -> Placement:
         return self.placements[(function, label)]

@@ -439,7 +439,12 @@ class _Converter:
             reg = self.write_reg_for(vreg)
             node = self.current.get(vreg)
             if node is None:
-                continue  # passes through in its register untouched
+                incoming = self.incoming.get(vreg)
+                if incoming is None or incoming == reg:
+                    continue  # passes through in its register untouched
+                # Arrived elsewhere (a call's result in RETURN_REG, a
+                # parameter in its argument register): copy it over.
+                node = self._read(incoming)
             if isinstance(node, _Select):
                 node = self._materialize(node)
             if isinstance(node, _ReadNode) and node.reg == reg:

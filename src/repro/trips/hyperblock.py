@@ -90,10 +90,6 @@ class Hyperblock:
         labels.extend(e.cont for e in self.exits if e.kind == "call" and e.cont)
         return labels
 
-    def memory_op_count(self) -> int:
-        return sum(1 for h in self.instructions
-                   if h.inst.op in (Opcode.LOAD, Opcode.STORE))
-
 
 def split_calls(func: Function) -> None:
     """Rewrite the CFG so every CALL is the last body instruction of its

@@ -75,9 +75,6 @@ class Placement:
 
     tiles: Dict[int, int] = field(default_factory=dict)
 
-    def tile_of(self, index: int) -> int:
-        return self.tiles[index]
-
 
 def place_block(block: TripsBlock, policy: str = "sps",
                 seed: int = 0, grid: int = GRID_W) -> Placement:

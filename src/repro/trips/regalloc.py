@@ -107,15 +107,6 @@ def _hyperblock_use_def(hb: Hyperblock) -> Tuple[Set[VReg], Set[VReg]]:
     return uses, defs
 
 
-def _all_defs(hb: Hyperblock) -> Set[VReg]:
-    defs = {h.inst.dest for h in hb.instructions if h.inst.dest is not None}
-    for hexit in hb.exits:
-        if hexit.kind == "call" and hexit.call is not None \
-                and hexit.call.dest is not None:
-            defs.add(hexit.call.dest)
-    return defs
-
-
 def hyperblock_liveness(hyperblocks: List[Hyperblock], params: List[VReg],
                         entry_label: str):
     """(live_in, live_out) per hyperblock label."""

@@ -21,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.trips.placement import GRID_W, SLOTS_PER_TILE
+from repro.trips.regalloc import NUM_BANKS
 from repro.uarch.config import TripsConfig
+from repro.uarch.topologies import TOPOLOGIES
 
 __all__ = ["AreaBreakdown", "estimate_area"]
 
@@ -40,8 +43,14 @@ GT_MM2 = 1.4
 #: (wiring, repeaters, input FIFO); a double-width link costs two links.
 OPN_ROUTER_MM2 = 0.14
 OPN_LINK_MM2 = 0.035
-#: Load/store-queue CAM entry (per lwt_entries entry, per DT).
+#: Load/store-queue CAM entry (per load-wait table entry, per DT).
 LSQ_ENTRY_MM2 = 0.0006
+#: The prototype's load-wait table entries per DT (the simulator's table
+#: is an unbounded set, so this sizes area only).
+LWT_ENTRIES = 1024
+#: Register-file ports per bank: the simulator's one read and one write
+#: resource per bank.
+RT_PORTS = 2
 
 
 @dataclass
@@ -63,26 +72,26 @@ class AreaBreakdown:
 
 
 def estimate_area(config: TripsConfig) -> AreaBreakdown:
-    """Estimate the configured machine's area.
+    """Estimate the configured machine's area on the prototype's 4x4
+    execution array.
 
-    Every structure's contribution follows the config field that sizes
-    it, and the OPN contribution follows the *topology's* router/link
-    counts — so sweeping ``opn_topology`` or ``slots_per_et`` moves the
-    area denominator the way it would move the floorplan.
+    Structures the configuration sizes follow its fields; the rest take
+    the simulator's own constants (eight reservation slots per tile per
+    block, four register banks with one port each way).  The OPN
+    contribution follows the *topology's* router and link counts, so
+    sweeping ``opn_topology`` or ``max_blocks_in_flight`` moves the area
+    denominator the way it would move the floorplan.
     """
-    from repro.uarch.components import create_topology
-
-    topology = create_topology(config)
-    ets = config.ets_per_side * config.ets_per_side
-    nodes = (config.ets_per_side + 1) ** 2
+    topology = TOPOLOGIES[config.opn_topology](GRID_W)
+    ets = GRID_W * GRID_W
+    nodes = (GRID_W + 1) ** 2
 
     structures = {
         "execution_tiles": ets * (ET_BASE_MM2
-                                  + config.slots_per_et * ET_SLOT_MM2
+                                  + SLOTS_PER_TILE * ET_SLOT_MM2
                                   * config.max_blocks_in_flight),
-        "register_tiles": config.rt_banks * (
-            RT_BASE_MM2
-            + (config.rt_read_ports + config.rt_write_ports) * RT_PORT_MM2),
+        "register_tiles": NUM_BANKS * (RT_BASE_MM2
+                                       + RT_PORTS * RT_PORT_MM2),
         "global_tile": GT_MM2,
         "l1d": (config.l1d_banks * config.l1d_bank_bytes / 1024.0)
         * SRAM_MM2_PER_KB,
@@ -94,6 +103,6 @@ def estimate_area(config: TripsConfig) -> AreaBreakdown:
         "predictor": ((config.exit_predictor_bytes
                        + config.target_predictor_bytes) / 1024.0)
         * SRAM_MM2_PER_KB,
-        "lsq": config.l1d_banks * config.lwt_entries * LSQ_ENTRY_MM2,
+        "lsq": config.l1d_banks * LWT_ENTRIES * LSQ_ENTRY_MM2,
     }
     return AreaBreakdown(structures)

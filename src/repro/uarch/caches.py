@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.uarch.components import MEMORIES, MemoryHierarchyABC
 from repro.uarch.config import TripsConfig
 from repro.uarch.resources import SkipAheadPool
 
@@ -221,8 +220,15 @@ class L1InstructionCache:
         return done, missed
 
 
-class MemoryHierarchy(MemoryHierarchyABC):
-    """The full TRIPS memory system wired together."""
+class MemoryHierarchy:
+    """The full TRIPS memory system wired together.
+
+    The cycle simulator reaches a hierarchy through ``l1d``
+    (``access(address, now, is_store=False) -> done``, ``bank_of``,
+    ``stats``) and ``l1i`` (``fetch_block(label, chunks, now) ->
+    (done, missed)``, ``stats``); reports also read ``l2.banks[i].stats``
+    and ``dram.accesses``.
+    """
 
     def __init__(self, config: TripsConfig, tracer=None) -> None:
         self.config = config
@@ -269,9 +275,6 @@ class PerfectL1Hierarchy(MemoryHierarchy):
         self.l1i = _PerfectL1InstructionCache(config, self.l2, tracer=tracer)
 
 
-MEMORIES.register(
-    "trips", lambda config, tracer=None: MemoryHierarchy(
-        config, tracer=tracer))
-MEMORIES.register(
-    "perfect-l1", lambda config, tracer=None: PerfectL1Hierarchy(
-        config, tracer=tracer))
+#: ``TripsConfig.memory_kind`` -> class; built with the configuration.
+MEMORIES: Dict[str, type] = {
+    "trips": MemoryHierarchy, "perfect-l1": PerfectL1Hierarchy}

@@ -10,8 +10,10 @@ predictor budgets.
 
 from __future__ import annotations
 
+import difflib
 import os
 from dataclasses import dataclass, field, fields
+from typing import Dict
 
 
 class ConfigError(ValueError):
@@ -28,7 +30,7 @@ class ConfigError(ValueError):
 _NON_NEGATIVE_FIELDS = frozenset({
     "fetch_to_dispatch_cycles", "commit_protocol_cycles",
     "mispredict_flush_cycles", "load_violation_flush_cycles",
-    "opn_hop_cycles", "local_bypass_cycles", "l1d_hit_cycles",
+    "opn_hop_cycles", "l1d_hit_cycles",
     "l1i_hit_cycles", "l2_base_cycles", "l2_hop_cycles", "dram_cycles",
     "dram_occupancy_cycles", "predicate_mispredict_cycles",
 })
@@ -61,7 +63,6 @@ class TripsConfig:
 
     # Block window.
     max_blocks_in_flight: int = 8
-    block_size_limit: int = 128
 
     # Fetch/dispatch: the ITs deliver instructions to the ET reservation
     # stations at 16 per cycle; a 128-instruction block dispatches in 8
@@ -77,11 +78,10 @@ class TripsConfig:
     # Operand network: one hop per cycle, one 64-bit operand per link
     # per cycle.
     opn_hop_cycles: int = 1
-    local_bypass_cycles: int = 0
 
-    # Execution tiles.
-    ets_per_side: int = 4
-    slots_per_et: int = 8
+    # Execution tiles: issue slots per tile per cycle (1 in the
+    # prototype).  The array's size is the placement's
+    # (``LoweredProgram.grid``).
     et_issue_width: int = 1
 
     # L1 data cache: 4 x 8 KB single-ported banks, 2-cycle hit.
@@ -110,15 +110,6 @@ class TripsConfig:
     dram_cycles: int = 68
     dram_occupancy_cycles: int = 4
 
-    # Register tiles: 4 banks x 32 registers, one read and one write port
-    # per bank per cycle.
-    rt_banks: int = 4
-    rt_read_ports: int = 1
-    rt_write_ports: int = 1
-
-    # Load/store queue dependence predictor (per-DT load-wait table).
-    lwt_entries: int = 1024
-
     # Next-block predictor budgets (bytes).
     exit_predictor_bytes: int = 5 * 1024
     target_predictor_bytes: int = 5 * 1024
@@ -141,15 +132,13 @@ class TripsConfig:
     #: rounding) with the proposed 32-byte block header.
     variable_size_blocks: bool = False
 
-    clock_mhz: int = 366
-
     # ------------------------------------------------------------------
-    # Component selections (repro.uarch.components registries).  Being
-    # ordinary dataclass fields, they flow into config digests like any
-    # other parameter, so runs with different components never share a
-    # pipeline cache slot.  Defaults rebuild the prototype exactly;
-    # REPRO_UARCH_COMPONENTS=field=name,... overrides them process-wide
-    # (see _component_default).
+    # Component selections: each names a class in that field's table
+    # (:func:`component_tables`).  Being ordinary dataclass fields, they
+    # flow into config digests like any other parameter, so runs with
+    # different components never share a pipeline cache slot.  Defaults
+    # rebuild the prototype exactly; REPRO_UARCH_COMPONENTS=field=name,...
+    # overrides them process-wide (see _component_default).
     # ------------------------------------------------------------------
 
     #: Operand-network topology: "mesh" (prototype), "torus", "dwmesh".
@@ -199,17 +188,16 @@ class TripsConfig:
             if value < floor:
                 problems.append(
                     f"{f.name} must be >= {floor}, got {value}")
-        # Component selections must name registered variants (with a
-        # did-you-mean hint from the registry on a near miss).
-        from repro.uarch import components
-        for field_name, kind in components.COMPONENT_FIELDS.items():
+        # Component selections must name a table entry (with a
+        # did-you-mean hint on a near miss).
+        for field_name, table in component_tables().items():
             value = getattr(self, field_name)
-            if not isinstance(value, str):
-                continue        # already reported above
-            try:
-                components.validate_selection(kind, value)
-            except components.ComponentError as error:
-                problems.append(str(error))
+            if isinstance(value, str) and value not in table:
+                close = difflib.get_close_matches(value, table, n=1)
+                hint = f" — did you mean {close[0]!r}?" if close else ""
+                problems.append(
+                    f"unknown {field_name} {value!r}{hint} (choices: "
+                    f"{', '.join(sorted(table))})")
         if not problems:
             for name in _POWER_OF_TWO_FIELDS:
                 value = getattr(self, name)
@@ -233,6 +221,23 @@ class TripsConfig:
 
 #: The prototype configuration used throughout the evaluation.
 PROTOTYPE = TripsConfig()
+
+#: The prototype's core clock (Table 1); the cycle model counts cycles,
+#: so the clock only converts them to time in the reports.
+CLOCK_MHZ = 366
+
+
+def component_tables() -> Dict[str, Dict[str, type]]:
+    """Each component field's variants, name -> class: the tables beside
+    the classes (:data:`repro.uarch.topologies.TOPOLOGIES`,
+    :data:`repro.uarch.predictor.PREDICTORS`,
+    :data:`repro.uarch.caches.MEMORIES`).  Imported on call, because
+    those modules import this one."""
+    from repro.uarch.caches import MEMORIES
+    from repro.uarch.predictor import PREDICTORS
+    from repro.uarch.topologies import TOPOLOGIES
+    return {"opn_topology": TOPOLOGIES, "predictor_kind": PREDICTORS,
+            "memory_kind": MEMORIES}
 
 
 def improved_predictor_config() -> TripsConfig:

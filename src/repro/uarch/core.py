@@ -9,8 +9,9 @@ microarchitecture does:
 * block fetch through the banked I-cache (compressed chunks) and dispatch
   at 16 instructions/cycle into ET reservation stations;
 * dataflow wake-up: an instruction issues on its ET (one per cycle per
-  tile) once its operands and predicate arrive; results travel the 5x5
-  operand network with per-link contention;
+  tile in the prototype, ``et_issue_width`` in general) once its
+  operands and predicate arrive; results travel the 5x5 operand network
+  with per-link contention;
 * register reads/writes through four single-ported register banks, loads
   and stores through four single-ported data-tile cache banks backed by
   the NUCA L2 and DDR DRAM;
@@ -45,11 +46,13 @@ from repro.isa.block import TripsBlock, TripsProgram
 from repro.trips.codegen import LoweredProgram
 from repro.trips.functional import EXIT_KINDS, OutcomeStream, TripsSimulator
 
-from repro.uarch import components
+from repro.uarch.caches import MEMORIES
 from repro.uarch.config import TripsConfig
 from repro.uarch.kernels import FoldKernel, Plan
 from repro.uarch.opn import OperandNetwork
+from repro.uarch.predictor import PREDICTORS
 from repro.uarch.resources import SkipAheadPool
+from repro.uarch.topologies import TOPOLOGIES
 
 
 @dataclass
@@ -127,16 +130,17 @@ class CycleSimulator:
         #: tracer, so cycle counts are identical traced or not and the
         #: disabled path costs one pointer test per site.
         self.tracer = tracer
-        # Pluggable components (repro.uarch.components registries),
-        # selected by the config's opn_topology / memory_kind /
-        # predictor_kind fields.  The defaults reconstruct the
-        # prototype exactly.
-        self.topology = components.create_topology(self.config)
-        self.hierarchy = components.create_memory(self.config, tracer=tracer)
-        self.opn = OperandNetwork(self.config.opn_hop_cycles, tracer=tracer,
+        # Components, named by the config's opn_topology / memory_kind /
+        # predictor_kind fields in their tables; the defaults are the
+        # prototype.  The execution array is the one the program was
+        # placed on.
+        config = self.config
+        self.topology = TOPOLOGIES[config.opn_topology](lowered.grid)
+        self.hierarchy = MEMORIES[config.memory_kind](config, tracer=tracer)
+        self.opn = OperandNetwork(config.opn_hop_cycles, tracer=tracer,
                                   topology=self.topology)
-        self.predictor = components.create_predictor(self.config,
-                                                     tracer=tracer)
+        self.predictor = PREDICTORS[config.predictor_kind](config,
+                                                           tracer=tracer)
         self.stats = CycleStats()
         # Watchdog budgets: the block budget matches the historical
         # runaway guard; cycle and wall-clock budgets are opt-in.  All

@@ -44,6 +44,20 @@ def pow2_shift_mask(line_bytes: int,
     return line_bytes.bit_length() - 1, banks - 1
 
 
+def _issue_claim(claim, width: int):
+    """A tile's issue claim for ``width`` issue slots per cycle: the
+    tile's resource itself at width 1; at width W, the resource in
+    W-times-finer time, so W instructions ready in one cycle all issue
+    in it."""
+    if width == 1:
+        return claim
+
+    def claim_slot(ready: int) -> int:
+        return claim(ready * width) // width
+
+    return claim_slot
+
+
 #: Plan step codes, most frequent first (the replay loop tests them in
 #: this order).
 (_SEND, _ISSUE, _READ, _WRITE, _PRED, _LOAD, _STORE, _EXIT, _LSEND,
@@ -229,7 +243,8 @@ class FoldKernel:
         st.load_ids = [hash((block.label, i)) & 0xFFFF
                        if st.kinds[i] == K_LOAD else -1 for i in range(n)]
         et_issue = sim.et_issue
-        st.issue_claim = [et_issue.resource(tile).claim
+        width = sim.config.et_issue_width
+        st.issue_claim = [_issue_claim(et_issue.resource(tile).claim, width)
                           for tile in st.tiles]
         return st
 

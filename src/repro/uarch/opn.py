@@ -18,49 +18,10 @@ Figure 8 of the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.uarch.resources import SkipAheadPool
-
-Coord = Tuple[int, int]
-
-
-def et_coord(tile: int, grid: int = 4) -> Coord:
-    """Mesh coordinate of an execution tile on a ``grid`` x ``grid`` array
-    (4 in the prototype; 2/8 in composable configurations)."""
-    return (tile % grid + 1, tile // grid + 1)
-
-
-def dt_coord(bank: int) -> Coord:
-    """Mesh coordinate of data tile (cache bank) 0..3."""
-    return (0, bank + 1)
-
-
-def rt_coord(bank: int) -> Coord:
-    """Mesh coordinate of register tile (bank) 0..3."""
-    return (bank + 1, 0)
-
-
-GT_COORD: Coord = (0, 0)
-
-
-def route(src: Coord, dst: Coord) -> List[Tuple[Coord, Coord]]:
-    """Dimension-order (Y-then-X) route as a list of directed links."""
-    links = []
-    x, y = src
-    while y != dst[1]:
-        step = 1 if dst[1] > y else -1
-        links.append(((x, y), (x, y + step)))
-        y += step
-    while x != dst[0]:
-        step = 1 if dst[0] > x else -1
-        links.append(((x, y), (x + step, y)))
-        x += step
-    return links
-
-
-def hop_count(src: Coord, dst: Coord) -> int:
-    return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
+from repro.uarch.topologies import Coord, MeshTopology
 
 
 @dataclass
@@ -68,7 +29,7 @@ class OpnStats:
     """Traffic statistics by class, for the Figure 8 profile.
 
     ``classes`` and ``hop_buckets`` come from the topology carrying the
-    traffic (see :class:`repro.uarch.components.OpnTopology`), so a new
+    traffic (see :class:`repro.uarch.topologies.OpnTopology`), so a new
     topology's classes and hop range are reported instead of the
     prototype mesh's hardcoded list — packets of a class the paper
     never named are still counted, never dropped.
@@ -139,7 +100,7 @@ class OperandNetwork:
     """Link-contention timing model of the operand network.
 
     Routing, traffic classes, and link width come from the configured
-    :class:`~repro.uarch.components.OpnTopology`; the default is the
+    :class:`~repro.uarch.topologies.OpnTopology`; the default is the
     prototype's 5x5 mesh.
 
     Each (src, dst) route is materialized once, with every hop's channel
@@ -151,10 +112,7 @@ class OperandNetwork:
 
     def __init__(self, hop_cycles: int = 1, tracer=None,
                  topology=None) -> None:
-        if topology is None:
-            from repro.uarch.topologies import MeshTopology
-            topology = MeshTopology()
-        self.topology = topology
+        self.topology = topology = topology or MeshTopology()
         self.hop_cycles = hop_cycles
         self.links = SkipAheadPool()
         self.stats = OpnStats(classes=topology.traffic_classes,

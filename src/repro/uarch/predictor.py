@@ -21,7 +21,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.uarch.components import PREDICTORS, NextBlockPredictorABC
 from repro.uarch.config import TripsConfig
 
 
@@ -211,8 +210,13 @@ class TargetPredictor:
         self.btb[self._btb_key(block, exit_index)] = target
 
 
-class NextBlockPredictor(NextBlockPredictorABC):
-    """The complete TRIPS next-block predictor (exit + target)."""
+class NextBlockPredictor:
+    """The complete TRIPS next-block predictor (exit + target).
+
+    The cycle simulator calls only :meth:`predict_and_update`, once per
+    block; ``stats`` counts every prediction, so Figure 7's accuracy
+    study reads any variant the same way.
+    """
 
     def __init__(self, config: TripsConfig = None, tracer=None) -> None:
         config = config or TripsConfig()
@@ -292,7 +296,7 @@ class GshareExitPredictor:
             & 0xFFFFF
 
 
-class GshareNextBlockPredictor(NextBlockPredictorABC):
+class GshareNextBlockPredictor:
     """A next-block predictor with a gshare exit component.
 
     The target side (BTB + call target buffer + RAS) is unchanged from
@@ -311,9 +315,7 @@ class GshareNextBlockPredictor(NextBlockPredictorABC):
     predict_and_update = NextBlockPredictor.predict_and_update
 
 
-PREDICTORS.register(
-    "tournament", lambda config, tracer=None: NextBlockPredictor(
-        config, tracer=tracer))
-PREDICTORS.register(
-    "gshare", lambda config, tracer=None: GshareNextBlockPredictor(
-        config, tracer=tracer))
+#: ``TripsConfig.predictor_kind`` -> class; built with the
+#: configuration.
+PREDICTORS: Dict[str, type] = {
+    "tournament": NextBlockPredictor, "gshare": GshareNextBlockPredictor}

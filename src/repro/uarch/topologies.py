@@ -1,11 +1,8 @@
-"""Operand-network topology variants.
+"""Operand-network topologies: the prototype mesh and two variants.
 
 The prototype's OPN is a 5x5 wormhole-routed mesh with dimension-order
 (Y-then-X) routing [Gratz et al.]; :class:`MeshTopology` reproduces it
-exactly (it delegates to the original routing functions in
-:mod:`repro.uarch.opn`, so the default configuration is bit-identical
-to the pre-registry simulator).  Two alternates explore design points
-the paper could not:
+exactly.  Two alternates explore design points the paper could not:
 
 * :class:`TorusTopology` — wraparound links in both dimensions halve
   the worst-case hop distance (corner-to-corner drops from 8 to 4);
@@ -15,19 +12,83 @@ the paper could not:
 
 All variants keep the prototype floorplan coordinates (GT at (0,0),
 DTs in column 0, RTs in row 0, ETs in the interior) — see the
-:class:`~repro.uarch.components.OpnTopology` layout contract.
+:class:`OpnTopology` layout contract.  ``TripsConfig.opn_topology``
+names one of them through :data:`TOPOLOGIES`.
 """
 
 from __future__ import annotations
 
-from typing import List
+from abc import ABC, abstractmethod
+from typing import Dict, List, Tuple
 
-from repro.uarch import opn as _opn
-from repro.uarch.components import (
-    Coord, Link, OpnTopology, TOPOLOGIES,
-)
+from repro.trips.placement import GRID_W
 
-__all__ = ["DoubleWidthMeshTopology", "MeshTopology", "TorusTopology"]
+__all__ = ["Coord", "DoubleWidthMeshTopology", "Link", "MeshTopology",
+           "OpnTopology", "TOPOLOGIES", "TorusTopology"]
+
+Coord = Tuple[int, int]
+Link = Tuple[Coord, Coord]
+
+
+class OpnTopology(ABC):
+    """Operand-network topology: coordinates, routing, and wiring cost.
+
+    The coordinate layout is the prototype floorplan contract shared by
+    the simulator's traffic classifier and the trace heatmaps: column 0
+    holds the global tile (0,0) and the data tiles (0, 1..banks), row 0
+    holds the register tiles (1..banks, 0), and the execution array
+    occupies (1..grid, 1..grid).  A topology may route between those
+    coordinates however it likes (mesh, torus, wider links, ...) but
+    must keep the placement itself fixed.
+    """
+
+    #: Table name (the ``TripsConfig.opn_topology`` value).
+    name: str = "?"
+    #: Independent 64-bit channels per directed link (1 = prototype).
+    link_channels: int = 1
+    #: Last bucket of the per-class hop histogram; hops beyond this
+    #: clamp into it (the paper's Figure 8 plots 0..5 with a 5+ bucket).
+    hop_buckets: int = 5
+    #: Traffic classes this topology carries (operand statistics are
+    #: keyed by these — see :class:`repro.uarch.opn.OpnStats`).
+    traffic_classes: Tuple[str, ...] = (
+        "ET-ET", "ET-DT", "ET-RT", "ET-GT", "DT-RT", "RT-RT")
+
+    def __init__(self, grid: int = GRID_W) -> None:
+        #: Execution tiles per side; the node array is (grid+1)^2.
+        self.grid = grid
+        self.side = grid + 1
+
+    # -- coordinates (fixed floorplan) ----------------------------------
+
+    def et_coord(self, tile: int) -> Coord:
+        return (tile % self.grid + 1, tile // self.grid + 1)
+
+    def dt_coord(self, bank: int) -> Coord:
+        return (0, bank + 1)
+
+    def rt_coord(self, bank: int) -> Coord:
+        return (bank + 1, 0)
+
+    @property
+    def gt_coord(self) -> Coord:
+        return (0, 0)
+
+    # -- routing --------------------------------------------------------
+
+    @abstractmethod
+    def route(self, src: Coord, dst: Coord) -> List[Link]:
+        """The ordered directed links an operand traverses src -> dst."""
+
+    @abstractmethod
+    def hop_count(self, src: Coord, dst: Coord) -> int:
+        """Links traversed by :meth:`route` (without materialising it)."""
+
+    # -- cost accounting -------------------------------------------------
+
+    @abstractmethod
+    def link_count(self) -> int:
+        """Directed physical links (x channels), for the area model."""
 
 
 class MeshTopology(OpnTopology):
@@ -36,10 +97,20 @@ class MeshTopology(OpnTopology):
     name = "mesh"
 
     def route(self, src: Coord, dst: Coord) -> List[Link]:
-        return _opn.route(src, dst)
+        links = []
+        x, y = src
+        while y != dst[1]:
+            step = 1 if dst[1] > y else -1
+            links.append(((x, y), (x, y + step)))
+            y += step
+        while x != dst[0]:
+            step = 1 if dst[0] > x else -1
+            links.append(((x, y), (x + step, y)))
+            x += step
+        return links
 
     def hop_count(self, src: Coord, dst: Coord) -> int:
-        return _opn.hop_count(src, dst)
+        return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
 
     def link_count(self) -> int:
         # Directed links between adjacent nodes, both dimensions.
@@ -59,7 +130,7 @@ class TorusTopology(OpnTopology):
 
     name = "torus"
 
-    def __init__(self, grid: int = 4) -> None:
+    def __init__(self, grid: int = GRID_W) -> None:
         super().__init__(grid)
         self.hop_buckets = 2 * (self.side // 2)
 
@@ -111,7 +182,7 @@ class DoubleWidthMeshTopology(MeshTopology):
     link_channels = 2
 
 
-TOPOLOGIES.register("mesh", lambda config: MeshTopology(config.ets_per_side))
-TOPOLOGIES.register("torus", lambda config: TorusTopology(config.ets_per_side))
-TOPOLOGIES.register(
-    "dwmesh", lambda config: DoubleWidthMeshTopology(config.ets_per_side))
+#: ``TripsConfig.opn_topology`` -> class; built with the array size.
+TOPOLOGIES: Dict[str, type] = {
+    cls.name: cls
+    for cls in (MeshTopology, TorusTopology, DoubleWidthMeshTopology)}

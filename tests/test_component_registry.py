@@ -1,7 +1,8 @@
-"""The pluggable-microarchitecture layer: component registry semantics,
-topology variants, the area model, config threading, and differential
-goldens proving the default components reproduce the pre-registry
-simulator bit-for-bit."""
+"""The component layer: the name -> class tables, topology variants, the
+area model, config threading, and differential goldens proving the
+default components reproduce the seed simulator bit-for-bit."""
+
+from dataclasses import fields
 
 import pytest
 
@@ -9,16 +10,17 @@ from repro.bench import get
 from repro.opt import optimize
 from repro.pipeline.keys import config_digest
 from repro.trips import lower_module
-from repro.uarch import ConfigError, TripsConfig, run_cycles
+from repro.uarch import ConfigError, CycleSimulator, TripsConfig, run_cycles
 from repro.uarch.area import estimate_area
-from repro.uarch.components import (
-    ComponentError, ComponentRegistry, TOPOLOGIES, component_names,
-    create_topology, validate_selection,
-)
-from repro.uarch.opn import OperandNetwork, hop_count as mesh_hop_count
+from repro.uarch.caches import MEMORIES
+from repro.uarch.config import component_tables
+from repro.uarch.opn import OperandNetwork
+from repro.uarch.predictor import PREDICTORS
 from repro.uarch.topologies import (
-    DoubleWidthMeshTopology, MeshTopology, TorusTopology,
+    DoubleWidthMeshTopology, MeshTopology, TOPOLOGIES, TorusTopology,
 )
+
+from tests.util import aliasing_module, load_goldens_tool
 
 #: Explicit component selections — NOT the dataclass defaults — so these
 #: tests stay green when CI runs the suite under a REPRO_UARCH_COMPONENTS
@@ -40,49 +42,31 @@ def _lowered(name):
 
 
 class TestRegistry:
-    def test_register_lookup_roundtrip(self):
-        reg = ComponentRegistry("widget")
-        reg.register("alpha", lambda x: ("alpha", x))
-        assert "alpha" in reg
-        assert reg.names() >= ["alpha"]
-        assert reg.create("alpha", 7) == ("alpha", 7)
-
-    def test_register_as_decorator(self):
-        reg = ComponentRegistry("widget")
-
-        @reg.register("beta")
-        def make_beta():
-            return "beta!"
-
-        assert reg.create("beta") == "beta!"
-        assert make_beta() == "beta!"
-
-    def test_duplicate_registration_rejected(self):
-        reg = ComponentRegistry("widget")
-        reg.register("alpha", lambda: 1)
-        with pytest.raises(ComponentError, match="already registered"):
-            reg.register("alpha", lambda: 2)
-        reg.register("alpha", lambda: 3, replace=True)
-        assert reg.create("alpha") == 3
-
     def test_unknown_name_suggests_close_match(self):
-        with pytest.raises(ComponentError) as excinfo:
-            TOPOLOGIES.factory("taurus")
+        with pytest.raises(ConfigError) as excinfo:
+            TripsConfig(**{**DEFAULT_COMPONENTS,
+                           "opn_topology": "taurus"}).validate()
         message = str(excinfo.value)
         assert "did you mean 'torus'" in message
         assert "mesh" in message
 
     def test_builtin_variants_registered(self):
-        assert set(component_names("topology")) >= {"mesh", "torus",
-                                                    "dwmesh"}
-        assert set(component_names("predictor")) >= {"tournament",
-                                                     "gshare"}
-        assert set(component_names("memory")) >= {"trips", "perfect-l1"}
+        assert set(TOPOLOGIES) == {"mesh", "torus", "dwmesh"}
+        assert set(PREDICTORS) == {"tournament", "gshare"}
+        assert set(MEMORIES) == {"trips", "perfect-l1"}
+        assert component_tables() == {"opn_topology": TOPOLOGIES,
+                                      "predictor_kind": PREDICTORS,
+                                      "memory_kind": MEMORIES}
+        for name, cls in TOPOLOGIES.items():
+            assert cls.name == name
 
     def test_validate_selection(self):
-        validate_selection("topology", "torus")
-        with pytest.raises(ComponentError):
-            validate_selection("topology", "hypercube")
+        for field, table in component_tables().items():
+            for name in table:
+                TripsConfig(**{**DEFAULT_COMPONENTS, field: name}).validate()
+        with pytest.raises(ConfigError, match="hypercube"):
+            TripsConfig(**{**DEFAULT_COMPONENTS,
+                           "opn_topology": "hypercube"}).validate()
 
 
 class TestConfigThreading:
@@ -117,7 +101,8 @@ class TestTopologies:
             for dst in [(0, 0), (3, 1), (4, 0), (2, 2)]:
                 path = mesh.route(src, dst)
                 assert mesh.hop_count(src, dst) == len(path)
-                assert mesh.hop_count(src, dst) == mesh_hop_count(src, dst)
+                assert mesh.hop_count(src, dst) == abs(
+                    src[0] - dst[0]) + abs(src[1] - dst[1])
 
     def test_torus_routes_are_never_longer_than_mesh(self):
         mesh, torus = MeshTopology(), TorusTopology()
@@ -136,7 +121,7 @@ class TestTopologies:
         torus = TorusTopology()
         assert torus.hop_count((0, 0), (0, 4)) == 1
         assert torus.hop_count((4, 0), (0, 0)) == 1
-        assert mesh_hop_count((0, 0), (0, 4)) == 4
+        assert MeshTopology().hop_count((0, 0), (0, 4)) == 4
 
     def test_dwmesh_doubles_links_not_routes(self):
         mesh, dw = MeshTopology(), DoubleWidthMeshTopology()
@@ -147,7 +132,9 @@ class TestTopologies:
     def test_create_topology_from_config(self):
         config = TripsConfig(**{**DEFAULT_COMPONENTS,
                                 "opn_topology": "torus"})
-        assert isinstance(create_topology(config), TorusTopology)
+        sim = CycleSimulator(_lowered("rspeed"), config)
+        assert isinstance(sim.topology, TorusTopology)
+        assert sim.topology.grid == 4
 
 
 class TestOpnStatsDerivation:
@@ -252,3 +239,41 @@ class TestSweepAndCli:
         assert main(["config", "show", "--config",
                      "opn_topology=taurus"]) == 2
         assert "did you mean" in capsys.readouterr().err
+
+
+CONFIG_FIELDS = frozenset(field.name for field in fields(TripsConfig))
+
+
+class _ReadSpy(TripsConfig):
+    """A configuration that records the fields read after
+    :meth:`validate` (validation reads every field; the machine may
+    not)."""
+
+    def validate(self):
+        super().validate()
+        object.__setattr__(self, "reads", set())
+        return self
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name in CONFIG_FIELDS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestNoDeadKnobs:
+    def test_cycle_model_reads_every_field(self):
+        # Every field must move the machine: a field nothing reads would
+        # still enter cache keys, sweep grids and /v1/run while
+        # changing nothing.  rspeed under the six golden configurations
+        # plus an aliasing program (the load-flush path) reach them all.
+        goldens = load_goldens_tool()
+        runs = [(goldens.lower("rspeed"), name) for name in goldens.CONFIGS]
+        runs.append((lower_module(optimize(aliasing_module(), "O2")),
+                     "default"))
+        read = set()
+        for lowered, name in runs:
+            config = _ReadSpy(**{**goldens.BASE, **goldens.CONFIGS[name]})
+            CycleSimulator(lowered, config).run()
+            read |= config.reads
+        assert sorted(CONFIG_FIELDS - read) == []

@@ -57,6 +57,24 @@ class TestCheckerCatchesRot:
         assert any("--not-a-real-flag" in p for p in problems)
         assert any("--also-fake" in p for p in problems)
 
+    def test_phantom_config_key_detected(self, tmp_path):
+        sys.path.insert(0, str(REPO / "src"))
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "python -m repro run crc --config ets_per_side=2\n"
+            "python -m repro run crc --config opn_topology=torus,"
+            "max_blocks_in_flight=2\n"
+            "python -m repro run vadd --system ideal --config window=256\n"
+            "python -m repro sweep smoke --points max_blocks_in_flight=1,4 "
+            "--points blocks_in_flight=2\n"
+            "not a command line: --config ets_per_side=2\n")
+        problems = check_docs.check_config_keys(doc)
+        assert len(problems) == 2
+        assert "doc.md:1:" in problems[0]
+        assert "unknown TripsConfig field 'ets_per_side'" in problems[0]
+        assert "doc.md:4:" in problems[1]
+        assert "did you mean 'max_blocks_in_flight'" in problems[1]
+
     def test_parser_flags_recurse_into_subcommands(self):
         sys.path.insert(0, str(REPO / "src"))
         from repro.__main__ import build_parser

@@ -25,7 +25,7 @@ from repro.explore import (
 from repro.explore.analyze import (
     aggregate_configs, load_points, pareto_frontier, sensitivity_rows,
 )
-from repro.explore.engine import POINT_STAGES
+from repro.explore.engine import POINT_STAGES, point_artifact
 from repro.explore.grid import baseline_settings
 from repro.explore.spec import parse_axis_points
 from repro.pipeline.core import Pipeline
@@ -188,6 +188,33 @@ class TestPresets:
     def test_unknown_preset_suggests(self):
         with pytest.raises(SpecError, match="smoke"):
             preset_spec("smoke-test")
+
+    def test_every_axis_moves_one_of_its_programs(self):
+        # An axis that changes no program's cycles spends its points
+        # measuring nothing.  Each axis is varied alone from the
+        # sensitivity baseline; the first program that moves passes it.
+        pipeline = Pipeline()
+
+        def cycles(spec, benchmark, settings):
+            artifact = point_artifact(pipeline, {
+                "system": spec.system, "benchmark": benchmark,
+                "variant": spec.variant, "settings": settings})
+            return getattr(artifact, "stats", artifact).cycles
+
+        still = []
+        for name in preset_names():
+            spec = preset_spec(name)
+            baseline = dict(baseline_settings(spec))
+            for axis in spec.axis_names:
+                moved = any(
+                    cycles(spec, benchmark, {**baseline, axis: value})
+                    != cycles(spec, benchmark, baseline)
+                    for value in spec.axis_values(axis)
+                    if value != baseline[axis]
+                    for benchmark in spec.benchmarks)
+                if not moved:
+                    still.append(f"{name}/{axis}")
+        assert still == []
 
 
 class TestGridExpansion:
@@ -413,8 +440,6 @@ class TestAnalysis:
         deep = point_cost("cycles", {"max_blocks_in_flight": 8, **mesh})
         assert deep["cost"] == 8 * small["cost"]
         assert deep["opn_links"] == small["opn_links"] == 80   # 5x5 mesh
-        wide = point_cost("cycles", {"ets_per_side": 8})
-        assert wide["ets"] == 64
         assert point_cost("ideal", {"window": 4096})["cost"] == 4096
 
     def test_sensitivity_rows_hold_others_at_baseline(self):

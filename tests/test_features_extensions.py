@@ -149,9 +149,7 @@ class TestComposableGrid:
         from repro.trips import lower_module
         module = optimize(runner.module("crc"), "O2")
         lowered = lower_module(module, grid=grid)
-        config = TripsConfig()
-        config.ets_per_side = grid
-        result, _ = run_cycles(lowered, config=config)
+        result, _ = run_cycles(lowered)
         assert result == runner.expected("crc")
 
     def test_smaller_grid_has_fewer_hops(self, runner):
@@ -161,9 +159,7 @@ class TestComposableGrid:
         results = {}
         for grid in (2, 8):
             lowered = lower_module(module, grid=grid)
-            config = TripsConfig()
-            config.ets_per_side = grid
-            _, sim = run_cycles(lowered, config=config)
+            _, sim = run_cycles(lowered)
             results[grid] = sim.opn.stats.average_hops()
         assert results[2] < results[8]
 

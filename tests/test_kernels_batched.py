@@ -21,7 +21,7 @@ from functools import lru_cache
 import pytest
 
 from repro.uarch import CycleSimulator
-from repro.uarch.kernels import pow2_shift_mask
+from repro.uarch.kernels import _issue_claim, pow2_shift_mask
 from repro.uarch.resources import (
     _HORIZON, _PRUNE_LIMIT, SkipAheadPool, SkipAheadResource,
 )
@@ -136,6 +136,36 @@ class TestStoreForwarding:
         assert sum(event.kind == "load_forward"
                    for event in tracer.events) == 48
         assert goldens.trace_digest(tracer.events) == digest
+
+
+class TestIssueWidth:
+    def test_two_ready_instructions_share_a_cycle(self):
+        wide = _issue_claim(SkipAheadResource().claim, 2)
+        assert [wide(5), wide(5), wide(5), wide(4)] == [5, 5, 6, 4]
+        narrow = _issue_claim(SkipAheadResource().claim, 1)
+        assert [narrow(5), narrow(5), narrow(4)] == [5, 6, 4]
+
+    def test_two_wide_tiles_issue_in_pairs_and_bitmnp_speeds_up(self):
+        from repro.trace import CollectingTracer
+
+        lowered = _lowered("bitmnp")
+        cycles, most = {}, {}
+        for width in (1, 2):
+            config = goldens.config("default")
+            config.et_issue_width = width
+            tracer = CollectingTracer()
+            sim = CycleSimulator(lowered, config, tracer=tracer)
+            sim.run()
+            per_slot = {}
+            for event in tracer.events:
+                if event.kind == "inst_issue":
+                    slot = (event.cycle, event.data["tile"])
+                    per_slot[slot] = per_slot.get(slot, 0) + 1
+            cycles[width] = sim.stats.cycles
+            most[width] = max(per_slot.values())
+        assert most == {1: 1, 2: 2}
+        assert cycles[2] < cycles[1] \
+            == GOLDENS["bitmnp"]["default"]["stats"]["cycles"]
 
 
 class TestLifetime:

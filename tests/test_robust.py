@@ -16,7 +16,7 @@ from repro.robust import (
     COMPLETED, CacheCorruption, DEGRADED, FAILED, Fault, FaultPlan,
     InjectedFault, RETRIED, RetryPolicy, RobustError, RunReport,
     SimulationBudgetExceeded, StageError, StageTimeout, UnitOutcome,
-    WorkerCrash, call_with_retry,
+    WorkerCrash,
 )
 
 
@@ -75,30 +75,6 @@ class TestRetryPolicy:
                              max_delay=1.0, jitter=0.25, seed=3)
         for delay in policy.delays("unit"):
             assert 0.75 <= delay <= 1.25
-
-    def test_call_with_retry_returns_attempts(self):
-        calls = []
-
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 2:
-                raise ValueError("not yet")
-            return "done"
-
-        value, attempts = call_with_retry(
-            flaky, RetryPolicy(max_attempts=4), unit="u",
-            sleep=lambda _s: None)
-        assert value == "done"
-        assert attempts == 3
-        assert calls == [0, 1, 2]
-
-    def test_call_with_retry_exhausts(self):
-        def always(attempt):
-            raise ValueError(f"attempt {attempt}")
-
-        with pytest.raises(ValueError, match="attempt 1"):
-            call_with_retry(always, RetryPolicy(max_attempts=2),
-                            sleep=lambda _s: None)
 
 
 class TestRunReport:

@@ -4,6 +4,7 @@ register allocation, placement, and end-to-end functional correctness."""
 import pytest
 from hypothesis import given, settings
 
+from repro.bench import get
 from repro.ir import Builder, Type, run_module, verify_module
 from repro.isa import MAX_TARGETS, TOp, is_write_target
 from repro.opt import optimize
@@ -18,7 +19,7 @@ from repro.trips.regalloc import CALLEE_SAVED, CALLER_SAVED, bank_of
 
 from tests.util import (
     branchy_module, calls_module, random_program, recursion_module,
-    sum_of_squares_module,
+    sum_of_squares_module, two_calls_module,
 )
 
 
@@ -141,6 +142,19 @@ class TestFunctionalCorrectness:
         main = lowered.program.function("main")
         assert any(label.endswith(".prologue") or True
                    for label in main.blocks)
+
+    def test_call_result_live_across_a_second_call(self):
+        # The first call's result arrives in the return register and
+        # must reach its own register before the second call.
+        module = two_calls_module()
+        lowered = lower_module(optimize(module, "O0"))
+        assert run_trips(lowered.program)[0] == run_module(module)[0]
+
+    @pytest.mark.parametrize("formation", ["hyper", "basic"])
+    def test_crafty_at_o0(self, formation):
+        module = get("crafty").module()
+        lowered = lower_module(optimize(module, "O0"), formation=formation)
+        assert run_trips(lowered.program)[0] == run_module(module)[0]
 
     def test_recursion(self):
         module = recursion_module()

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.uarch import (
-    AlphaTournamentPredictor, DramModel, GsharePredictor, NextBlockPredictor,
-    OperandNetwork, SetAssociativeCache, TripsConfig, dt_coord, et_coord,
-    hop_count, improved_predictor_config, route, rt_coord,
+    AlphaTournamentPredictor, DramModel, GsharePredictor, MeshTopology,
+    NextBlockPredictor, OperandNetwork, SetAssociativeCache, TripsConfig,
+    improved_predictor_config,
 )
 from repro.uarch.caches import L1DataBanks, MemoryHierarchy, NucaL2
-from repro.uarch.opn import GT_COORD
 from repro.uarch.resources import SkipAheadResource
+
+MESH = MeshTopology()
+et_coord, dt_coord, rt_coord = MESH.et_coord, MESH.dt_coord, MESH.rt_coord
+route, hop_count, GT_COORD = MESH.route, MESH.hop_count, MESH.gt_coord
 
 
 class TestSkipAheadResource:

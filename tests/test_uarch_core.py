@@ -9,7 +9,7 @@ from repro.uarch import TripsConfig, run_cycles, run_ideal
 
 from tests.util import (
     branchy_module, calls_module, nested_calls_module, recursion_module,
-    sum_of_squares_module,
+    sum_of_squares_module, two_calls_module,
 )
 
 
@@ -31,7 +31,8 @@ class TestCycleCorrectness:
 
     @pytest.mark.parametrize("builder, level", [
         (calls_module, "O0"), (nested_calls_module, "O0"),
-        (recursion_module, "O0"), (recursion_module, "O2")])
+        (recursion_module, "O0"), (recursion_module, "O2"),
+        (two_calls_module, "O0")])
     def test_calls(self, builder, level):
         # Every function's first block is labelled ``entry``: blocks of
         # different functions must not share a placement or a plan.

@@ -5,11 +5,14 @@ machine's constraint knobs."""
 import pytest
 
 from repro.uarch import (
-    DramModel, OperandNetwork, SetAssociativeCache, TripsConfig,
-    dt_coord, et_coord, rt_coord,
+    DramModel, MeshTopology, OperandNetwork, SetAssociativeCache,
+    TripsConfig,
 )
 from repro.uarch.caches import L1InstructionCache, MemoryHierarchy, NucaL2
-from repro.uarch.opn import GT_COORD, hop_count
+
+MESH = MeshTopology()
+et_coord, dt_coord, rt_coord = MESH.et_coord, MESH.dt_coord, MESH.rt_coord
+GT_COORD = MESH.gt_coord
 
 
 class TestCacheGeometry:
@@ -83,8 +86,8 @@ class TestOpnCoordinates:
         assert GT_COORD not in ets | dts | rts
 
     def test_composable_coords(self):
-        assert et_coord(3, grid=2) == (2, 2)
-        assert et_coord(63, grid=8) == (8, 8)
+        assert MeshTopology(2).et_coord(3) == (2, 2)
+        assert MeshTopology(8).et_coord(63) == (8, 8)
 
     def test_queue_fairness_over_disjoint_links(self):
         opn = OperandNetwork()

@@ -92,6 +92,23 @@ def nested_calls_module() -> Module:
     return b.module
 
 
+def two_calls_module() -> Module:
+    """A call's result live across a second call: ``a = f(x); c = g(x);
+    return a * 3 + c``.  At O0 ``a`` arrives in the return register and
+    must be copied to its own register before ``g`` reuses that one."""
+    b = Builder()
+    p = b.function("f", [Type.I64], Type.I64)
+    b.ret(b.add(p[0], 5))
+    p = b.function("g", [Type.I64], Type.I64)
+    b.ret(b.mul(p[0], 7))
+    b.function("main", return_type=Type.I64)
+    x = b.mov(11)
+    a = b.call("f", [x], Type.I64)
+    c = b.call("g", [x], Type.I64)
+    b.ret(b.add(b.mul(a, 3), c))
+    return b.module
+
+
 def aliasing_module(n: int = 24) -> Module:
     """Stores and loads through two pointers that alias on some
     iterations, with mixed widths: loads forward from stores in flight."""

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (run by the CI ``docs`` job).
 
-Two classes of rot this catches:
+Three classes of rot this catches:
 
 1. **Broken internal links.**  Every relative markdown link in
    ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``, and ``docs/*.md``
@@ -15,6 +15,12 @@ Two classes of rot this catches:
    ``repro`` argument parser (checked recursively through every
    subcommand).  Flags of *other* tools (``pytest --benchmark-only``)
    are only exempt because they never appear in either position.
+
+3. **Phantom config keys.**  On a ``python -m repro`` line, the key of
+   every ``--config KEY=VALUE[,KEY=VALUE...]`` and every ``--points
+   KEY=...`` must be a ``TripsConfig`` field or an ideal-machine axis,
+   by the sweep spec's own name validation (so a deleted field in an
+   example fails here with the same did-you-mean a user would get).
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 Needs ``src/`` importable (run as ``python tools/check_docs.py`` from
@@ -44,6 +50,8 @@ REQUIRED_DOCS = ("docs/TRACE.md", "docs/ROBUSTNESS.md", "docs/SWEEP.md",
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _INLINE_FLAG = re.compile(r"`(--[A-Za-z][A-Za-z0-9-]*)")
 _CLI_FLAG = re.compile(r"(--[A-Za-z][A-Za-z0-9-]*)")
+_CONFIG_ARG = re.compile(r"--config[= ]+[\"']?([^\s\"']+)")
+_POINTS_ARG = re.compile(r"--points[= ]+[\"']?([^\s=\"']+)=")
 
 
 def _rel(path: Path) -> str:
@@ -109,6 +117,41 @@ def check_flags(path: Path, known: Set[str]) -> List[str]:
             if flag not in known]
 
 
+def documented_keys(path: Path) -> List[Tuple[int, str]]:
+    """``(line, key)`` pairs of the ``--config`` and ``--points``
+    settings the documentation's ``python -m repro`` lines show."""
+    keys = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if "python -m repro" not in line:
+            continue
+        for setting in _CONFIG_ARG.findall(line):
+            for part in setting.split(","):
+                name, sep, _value = part.partition("=")
+                if sep:
+                    keys.append((number, name))
+        for name in _POINTS_ARG.findall(line):
+            keys.append((number, name))
+    return keys
+
+
+def check_config_keys(path: Path) -> List[str]:
+    from repro.explore.spec import SpecError, _check_axis_name
+
+    problems = []
+    for number, name in documented_keys(path):
+        try:
+            _check_axis_name(name, "ideal")
+            continue
+        except SpecError:
+            pass
+        try:
+            _check_axis_name(name, "cycles")
+        except SpecError as error:
+            problems.append(f"{_rel(path)}:{number}: documented config "
+                            f"key: {error}")
+    return problems
+
+
 def main(argv: Iterable[str] = ()) -> int:
     del argv
     sys.path.insert(0, str(REPO / "src"))
@@ -121,6 +164,7 @@ def main(argv: Iterable[str] = ()) -> int:
     for path in doc_paths():
         problems.extend(check_links(path))
         problems.extend(check_flags(path, known))
+        problems.extend(check_config_keys(path))
 
     for problem in problems:
         print(problem)
