@@ -189,10 +189,12 @@ class TestPresets:
         with pytest.raises(SpecError, match="smoke"):
             preset_spec("smoke-test")
 
-    def test_every_axis_moves_one_of_its_programs(self):
+    def test_every_axis_moves_one_of_its_programs(self, monkeypatch):
         # An axis that changes no program's cycles spends its points
         # measuring nothing.  Each axis is varied alone from the
-        # sensitivity baseline; the first program that moves passes it.
+        # sensitivity baseline, the prototype (so the component
+        # defaults are pinned); the first program that moves passes it.
+        monkeypatch.delenv("REPRO_UARCH_COMPONENTS", raising=False)
         pipeline = Pipeline()
 
         def cycles(spec, benchmark, settings):

@@ -149,8 +149,10 @@ class TestComposableGrid:
         from repro.trips import lower_module
         module = optimize(runner.module("crc"), "O2")
         lowered = lower_module(module, grid=grid)
-        result, _ = run_cycles(lowered)
+        result, sim = run_cycles(lowered)
         assert result == runner.expected("crc")
+        # The machine is the array the program was placed on.
+        assert sim.topology.grid == grid
 
     def test_smaller_grid_has_fewer_hops(self, runner):
         from repro.opt import optimize

@@ -127,7 +127,10 @@ class TestStoreForwarding:
 
         module = aliasing_module()
         tracer = CollectingTracer()
+        # The prototype's components, pinned: the pinned numbers are the
+        # default configuration's, whatever REPRO_UARCH_COMPONENTS says.
         result, sim = run_cycles(lower_module(optimize(module, level)),
+                                 config=goldens.config("default"),
                                  tracer=tracer)
         assert result == run_module(module)[0]
         cycles, flushes, digest = self.EXPECTED[level]
