@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.ir.builder import Builder
 from repro.ir.values import VReg

@@ -21,8 +21,8 @@ paper's observation that its hand optimizations are largely mechanical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from repro.ir.function import Module
 

@@ -16,9 +16,9 @@ optimizes only the simple benchmarks).
 from __future__ import annotations
 
 import inspect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.bench import by_suite, get as get_benchmark, simple_benchmarks
+from repro.bench import by_suite, get as get_benchmark
 from repro.eval.report import arithmean, format_table, geomean
 from repro.eval.runner import Runner, SHARED_RUNNER
 from repro.pipeline.parallel import BANDWIDTH_LEVELS
@@ -28,7 +28,7 @@ from repro.uarch import (
     improved_predictor_config,
 )
 from repro.uarch.config import CLOCK_MHZ
-from repro.isa import static_code_size, dynamic_code_size
+from repro.isa import dynamic_code_size
 
 #: SPEC benchmark name lists (proxy programs).
 SPEC_INT = ("bzip2", "crafty", "gcc", "gzip", "mcf", "parser", "perlbmk",

@@ -8,10 +8,10 @@ basic block must end in exactly one terminator instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.ir.instructions import Instruction, Opcode
+from repro.ir.instructions import Instruction
 from repro.ir.types import Type
 from repro.ir.values import VReg
 

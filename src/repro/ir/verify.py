@@ -10,9 +10,8 @@ from typing import Set
 
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
-    CMP_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, Opcode, value_type,
+    CMP_OPS, FLOAT_BINOPS, INT_BINOPS, Opcode, value_type,
 )
-from repro.ir.types import Type
 from repro.ir.values import VReg
 
 

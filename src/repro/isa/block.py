@@ -18,11 +18,9 @@ output-completeness rule is dynamic and checked by the functional simulator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.isa.instructions import (
-    EXIT_OPS, MAX_TARGETS, ReadInst, Slot, Target, TInst, TOp, WriteInst,
-)
+from repro.isa.instructions import ReadInst, Slot, TInst, TOp, WriteInst
 
 MAX_BLOCK_INSTS = 128
 MAX_READS = 32

@@ -32,7 +32,7 @@ get fresh registers per copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import Instruction, Opcode

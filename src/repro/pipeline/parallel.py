@@ -42,8 +42,7 @@ from repro.pipeline.observe import Telemetry
 from repro.robust import (
     FaultPlan, RetryPolicy, RunReport, apply_unit_faults,
 )
-from repro.robust.supervise import replace_pool as _replace_pool, \
-    supervise_units
+from repro.robust.supervise import supervise_units
 
 #: Ideal-machine design points regenerated by Figure 10 / the CLI.
 IDEAL_POINTS = ((1024, 8), (1024, 0), (128 * 1024, 0))

@@ -14,7 +14,7 @@ plays icc.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Module
 from repro.opt import optimize

@@ -48,6 +48,10 @@ def make_handler(service: SimService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        # Headers and body go out in two writes: with Nagle's algorithm
+        # the body would wait for the client's delayed ACK (~40 ms) on
+        # every request of a keep-alive connection.
+        disable_nagle_algorithm = True
 
         # -- plumbing ------------------------------------------------------
 

@@ -37,7 +37,6 @@ import collections
 import contextlib
 import difflib
 import json
-import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor

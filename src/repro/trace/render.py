@@ -9,7 +9,7 @@ share one implementation.  The density scale used everywhere::
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.trace.views import TraceMetrics
 

@@ -18,7 +18,6 @@ import copy as _copy
 from typing import Dict, List, Set, Tuple
 
 from repro.ir.function import Function, Module
-from repro.ir.instructions import Opcode
 from repro.ir.values import VReg
 
 from repro.isa.asm import write_target

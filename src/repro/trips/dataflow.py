@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.ir.instructions import Instruction, Opcode
+from repro.ir.instructions import Opcode
 from repro.ir.values import Const, VReg
 
 from repro.isa.asm import write_target
@@ -37,7 +37,7 @@ from repro.isa.block import (
 from repro.isa.instructions import (
     ReadInst, Slot, Target, TEST_OPS, TInst, TOp, WriteInst,
 )
-from repro.trips.hyperblock import HExit, HInst, Hyperblock
+from repro.trips.hyperblock import HInst, Hyperblock
 from repro.trips.regalloc import ARG_REGS, RETURN_REG
 
 _IR_TO_TOP = {

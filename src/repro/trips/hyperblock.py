@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Instruction, Opcode
-from repro.ir.values import VReg
 
 #: A predicate is a *conjunction chain* of (condition value, polarity)
 #: pairs, outermost context first.  An instruction or exit executes only

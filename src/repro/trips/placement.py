@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.isa.asm import is_write_target
 from repro.isa.block import TripsBlock
-from repro.isa.instructions import Slot, TInst, TOp
+from repro.isa.instructions import TInst, TOp
 
 #: Grid dimensions of the prototype's execution array.
 GRID_W = 4

@@ -25,12 +25,11 @@ injected at hyperblock boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.ir.instructions import Instruction, Opcode
 from repro.ir.values import VReg
 
-from repro.trips.hyperblock import HExit, HInst, Hyperblock
+from repro.trips.hyperblock import Hyperblock
 
 SP_REG = 1
 ARG_REGS = tuple(range(3, 11))

@@ -30,8 +30,13 @@ __all__ = ["AreaBreakdown", "estimate_area"]
 
 #: SRAM density, mm² per KB (130 nm-class, ECC and peripherals folded in).
 SRAM_MM2_PER_KB = 0.11
-#: An execution tile's ALU/FPU + issue control, excluding its window SRAM.
-ET_BASE_MM2 = 1.05
+#: An execution tile's fixed logic (decode, OPN interface, block
+#: control), excluding its issue slots and its window SRAM.
+ET_BASE_MM2 = 0.25
+#: One issue slot of an execution tile: an integer/FP datapath with its
+#: select logic and result port.  The prototype has one per tile, so
+#: base + one slot is its 1.05 mm² tile logic.
+ET_ISSUE_MM2 = 0.80
 #: One reservation-station slot (instruction + two operands + status).
 ET_SLOT_MM2 = 0.012
 #: A register tile: 32x64b bank plus its read/write port logic per port.
@@ -77,7 +82,10 @@ def estimate_area(config: TripsConfig) -> AreaBreakdown:
 
     Structures the configuration sizes follow its fields; the rest take
     the simulator's own constants (eight reservation slots per tile per
-    block, four register banks with one port each way).  The OPN
+    block, four register banks with one port each way).  Each of a
+    tile's ``et_issue_width`` issue slots is charged a datapath with its
+    select logic, linearly: a wider select costs more than that in
+    silicon, so a wide machine's area is a lower bound.  The OPN
     contribution follows the *topology's* router and link counts, so
     sweeping ``opn_topology`` or ``max_blocks_in_flight`` moves the area
     denominator the way it would move the floorplan.
@@ -88,6 +96,7 @@ def estimate_area(config: TripsConfig) -> AreaBreakdown:
 
     structures = {
         "execution_tiles": ets * (ET_BASE_MM2
+                                  + ET_ISSUE_MM2 * config.et_issue_width
                                   + SLOTS_PER_TILE * ET_SLOT_MM2
                                   * config.max_blocks_in_flight),
         "register_tiles": NUM_BANKS * (RT_BASE_MM2

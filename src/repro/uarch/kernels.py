@@ -60,8 +60,8 @@ def _issue_claim(claim, width: int):
 
 #: Plan step codes, most frequent first (the replay loop tests them in
 #: this order).
-(_SEND, _ISSUE, _READ, _WRITE, _PRED, _LOAD, _STORE, _EXIT, _LSEND,
- _LWRITE, _LPRED, _TRACE_ISSUE, _TRACE_RETIRE) = range(13)
+(_SEND, _ISSUE, _BYPASS, _READ, _WRITE, _PRED, _LOAD, _STORE, _EXIT,
+ _LSEND, _LWRITE, _LPRED, _TRACE_ISSUE, _TRACE_RETIRE) = range(14)
 
 #: Fixed slots of a plan's time array: a constant 0, and a sink for
 #: arrivals that change no time (duplicate operands).
@@ -75,7 +75,7 @@ class _BlockDecode:
 
     __slots__ = ("n", "insts", "need", "want", "kinds",
                  "latency", "disp_off", "static_ready", "store_lsids",
-                 "tiles", "coords", "targets", "reads", "exit_send",
+                 "tiles", "coords", "targets", "reads", "exit_route",
                  "issue_claim", "load_ids")
 
 
@@ -86,12 +86,18 @@ class Plan:
     ``size`` slots; ``done`` lists the slots whose maximum is the
     block's completion, ``writes`` the ``(register, slot)`` each write
     commits; the rest are the counts every activation of the key adds.
+    Among them, ``packets``, ``hops`` and ``histogram`` are the operand
+    network traffic of the deliveries whose route is static, as
+    ``(key, count)`` pairs of :class:`~repro.uarch.opn.OpnStats`'
+    dictionaries; a traced plan's are empty, because its deliveries go
+    through :meth:`~repro.uarch.opn.OperandNetwork.send`, which counts
+    them.
     """
 
     __slots__ = ("steps", "size", "done", "writes", "memory_ops", "chunks",
                  "dispatch_cycles", "fetched", "executed", "loads",
                  "stores", "moves", "l1d_bytes", "useful", "unused",
-                 "unexecuted")
+                 "unexecuted", "packets", "hops", "histogram")
 
 
 class FoldKernel:
@@ -111,9 +117,11 @@ class FoldKernel:
     * **skip-ahead resources** — every pool is a
       :class:`~repro.uarch.resources.SkipAheadPool`, which jumps over a
       busy run of cycles in one bisect;
-    * **pre-bound operand routing** — a delivery from a static source
-      goes through an :meth:`~repro.uarch.opn.OperandNetwork.sender`
-      closure that holds the route and its channels; load results,
+    * **replay pays only for contention** — a delivery from a static
+      source goes through an
+      :meth:`~repro.uarch.opn.OperandNetwork.route` closure that only
+      claims the route's links, its packet and hops are tallied in the
+      plan, and a same-tile bypass is a plain max step; load results,
       whose source bank is dynamic, and traced runs, which emit per-hop
       events, go through :meth:`~repro.uarch.opn.OperandNetwork.send`.
 
@@ -127,7 +135,8 @@ class FoldKernel:
         topology = sim.topology
         config = sim.config
         self._decodes: Dict[Tuple[str, str], _BlockDecode] = {}
-        self._senders: Dict[Tuple, object] = {}
+        self._routes: Dict[Tuple, Tuple] = {}
+        self._hop_buckets = topology.hop_buckets
         self._rt_read_claims = tuple(sim.rt_read_ports.resource(bank).claim
                                      for bank in range(NUM_BANKS))
         self._rt_write_claims = tuple(
@@ -155,34 +164,39 @@ class FoldKernel:
 
     # -- static decode ----------------------------------------------------
 
-    def _sender(self, sim, src, dst, klass: str):
-        """A ``ready -> arrival`` closure for one static packet shape:
-        the network's bound fast path, or under a tracer a call to
-        :meth:`~repro.uarch.opn.OperandNetwork.send` (per-hop events)."""
+    def _route(self, sim, src, dst, klass: str) -> Tuple:
+        """``(route, hops)`` for one static packet shape: the network's
+        ``ready -> arrival`` route closure and the links it traverses,
+        which the plan tallies; or under a tracer a call to
+        :meth:`~repro.uarch.opn.OperandNetwork.send` (per-hop events,
+        its own accounting) and ``None``."""
         shape = (src, dst, klass)
-        sender = self._senders.get(shape)
-        if sender is None:
+        route = self._routes.get(shape)
+        if route is None:
             if sim.tracer is None:
-                sender = sim.opn.sender(src, dst, klass)
+                route = (sim.opn.route(src, dst),
+                         sim.topology.hop_count(src, dst))
             else:
                 send = sim.opn.send
 
                 def sender(ready: int) -> int:
                     return send(src, dst, ready, klass)
-            self._senders[shape] = sender
-        return sender
+                route = (sender, None)
+            self._routes[shape] = route
+        return route
 
     def _decode_targets(self, sim, block: TripsBlock, targets, coords,
                         src_coord, cls_to_et: str, cls_to_rt: str,
                         bound: bool) -> Tuple:
         """The recorder's decode of a target list
         (:func:`~repro.trips.functional.decode_targets`), each entry
-        extended with its destination coordinate, traffic class and
-        sender: ``(0, slot, bank, ...)`` for a write, ``(1, index, ...)``
-        for a predicate, ``(2, index, slot, ...)`` for an operand — order
-        preserved, because delivery order decides resource arbitration.
-        ``sender`` is ``None`` when ``bound`` is false: load results
-        leave from a dynamic cache bank."""
+        extended with its destination coordinate, traffic class, route
+        and hops (:meth:`_route`): ``(0, slot, bank, ...)`` for a write,
+        ``(1, index, ...)`` for a predicate, ``(2, index, slot, ...)``
+        for an operand — order preserved, because delivery order decides
+        resource arbitration.  Route and hops are ``None`` when
+        ``bound`` is false: load results leave from a dynamic cache
+        bank."""
         decoded = []
         for entry in decode_targets(targets):
             if entry[0] == 0:
@@ -191,9 +205,9 @@ class FoldKernel:
                 dst, klass = self._rt_coords[bank], cls_to_rt
             else:
                 dst, klass = coords[entry[1]], cls_to_et
-            sender = self._sender(sim, src_coord, dst, klass) \
-                if bound else None
-            decoded.append(entry + (dst, klass, sender))
+            route = self._route(sim, src_coord, dst, klass) \
+                if bound else (None, None)
+            decoded.append(entry + (dst, klass) + route)
         return tuple(decoded)
 
     def _decode(self, sim, block: TripsBlock,
@@ -236,8 +250,8 @@ class FoldKernel:
                                   rt_coords[bank_of(read.reg)],
                                   cls_rt_et, cls_rt_rt, True))
             for read in block.reads]
-        st.exit_send = [
-            self._sender(sim, st.coords[i], self._gt_coord, "ET-GT")
+        st.exit_route = [
+            self._route(sim, st.coords[i], self._gt_coord, "ET-GT")
             if st.kinds[i] == K_EXIT else None for i in range(n)]
         # The load-wait table's static load ids stay keyed by label.
         st.load_ids = [hash((block.label, i)) & 0xFFFF
@@ -308,6 +322,29 @@ class FoldKernel:
         stores_fired: List[Tuple[int, int, int, int]] = []
         written = [False] * len(block.writes)
         exit_index = -1
+        # The static deliveries' network traffic, added per activation.
+        packets: Dict[str, int] = {}
+        hop_sums: Dict[str, int] = {}
+        histogram: Dict[Tuple[str, int], int] = {}
+        buckets = self._hop_buckets
+
+        def tally(klass: str, hops: Optional[int]) -> None:
+            """Count one static delivery, unless ``send`` counts it."""
+            if hops is None:
+                return
+            packets[klass] = packets.get(klass, 0) + 1
+            hop_sums[klass] = hop_sums.get(klass, 0) + hops
+            key = (klass, hops if hops < buckets else buckets)
+            histogram[key] = histogram.get(key, 0) + 1
+
+        def send(route, hops, klass: str, when: int, into: int) -> None:
+            """A static delivery into ``into``: a same-tile bypass is a
+            max step, or nothing when the arrival is dropped."""
+            tally(klass, hops)
+            if hops != 0:
+                steps.append((_SEND, route, when, into))
+            elif into != _SINK:
+                steps.append((_BYPASS, when, into))
 
         def deliver(decoded, when: int, bank_slot: int) -> None:
             """The kernel's delivery rules; ``bank_slot`` is the slot of
@@ -315,35 +352,42 @@ class FoldKernel:
             for entry in decoded:
                 tag = entry[0]
                 if tag == 0:
-                    _, slot, bank, dst, klass, sender = entry
+                    _, slot, bank, dst, klass, route, hops = entry
                     written[slot] = True
-                    steps.append(
-                        (_WRITE, sender, when, write_at + slot,
-                         rt_write_claims[bank]) if bank_slot < 0 else
-                        (_LWRITE, bank_slot, dst, klass, when,
-                         write_at + slot, rt_write_claims[bank]))
+                    if bank_slot < 0:
+                        tally(klass, hops)
+                        steps.append((_WRITE, route, when, write_at + slot,
+                                      rt_write_claims[bank]))
+                    else:
+                        steps.append((_LWRITE, bank_slot, dst, klass, when,
+                                      write_at + slot,
+                                      rt_write_claims[bank]))
                     continue
                 index = entry[1]
                 if closed[index]:
                     continue
                 if tag == 2:
-                    _, _, slot, dst, klass, sender = entry
+                    _, _, slot, dst, klass, route, hops = entry
                     # A duplicate operand still occupies the network.
                     into = _SINK if filled[index][slot] else arrival[index]
-                    steps.append(
-                        (_SEND, sender, when, into) if bank_slot < 0 else
-                        (_LSEND, bank_slot, dst, klass, when, into))
+                    if bank_slot < 0:
+                        send(route, hops, klass, when, into)
+                    else:
+                        steps.append((_LSEND, bank_slot, dst, klass, when,
+                                      into))
                     if into == _SINK:
                         continue
                     filled[index][slot] = True
                     arrived[index] += 1
                     check_ready(index)
                     continue
-                _, _, dst, klass, sender = entry
+                _, _, dst, klass, route, hops = entry
                 if got_bit[index] is not None:
-                    steps.append(
-                        (_SEND, sender, when, _SINK) if bank_slot < 0 else
-                        (_LSEND, bank_slot, dst, klass, when, _SINK))
+                    if bank_slot < 0:
+                        send(route, hops, klass, when, _SINK)
+                    else:
+                        steps.append((_LSEND, bank_slot, dst, klass, when,
+                                      _SINK))
                     continue
                 bit = bits[index]
                 if bit is None:
@@ -352,17 +396,19 @@ class FoldKernel:
                 got_bit[index] = bit
                 if not predicting:
                     # The predicate arrives when the test's operand does.
-                    steps.append(
-                        (_SEND, sender, when, predicate[index])
-                        if bank_slot < 0 else
-                        (_LSEND, bank_slot, dst, klass, when,
-                         predicate[index]))
+                    if bank_slot < 0:
+                        send(route, hops, klass, when, predicate[index])
+                    else:
+                        steps.append((_LSEND, bank_slot, dst, klass, when,
+                                      predicate[index]))
+                elif bank_slot < 0:
+                    tally(klass, hops)
+                    steps.append((_PRED, route, when, predicate[index],
+                                  index, bit, st.disp_off[index]))
                 else:
-                    steps.append(
-                        (_PRED, sender, when, predicate[index], index, bit,
-                         st.disp_off[index]) if bank_slot < 0 else
-                        (_LPRED, bank_slot, dst, klass, when,
-                         predicate[index], index, bit, st.disp_off[index]))
+                    steps.append((_LPRED, bank_slot, dst, klass, when,
+                                  predicate[index], index, bit,
+                                  st.disp_off[index]))
                 check_ready(index)
 
         def check_ready(index: int) -> None:
@@ -455,8 +501,9 @@ class FoldKernel:
                 if exit_index >= 0:
                     raise TrapError(f"{label}: two exits fired")
                 exit_index = index
-                steps.append((_EXIT, st.exit_send[index], complete[index],
-                              result[index]))
+                route, hops = st.exit_route[index]
+                tally("ET-GT", hops)
+                steps.append((_EXIT, route, complete[index], result[index]))
                 trace_retire(index, result[index])
             else:
                 trace_retire(index, complete[index])
@@ -498,6 +545,9 @@ class FoldKernel:
         plan.useful = key.tally.useful
         plan.unused = key.tally.executed_not_used
         plan.unexecuted = key.tally.fetched_not_executed
+        plan.packets = tuple(packets.items())
+        plan.hops = tuple(hop_sums.items())
+        plan.histogram = tuple(histogram.items())
         return plan
 
     # -- replay -----------------------------------------------------------
@@ -525,8 +575,8 @@ class FoldKernel:
         for step in plan.steps:
             code = step[0]
             if code == _SEND:
-                _, sender, src, into = step
-                arrive = sender(t[src])
+                _, route, src, into = step
+                arrive = route(t[src])
                 if arrive > t[into]:
                     t[into] = arrive
             elif code == _ISSUE:
@@ -537,16 +587,20 @@ class FoldKernel:
                 if t[guard] > ready:
                     ready = t[guard]
                 t[into] = claim(ready) + latency
+            elif code == _BYPASS:
+                _, src, into = step
+                if t[src] > t[into]:
+                    t[into] = t[src]
             elif code == _READ:
                 _, claim, reg, into = step
                 pending = reg_ready[reg]
                 t[into] = claim(pending if pending > base else base)
             elif code == _WRITE:
-                _, sender, src, into, claim = step
-                t[into] = claim(sender(t[src]))
+                _, route, src, into, claim = step
+                t[into] = claim(route(t[src]))
             elif code == _PRED:
-                _, sender, src, into, index, bit, offset = step
-                t[into] = pred_arrival(label, index, bit, sender(t[src]),
+                _, route, src, into, index, bit, offset = step
+                t[into] = pred_arrival(label, index, bit, route(t[src]),
                                        base + offset)
             elif code == _LOAD:
                 (_, k, coord, issued, into, bank_slot, width, static_id,
@@ -607,8 +661,8 @@ class FoldKernel:
                 l1d_access(address, arrive, is_store=True)
                 t[into] = arrive + l1d_hit
             elif code == _EXIT:
-                _, sender, src, into = step
-                t[into] = sender(t[src])
+                _, route, src, into = step
+                t[into] = route(t[src])
             elif code == _LPRED:
                 (_, bank_slot, dst, klass, src, into, index, bit,
                  offset) = step
@@ -647,4 +701,14 @@ class FoldKernel:
             residency = 1
         stats.window_inst_cycles += residency * plan.fetched
         stats.window_useful_cycles += residency * plan.useful
+        opn = sim.opn.stats
+        packets = opn.packets
+        for klass, count in plan.packets:
+            packets[klass] = packets.get(klass, 0) + count
+        hops = opn.hops
+        for klass, count in plan.hops:
+            hops[klass] = hops.get(klass, 0) + count
+        histogram = opn.hop_histogram
+        for key, count in plan.histogram:
+            histogram[key] = histogram.get(key, 0) + count
         return t[plan.done[0]], done_time

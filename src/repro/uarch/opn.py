@@ -18,9 +18,10 @@ Figure 8 of the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
-from repro.uarch.resources import SkipAheadPool
+from repro.uarch.resources import SkipAheadPool, claim_earliest
 from repro.uarch.topologies import Coord, MeshTopology
 
 
@@ -103,11 +104,11 @@ class OperandNetwork:
     :class:`~repro.uarch.topologies.OpnTopology`; the default is the
     prototype's 5x5 mesh.
 
-    Each (src, dst) route is materialized once, with every hop's channel
-    resources held directly, so a send is just the per-hop claims plus
-    the statistics increments.  A multi-channel link probes its channels
-    in order and claims the earliest free one, ties to the lowest
-    channel (deterministic).
+    Each (src, dst) route is materialized once, with every hop's link
+    claim held directly, so a send is just the per-hop claims plus the
+    statistics increments.  A multi-channel link claims its earliest
+    free channel, ties to the lowest channel (deterministic), in one
+    :func:`~repro.uarch.resources.claim_earliest` call.
     """
 
     def __init__(self, hop_cycles: int = 1, tracer=None,
@@ -117,28 +118,32 @@ class OperandNetwork:
         self.links = SkipAheadPool()
         self.stats = OpnStats(classes=topology.traffic_classes,
                               hop_buckets=topology.hop_buckets)
-        # (src, dst) -> ((link, (channel resource, ...)), ...).
+        # (src, dst) -> ((link, claim), ...).
         self._routes: Dict[Tuple[Coord, Coord], tuple] = {}
         #: Optional :class:`repro.trace.Tracer`; ``None`` (the default)
         #: skips all event construction.
         self.tracer = tracer
 
     def _hops(self, src: Coord, dst: Coord) -> tuple:
-        """The route ``src -> dst`` as ``(link, channels)`` pairs, each
-        hop's channel resources materialized (pool key
-        ``(link, channel)``)."""
+        """The route ``src -> dst`` as ``(link, claim)`` pairs: the
+        claim of the link's one channel resource, or of its earliest
+        free channel (pool key ``(link, channel)``)."""
         hops = self._routes.get((src, dst))
         if hops is None:
             channels = range(self.topology.link_channels)
             resource = self.links.resource
-            hops = self._routes[(src, dst)] = tuple(
-                (link, tuple(resource((link, channel))
-                             for channel in channels))
-                for link in self.topology.route(src, dst))
+            hops = []
+            for link in self.topology.route(src, dst):
+                resources = tuple(resource((link, channel))
+                                  for channel in channels)
+                hops.append((link, resources[0].claim
+                              if len(resources) == 1
+                              else partial(claim_earliest, resources)))
+            hops = self._routes[(src, dst)] = tuple(hops)
         return hops
 
     def send(self, src: Coord, dst: Coord, ready: int, klass: str) -> int:
-        """Deliver one operand; returns its arrival time.
+        """Deliver and account one operand; returns its arrival time.
 
         ``ready`` is the cycle the operand leaves the source.  A local
         bypass (src == dst) is free, matching the prototype's same-tile
@@ -152,10 +157,8 @@ class OperandNetwork:
         queued = 0
         tracer = self.tracer
         hop_cycles = self.hop_cycles
-        for link, channels in hops:
-            resource = channels[0] if len(channels) == 1 \
-                else _earliest(channels, time)
-            start = resource.claim(time)
+        for link, claim in hops:
+            start = claim(time)
             if tracer is not None:
                 (sx, sy), (dx, dy) = link
                 tracer.emit("opn_hop", start, klass=klass, sx=sx, sy=sy,
@@ -165,80 +168,43 @@ class OperandNetwork:
         self.stats.record(klass, len(hops), queued)
         return time
 
-    def sender(self, src: Coord, dst: Coord, klass: str):
-        """A bound ``ready -> arrival`` closure for one fixed packet shape.
+    def route(self, src: Coord, dst: Coord):
+        """A ``ready -> arrival`` closure for the route ``src -> dst``
+        that claims its links and adds the wait to ``queue_cycles``.
 
-        The fastest delivery path: the route, its channel resources, the
-        hop count, and the histogram key are all resolved at creation,
-        so each call is just the per-hop claims plus the statistics
-        increments — timing- and statistics-identical to :meth:`send`.
-        Statistics keys are created on first *use*, not creation, so a
-        sender that never fires leaves no zero entries behind.
-
-        Only valid while ``self.tracer is None`` (there is no per-hop
-        event emission); callers with a tracer must use :meth:`send`.
+        It counts no packet and no hop: the kernel's plans tally the
+        deliveries whose route is static once per key (docs/KERNELS.md).
+        It emits no per-hop event either, so a traced run sends through
+        :meth:`send`.  A bypass (src == dst) returns ``ready``.
         """
+        claims = tuple(claim for _link, claim in self._hops(src, dst))
+        if not claims:
+            return _bypass
         stats = self.stats
-        packets = stats.packets
-        total_hops = stats.hops
-        histogram = stats.hop_histogram
-        if src == dst:
-            histkey = (klass, 0)
-
-            def send_local(ready: int) -> int:
-                packets[klass] = packets.get(klass, 0) + 1
-                total_hops[klass] = total_hops.get(klass, 0)
-                histogram[histkey] = histogram.get(histkey, 0) + 1
-                return ready
-
-            return send_local
-        route = tuple(channels for _link, channels in self._hops(src, dst))
-        hops = len(route)
-        histkey = (klass,
-                   hops if hops < stats.hop_buckets else stats.hop_buckets)
         hop_cycles = self.hop_cycles
+        if len(claims) == 1:
+            claim, = claims
 
-        if self.topology.link_channels == 1:
-            claims = tuple(channels[0].claim for channels in route)
+            def one_hop(ready: int) -> int:
+                start = claim(ready)
+                if start != ready:
+                    stats.queue_cycles += start - ready
+                return start + hop_cycles
 
-            def send_fast(ready: int) -> int:
-                time = ready
-                queued = 0
-                for claim in claims:
-                    start = claim(time)
-                    queued += start - time
-                    time = start + hop_cycles
-                packets[klass] = packets.get(klass, 0) + 1
-                total_hops[klass] = total_hops.get(klass, 0) + hops
-                histogram[histkey] = histogram.get(histkey, 0) + 1
-                stats.queue_cycles += queued
-                return time
+            return one_hop
+        travel = len(claims) * hop_cycles
 
-            return send_fast
-
-        def send_multi(ready: int) -> int:
+        def hops(ready: int) -> int:
             time = ready
-            queued = 0
-            for channels in route:
-                start = _earliest(channels, time).claim(time)
-                queued += start - time
-                time = start + hop_cycles
-            packets[klass] = packets.get(klass, 0) + 1
-            total_hops[klass] = total_hops.get(klass, 0) + hops
-            histogram[histkey] = histogram.get(histkey, 0) + 1
-            stats.queue_cycles += queued
+            for claim in claims:
+                time = claim(time) + hop_cycles
+            queued = time - ready - travel
+            if queued:
+                stats.queue_cycles += queued
             return time
 
-        return send_multi
+        return hops
 
 
-def _earliest(channels, time: int):
-    """The channel whose first free cycle at or after ``time`` comes
-    first; ties go to the lowest channel."""
-    best = channels[0]
-    best_start = best.probe(time)
-    for resource in channels[1:]:
-        start = resource.probe(time)
-        if start < best_start:
-            best, best_start = resource, start
-    return best
+def _bypass(ready: int) -> int:
+    return ready

@@ -18,8 +18,8 @@ models (`repro.refmodels`) use.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.uarch.config import TripsConfig
 

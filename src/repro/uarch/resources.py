@@ -37,16 +37,15 @@ class SkipAheadResource:
     history can influence a later claim's result: ``count`` tracks the
     claimed-cycle population, pruning triggers once it exceeds
     ``_PRUNE_LIMIT``, and everything more than ``_HORIZON`` cycles
-    behind the newest claim then becomes the busy ``floor``.
+    behind the latest claimed cycle then becomes the busy ``floor``.
     """
 
-    __slots__ = ("starts", "ends", "floor", "max_seen", "count")
+    __slots__ = ("starts", "ends", "floor", "count")
 
     def __init__(self) -> None:
         self.starts: List[int] = []
         self.ends: List[int] = []
         self.floor = 0          # cycles below this are considered busy
-        self.max_seen = 0
         self.count = 0
 
     def claim(self, cycle: int) -> int:
@@ -97,10 +96,9 @@ class SkipAheadResource:
                     starts.insert(nxt, t)
                     ends.insert(nxt, t + 1)
         self.count += 1
-        if t > self.max_seen:
-            self.max_seen = t
         if self.count > _PRUNE_LIMIT:
-            horizon = self.max_seen - _HORIZON
+            # The newest run ends one past the latest claimed cycle.
+            horizon = ends[-1] - 1 - _HORIZON
             drop = bisect_right(self.ends, horizon)
             if drop:
                 del self.starts[:drop], self.ends[:drop]
@@ -111,18 +109,33 @@ class SkipAheadResource:
                              in zip(self.starts, self.ends))
         return t
 
-    def probe(self, cycle: int) -> int:
-        """First free cycle >= ``cycle`` *without* reserving it.
 
-        Lets a caller compare several equivalent resources (the channels
-        of a double-width OPN link) before committing to one with
-        :meth:`claim`.
-        """
-        t = max(cycle, self.floor)
-        i = bisect_right(self.starts, t) - 1
-        if i >= 0 and t < self.ends[i]:
-            return self.ends[i]
-        return t
+def claim_earliest(channels, cycle: int) -> int:
+    """Claim the first free cycle at or after ``cycle`` on whichever of
+    ``channels`` (equivalent resources: the channels of one
+    multi-channel OPN link) has it first, ties to the lowest channel;
+    returns that cycle.
+
+    Each channel's first free cycle is looked up inline, without
+    reserving it, and only the winner is claimed, so a hop over a
+    multi-channel link costs one call.
+    """
+    best = None
+    best_start = cycle
+    for resource in channels:
+        floor = resource.floor
+        t = cycle if cycle > floor else floor
+        ends = resource.ends
+        if ends and t < ends[-1]:
+            i = bisect_right(resource.starts, t) - 1
+            if i >= 0 and t < ends[i]:
+                t = ends[i]
+        if t == cycle:
+            # Nothing is earlier, and every earlier channel was later.
+            return resource.claim(t)
+        if best is None or t < best_start:
+            best, best_start = resource, t
+    return best.claim(best_start)
 
 
 class SkipAheadPool:

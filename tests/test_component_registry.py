@@ -177,6 +177,18 @@ class TestAreaModel:
 
         assert total("mesh") < total("torus") < total("dwmesh")
 
+    def test_issue_width_costs_execution_tile_area(self):
+        # The prototype's price is fixed; a second issue slot per tile
+        # costs area in the execution tiles and nowhere else.
+        narrow = estimate_area(TripsConfig(**DEFAULT_COMPONENTS))
+        wide = estimate_area(TripsConfig(**{**DEFAULT_COMPONENTS,
+                                            "et_issue_width": 2}))
+        assert round(narrow.total_mm2, 4) == 167.5056
+        assert wide.total_mm2 > narrow.total_mm2
+        moved = {name for name, mm2 in wide.structures.items()
+                 if mm2 != narrow.structures[name]}
+        assert moved == {"execution_tiles"}
+
 
 class TestDifferentialGoldens:
     """The refactored default path must be bit-identical to the seed."""

@@ -7,9 +7,11 @@ reference kernel: per (program, configuration) the return value, every
 programs a SHA-256 of the trace-event stream.  Tier-1 checks those six
 programs under all six configurations here; the CI ``goldens`` job
 checks the whole table with ``tools/cycle_goldens.py``.  The
-interval-based skip-ahead resource is differenced claim-by-claim
-against a set-based oracle kept in this file, including across the
-pruning horizon.
+interval-based skip-ahead resource and the multi-channel link claim
+are differenced claim-by-claim against set-based oracles kept in this
+file, including across the pruning horizon.  Untraced plans tally the
+operand traffic of their static deliveries; traced runs count every
+packet in ``OperandNetwork.send``, and the two must agree.
 """
 
 import gc
@@ -20,11 +22,15 @@ from functools import lru_cache
 
 import pytest
 
+from repro.robust.errors import SimulationBudgetExceeded
+from repro.trace import Tracer
 from repro.uarch import CycleSimulator
 from repro.uarch.kernels import _issue_claim, pow2_shift_mask
+from repro.uarch.opn import OperandNetwork
 from repro.uarch.resources import (
-    _HORIZON, _PRUNE_LIMIT, SkipAheadPool, SkipAheadResource,
+    _HORIZON, _PRUNE_LIMIT, SkipAheadPool, SkipAheadResource, claim_earliest,
 )
+from repro.uarch.topologies import TOPOLOGIES
 
 from tests.util import aliasing_module, load_goldens_tool
 
@@ -232,7 +238,7 @@ class TestSkipAheadResource:
             t = max(0, cursor - rng.randrange(0, 40))
             assert skip.claim(t) == oracle.claim(t)
         for t in (0, cursor // 2, cursor + 10):
-            assert skip.probe(t) == oracle.probe(t)
+            assert claim_earliest((skip,), t) == oracle.claim(t)
 
     def test_differential_across_prune_horizon(self):
         oracle, skip = _SetResource(), SkipAheadResource()
@@ -262,8 +268,131 @@ class TestSkipAheadResource:
         assert pool.claim("x", 7) == 8
         resource = pool.resource("x")
         assert isinstance(resource, SkipAheadResource)
-        assert resource.probe(7) == 9
+        assert resource.claim(7) == 9
         assert pool.resource("x") is resource
+
+
+def _probe_and_claim_earliest(channels, cycle):
+    """The reference rule for a multi-channel link: probe every channel,
+    claim the one free first, ties to the lowest channel."""
+    starts = [channel.probe(cycle) for channel in channels]
+    return channels[starts.index(min(starts))].claim(cycle)
+
+
+class TestClaimEarliest:
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_differential_across_prune_horizon(self, width):
+        # Enough claims per channel to prune every channel several
+        # times, with a burst pattern that leaves the channels busy at
+        # different cycles, so the choice between them is exercised.
+        rng = random.Random(width)
+        oracle = [_SetResource() for _ in range(width)]
+        fused = [SkipAheadResource() for _ in range(width)]
+        t = 0
+        for _ in range(3 * width * _PRUNE_LIMIT):
+            t += rng.randrange(0, 2)
+            claim_at = max(0, t - rng.randrange(0, 12))
+            assert claim_earliest(fused, claim_at) \
+                == _probe_and_claim_earliest(oracle, claim_at)
+        for mine, theirs in zip(fused, oracle):
+            assert mine.floor == theirs.floor > 0
+            assert mine.count == len(theirs.claimed)
+
+    def test_ties_go_to_the_lowest_channel(self):
+        channels = [SkipAheadResource() for _ in range(3)]
+        channels[0].claim(5)
+        # Channels 1 and 2 are both free at 5: channel 1 takes it.
+        assert claim_earliest(channels, 5) == 5
+        assert channels[1].claim(5) == 6
+        assert channels[2].claim(5) == 5
+
+
+class TestStaticAccounting:
+    """Untraced plans tally their static deliveries' packets, hops and
+    histogram entries and add them per activation; a traced fold sends
+    every operand through ``OperandNetwork.send``, which counts it.
+    Both must report the same network statistics."""
+
+    CONFIGS = {
+        "mesh": {},
+        "torus": {"opn_topology": "torus"},
+        "dwmesh": {"opn_topology": "dwmesh"},
+        "predpred": {"predicate_prediction": True},
+        "hop2": {"opn_hop_cycles": 2},
+    }
+
+    @staticmethod
+    def _aliasing_lowered():
+        from repro.opt import optimize
+        from repro.trips import lower_module
+        return lower_module(optimize(aliasing_module(), "O2"))
+
+    @staticmethod
+    def _opn(sim):
+        stats = sim.opn.stats
+        return (stats.packets, stats.hops, stats.hop_histogram,
+                stats.queue_cycles)
+
+    def _config(self, name):
+        config = goldens.config("default")
+        for field, value in self.CONFIGS[name].items():
+            setattr(config, field, value)
+        return config
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("program", ["rspeed", "aliasing"])
+    def test_traced_and_untraced_folds_agree(self, program, name):
+        lowered = self._aliasing_lowered() if program == "aliasing" \
+            else _lowered(program)
+        runs = {}
+        for traced in (False, True):
+            sim = CycleSimulator(lowered, self._config(name),
+                                 tracer=Tracer() if traced else None)
+            sim.run()
+            runs[traced] = (vars(sim.stats), self._opn(sim))
+        assert runs[False] == runs[True]
+        assert runs[False][1][0].get("ET-ET", 0) > 0
+
+    @pytest.mark.parametrize("name", ["mesh", "dwmesh"])
+    def test_budget_stop_counts_only_replayed_blocks(self, name):
+        lowered = _lowered("rspeed")
+        full = CycleSimulator(lowered, self._config(name))
+        full.run()
+        stopped = {}
+        for traced in (False, True):
+            sim = CycleSimulator(lowered, self._config(name), max_blocks=37,
+                                 tracer=Tracer() if traced else None)
+            with pytest.raises(SimulationBudgetExceeded):
+                sim.run()
+            assert sim.stats.blocks_committed == 37
+            stopped[traced] = self._opn(sim)
+        assert stopped[False] == stopped[True]
+        packets = stopped[False][0]
+        assert sorted(packets) == sorted(stopped[True][0])
+        assert 0 < sum(packets.values()) \
+            < sum(full.opn.stats.packets.values())
+
+
+class TestRoute:
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_route_times_like_send_and_counts_only_queueing(self,
+                                                           topology):
+        # The same traffic through bound routes on one network and
+        # through send on another: equal arrivals and queueing; only
+        # send counts packets.
+        rng = random.Random(7)
+        shape = TOPOLOGIES[topology]()
+        routed = OperandNetwork(2, topology=shape)
+        sent = OperandNetwork(2, topology=shape)
+        coords = [shape.et_coord(tile) for tile in range(16)] \
+            + [shape.dt_coord(bank) for bank in range(4)]
+        for index in range(3000):
+            src, dst = rng.choice(coords), rng.choice(coords)
+            ready = index // 3
+            assert routed.route(src, dst)(ready) \
+                == sent.send(src, dst, ready, "ET-ET")
+        assert routed.stats.queue_cycles == sent.stats.queue_cycles > 0
+        assert routed.stats.packets == {}
 
 
 class TestBatchedSweep:

@@ -1,6 +1,8 @@
-"""Repository-level invariants: documentation/index consistency and
-degenerate-program edge cases through the full pipeline."""
+"""Repository-level invariants: documentation/index consistency, no
+unused imports, and degenerate-program edge cases through the full
+pipeline."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,61 @@ class TestDocumentationIndex:
                        "Figure 7", "Figure 8", "Figure 9", "Figure 10",
                        "Table 1", "Table 3", "Section 4.4", "Section 6"):
             assert anchor in text, anchor
+
+
+def unused_imports(source: str):
+    """``{name: line}`` of the module-level imports that nothing in
+    ``source`` reads: no ``Name`` node and no ``__all__`` entry.  Imports
+    inside a top-level ``if`` or ``try`` count as module-level;
+    ``__future__`` imports never count."""
+    tree = ast.parse(source)
+    imported = {}
+    for statement in tree.body:
+        nested = isinstance(statement, (ast.If, ast.Try))
+        for node in ast.walk(statement) if nested else (statement,):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in statement.targets):
+            used.update(node.value for node in ast.walk(statement.value)
+                        if isinstance(node, ast.Constant))
+    return {name: line for name, line in imported.items()
+            if name not in used}
+
+
+class TestNoUnusedImports:
+    #: ``e2e/layers.py`` times the ideal machine by patching
+    #: ``run_ideal`` where the pipeline imports it.
+    ALLOWED = {("repro.pipeline.core", "run_ideal")}
+
+    def test_scan_finds_an_unused_import(self):
+        source = ("from __future__ import annotations\n"
+                  "import os\nimport sys\n"
+                  "from typing import List, Tuple\n"
+                  "__all__ = ['Tuple']\n"
+                  "def f(x: List) -> None:\n    print(sys)\n")
+        assert unused_imports(source) == {"os": 2}
+
+    def test_no_module_level_import_is_unused(self):
+        # The ``__init__.py`` files re-export what they import.
+        src = ROOT / "src"
+        found = []
+        for path in sorted((src / "repro").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            module = ".".join(path.relative_to(src).with_suffix("").parts)
+            for name, line in unused_imports(path.read_text()).items():
+                if (module, name) not in self.ALLOWED:
+                    found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+        assert not found, "unused imports:\n" + "\n".join(found)
 
 
 class TestDegenerateePrograms:

@@ -575,6 +575,29 @@ def test_http_unknown_routes_and_methods(server):
     assert getattr(excinfo.value, "code", None) == 404
 
 
+def test_keep_alive_requests_are_not_held_by_nagle(server):
+    # Headers and body leave in two writes; with Nagle's algorithm on,
+    # each body waits for the client's delayed ACK (about 40 ms), so 20
+    # requests on one connection would take 0.8 s or more.
+    import http.client
+    from urllib.parse import urlparse
+
+    address = urlparse(server.url)
+    connection = http.client.HTTPConnection(address.hostname, address.port,
+                                            timeout=10)
+    try:
+        start = time.monotonic()
+        for _ in range(20):
+            connection.request("GET", "/v1/status")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+        elapsed = time.monotonic() - start
+    finally:
+        connection.close()
+    assert elapsed < 20 * 0.040 / 2, elapsed
+
+
 def test_metrics_stable_keys_present_at_zero(tmp_path):
     """Every documented counter key exists from the first scrape —
     monitoring never has to special-case 'not seen yet' — and each
