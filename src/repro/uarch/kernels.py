@@ -179,9 +179,9 @@ class FoldKernel:
             else:
                 send = sim.opn.send
 
-                def sender(ready: int) -> int:
+                def traced_send(ready: int) -> int:
                     return send(src, dst, ready, klass)
-                route = (sender, None)
+                route = (traced_send, None)
             self._routes[shape] = route
         return route
 
@@ -337,9 +337,14 @@ class FoldKernel:
             key = (klass, hops if hops < buckets else buckets)
             histogram[key] = histogram.get(key, 0) + 1
 
-        def send(route, hops, klass: str, when: int, into: int) -> None:
-            """A static delivery into ``into``: a same-tile bypass is a
-            max step, or nothing when the arrival is dropped."""
+        def send(entry, when: int, into: int, bank_slot: int) -> None:
+            """One delivery of a decoded target into ``into``.  A static
+            one is tallied, and a same-tile bypass is a max step, or
+            nothing when the arrival is dropped."""
+            dst, klass, route, hops = entry[-4:]
+            if bank_slot >= 0:
+                steps.append((_LSEND, bank_slot, dst, klass, when, into))
+                return
             tally(klass, hops)
             if hops != 0:
                 steps.append((_SEND, route, when, into))
@@ -367,40 +372,28 @@ class FoldKernel:
                 if closed[index]:
                     continue
                 if tag == 2:
-                    _, _, slot, dst, klass, route, hops = entry
+                    slot = entry[2]
                     # A duplicate operand still occupies the network.
                     into = _SINK if filled[index][slot] else arrival[index]
-                    if bank_slot < 0:
-                        send(route, hops, klass, when, into)
-                    else:
-                        steps.append((_LSEND, bank_slot, dst, klass, when,
-                                      into))
+                    send(entry, when, into, bank_slot)
                     if into == _SINK:
                         continue
                     filled[index][slot] = True
                     arrived[index] += 1
                     check_ready(index)
                     continue
-                _, _, dst, klass, route, hops = entry
                 if got_bit[index] is not None:
-                    if bank_slot < 0:
-                        send(route, hops, klass, when, _SINK)
-                    else:
-                        steps.append((_LSEND, bank_slot, dst, klass, when,
-                                      _SINK))
+                    send(entry, when, _SINK, bank_slot)
                     continue
                 bit = bits[index]
                 if bit is None:
                     raise TrapError(f"{label}: i{index} got a predicate "
                                     f"the recording never delivered")
                 got_bit[index] = bit
+                _, _, dst, klass, route, hops = entry
                 if not predicting:
                     # The predicate arrives when the test's operand does.
-                    if bank_slot < 0:
-                        send(route, hops, klass, when, predicate[index])
-                    else:
-                        steps.append((_LSEND, bank_slot, dst, klass, when,
-                                      predicate[index]))
+                    send(entry, when, predicate[index], bank_slot)
                 elif bank_slot < 0:
                     tally(klass, hops)
                     steps.append((_PRED, route, when, predicate[index],

@@ -194,7 +194,7 @@ class OperandNetwork:
             return one_hop
         travel = len(claims) * hop_cycles
 
-        def hops(ready: int) -> int:
+        def several_hops(ready: int) -> int:
             time = ready
             for claim in claims:
                 time = claim(time) + hop_cycles
@@ -203,7 +203,7 @@ class OperandNetwork:
                 stats.queue_cycles += queued
             return time
 
-        return hops
+        return several_hops
 
 
 def _bypass(ready: int) -> int:
