@@ -282,9 +282,9 @@ def _probe_and_claim_earliest(channels, cycle):
 class TestClaimEarliest:
     @pytest.mark.parametrize("width", [2, 3])
     def test_differential_across_prune_horizon(self, width):
-        # Enough claims per channel to prune every channel several
-        # times, with a burst pattern that leaves the channels busy at
-        # different cycles, so the choice between them is exercised.
+        # Enough claims to prune every channel at least twice, with a
+        # burst pattern that leaves the channels busy at different
+        # cycles, so the choice between them is exercised.
         rng = random.Random(width)
         oracle = [_SetResource() for _ in range(width)]
         fused = [SkipAheadResource() for _ in range(width)]
