@@ -5,7 +5,7 @@ records the rendered text table here; the terminal summary prints them all
 so a single ``pytest benchmarks/ --benchmark-only`` run emits the full
 reproduction report.
 
-The harness runs on :data:`repro.eval.SHARED_RUNNER`, whose pipeline
+The harness runs on :func:`repro.pipeline.shared_pipeline`, which
 persists simulation artifacts under ``.repro-cache/`` (disable with
 ``REPRO_CACHE=0``) — a second benchmark session is warm and skips the
 simulations entirely.  The terminal summary ends with the pipeline
@@ -16,20 +16,11 @@ from __future__ import annotations
 
 from typing import List
 
-import pytest
-
 _TABLES: List[str] = []
 
 
 def record_table(table: str) -> None:
     _TABLES.append(table)
-
-
-@pytest.fixture(scope="session")
-def runner():
-    """The shared, disk-backed pipeline runner."""
-    from repro.eval.runner import SHARED_RUNNER
-    return SHARED_RUNNER
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -45,10 +36,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
     try:
         from repro.eval.report import format_table
-        from repro.eval.runner import SHARED_RUNNER
+        from repro.pipeline import shared_pipeline
     except ImportError:
         return
-    telemetry = SHARED_RUNNER.pipeline.telemetry
+    telemetry = shared_pipeline().telemetry
     if not telemetry.stages:
         return
     headers, rows = telemetry.profile()

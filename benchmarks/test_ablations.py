@@ -13,8 +13,9 @@ effect, mirroring the "lessons learned" of Section 7:
 """
 
 from benchmarks.conftest import record_table
-from repro.eval import SHARED_RUNNER, format_table
+from repro.eval import format_table
 from repro.opt import optimize
+from repro.pipeline import shared_pipeline
 from repro.trips import lower_module
 from repro.uarch import TripsConfig, run_cycles
 
@@ -24,7 +25,7 @@ _BRANCHY = "a2time"
 
 def test_ablation_placement_policy(benchmark):
     def run():
-        module = optimize(SHARED_RUNNER.module(_BENCH), "O2")
+        module = optimize(shared_pipeline().module(_BENCH), "O2")
         rows = []
         for policy in ("sps", "round_robin", "random"):
             lowered = lower_module(module, placement_policy=policy)
@@ -44,7 +45,7 @@ def test_ablation_placement_policy(benchmark):
 
 def test_ablation_dispatch_cost(benchmark):
     def run():
-        lowered = SHARED_RUNNER.trips_lowered(_BENCH)
+        lowered = shared_pipeline().trips_lowered(_BENCH)
         rows = []
         for cost in (0, 3, 8):
             config = TripsConfig()
@@ -65,7 +66,7 @@ def test_ablation_dispatch_cost(benchmark):
 
 def test_ablation_block_window(benchmark):
     def run():
-        lowered = SHARED_RUNNER.trips_lowered(_BENCH)
+        lowered = shared_pipeline().trips_lowered(_BENCH)
         rows = []
         for slots in (1, 2, 4, 8):
             config = TripsConfig()
@@ -86,7 +87,7 @@ def test_ablation_block_window(benchmark):
 
 def test_ablation_formation(benchmark):
     def run():
-        module = optimize(SHARED_RUNNER.module(_BRANCHY), "O2")
+        module = optimize(shared_pipeline().module(_BRANCHY), "O2")
         rows = []
         for formation in ("basic", "hyper"):
             lowered = lower_module(module, formation=formation)
@@ -114,8 +115,8 @@ def test_ablation_predictor_scaling(benchmark):
         # predictor's capacity to matter (the Section 7 call/return and
         # BTB sizing lesson).
         for name in ("vortex", "gcc", "mesa", "bzip2"):
-            trace = SHARED_RUNNER.block_trace(name, "hyper")
-            useful = max(SHARED_RUNNER.trips_functional(name).useful, 1)
+            trace = shared_pipeline().block_trace(name, formation="hyper")
+            useful = max(shared_pipeline().trips_functional(name).useful, 1)
             _, base_miss = _run_trips_predictor(trace, TripsConfig())
             _, big_miss = _run_trips_predictor(
                 trace, improved_predictor_config())
@@ -138,7 +139,7 @@ def test_ablation_predicate_prediction(benchmark):
     def run():
         rows = []
         for name in ("a2time", "8b10b", "gcc"):
-            lowered = SHARED_RUNNER.trips_lowered(name)
+            lowered = shared_pipeline().trips_lowered(name)
             _, base = run_cycles(lowered)
             config = TripsConfig()
             config.predicate_prediction = True
@@ -171,7 +172,7 @@ def test_ablation_variable_size_blocks(benchmark):
     def run():
         rows = []
         for name in ("perlbmk", "parser", "gcc"):
-            lowered = SHARED_RUNNER.trips_lowered(name)
+            lowered = shared_pipeline().trips_lowered(name)
             fixed = TripsConfig()
             fixed.l1i_bytes = 256
             _, base = run_cycles(lowered, config=fixed)
@@ -199,7 +200,7 @@ def test_ablation_composable_grid(benchmark):
     configurations when larger configurations provide little benefit",
     citing Composable Lightweight Processors)."""
     def run():
-        module = optimize(SHARED_RUNNER.module(_BENCH), "O2")
+        module = optimize(shared_pipeline().module(_BENCH), "O2")
         rows = []
         for grid in (2, 4, 8):
             lowered = lower_module(module, grid=grid)

@@ -17,19 +17,19 @@ Run:  python examples/predictor_study.py [benchmark]
 
 import sys
 
-from repro.eval import SHARED_RUNNER
 from repro.eval.experiments import _run_alpha_on_trace, _run_trips_predictor
+from repro.pipeline import shared_pipeline
 from repro.uarch import TripsConfig, improved_predictor_config
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "twolf"
-    runner = SHARED_RUNNER
+    pipeline = shared_pipeline()
 
     print(f"benchmark: {name}")
-    basic = runner.block_trace(name, "basic")
-    hyper = runner.block_trace(name, "hyper")
-    useful = runner.trips_functional(name).useful
+    basic = pipeline.block_trace(name, formation="basic")
+    hyper = pipeline.block_trace(name, formation="hyper")
+    useful = pipeline.trips_functional(name).useful
     print(f"  basic-block code:  {basic.blocks} block transitions")
     print(f"  hyperblock code:   {hyper.blocks} block transitions "
           f"({100.0 * (1 - hyper.blocks / basic.blocks):.0f}% fewer "

@@ -22,11 +22,11 @@ rests on:
 
 Quickstart::
 
-    from repro.bench import get
-    from repro.eval import SHARED_RUNNER
+    from repro.pipeline import shared_pipeline
 
-    stats = SHARED_RUNNER.trips_functional("vadd")
-    cycles, sim = SHARED_RUNNER.trips_cycles("vadd")
+    pipeline = shared_pipeline()
+    stats = pipeline.trips_functional("vadd")
+    cycles = pipeline.trips_cycles("vadd").stats
     print(stats.fetched / stats.blocks_committed, cycles.ipc)
 """
 

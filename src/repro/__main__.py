@@ -62,7 +62,7 @@ import os
 import sys
 
 
-def _cmd_list(_args, _runner) -> int:
+def _cmd_list(_args, _pipeline) -> int:
     from repro.bench import all_benchmarks
     rows = sorted(all_benchmarks(), key=lambda b: (b.suite, b.name))
     current = None
@@ -76,7 +76,7 @@ def _cmd_list(_args, _runner) -> int:
     return 0
 
 
-def _cmd_run(args, runner) -> int:
+def _cmd_run(args, pipeline) -> int:
     """One benchmark on one system, with a run report on failure.
 
     Any simulation/cache fault surfaces as a one-unit
@@ -86,7 +86,7 @@ def _cmd_run(args, runner) -> int:
     from repro.robust import FAILED, RunReport
 
     try:
-        return _run_system(args, runner)
+        return _run_system(args, pipeline)
     except Exception as exc:
         report = RunReport()
         report.record_attempt(args.benchmark, exc)
@@ -129,7 +129,7 @@ def _config_overrides(args):
         raise SpecError(str(exc)) from None
 
 
-def _run_system(args, runner) -> int:
+def _run_system(args, pipeline) -> int:
     from repro.explore.spec import SpecError
 
     name = args.benchmark
@@ -140,22 +140,22 @@ def _run_system(args, runner) -> int:
     except SpecError as exc:
         print(f"bad --config override: {exc}", file=sys.stderr)
         return 2
-    golden = runner.expected(name)
+    golden = pipeline.expected(name)
     print(f"{name} ({system}, {variant}): golden checksum {golden}")
 
     if system == "interp":
         from repro.ir import run_module
-        result, interp = run_module(runner.module(name))
+        result, interp = run_module(pipeline.module(name))
         print(f"result {result}; {interp.stats.executed} IR instructions, "
               f"{interp.stats.loads} loads, {interp.stats.stores} stores")
     elif system == "risc":
-        stats = runner.powerpc(name)
+        stats = pipeline.powerpc(name)
         print(f"{stats.executed} instructions "
               f"({stats.loads} loads, {stats.stores} stores, "
               f"{stats.register_reads}+{stats.register_writes} register "
               f"accesses)")
     elif system == "trips":
-        stats = runner.trips_functional(name, variant)
+        stats = pipeline.trips_functional(name, variant)
         blocks = max(stats.blocks_committed, 1)
         print(f"{stats.blocks_committed} blocks, avg size "
               f"{stats.fetched / blocks:.1f}; fetched {stats.fetched}, "
@@ -164,33 +164,34 @@ def _run_system(args, runner) -> int:
               f"{stats.fetched_not_executed}")
     elif system == "cycles":
         if args.uarch_trace:
-            stats, sim = _traced_cycles(runner, name, variant,
+            stats, opn = _traced_cycles(pipeline, name, variant,
                                         args.uarch_trace, config)
         else:
-            stats, sim = runner.trips_cycles(name, variant, config)
+            artifact = pipeline.trips_cycles(name, variant, config)
+            stats, opn = artifact.stats, artifact.opn_stats
         print(f"{stats.cycles} cycles, IPC {stats.ipc:.2f} "
               f"(useful {stats.useful_ipc:.2f}); "
               f"{stats.avg_instructions_in_window:.0f} instructions in "
-              f"flight; {sim.opn.stats.average_hops():.2f} avg OPN hops; "
+              f"flight; {opn.average_hops():.2f} avg OPN hops; "
               f"{stats.branch_mispredictions} branch mispredictions, "
               f"{stats.icache_misses} I-cache misses, "
               f"{stats.load_flushes} load flushes")
     elif system == "ideal":
         if ideal_params is not None:
             window, dispatch_cost = ideal_params
-            stats = runner.ideal(name, variant, window=window,
+            stats = pipeline.ideal(name, variant, window=window,
                                  dispatch_cost=dispatch_cost)
             print(f"ideal {window}/{dispatch_cost}-cycle dispatch: "
                   f"{stats.cycles} cycles, IPC {stats.ipc:.2f}")
         else:
-            stats = runner.ideal(name, variant)
-            big = runner.ideal(name, variant, window=128 * 1024,
+            stats = pipeline.ideal(name, variant)
+            big = pipeline.ideal(name, variant, window=128 * 1024,
                                dispatch_cost=0)
             print(f"ideal 1K/8-cycle dispatch: {stats.cycles} cycles, "
                   f"IPC {stats.ipc:.2f}; ideal 128K/0: IPC {big.ipc:.2f}")
     elif system in ("core2", "p4", "p3"):
         level = "ICC" if args.icc else "O2"
-        stats = runner.platform(name, system, level)
+        stats = pipeline.platform(name, system, level)
         print(f"{stats.cycles} cycles, IPC {stats.ipc:.2f}, "
               f"{stats.branch_mispredictions} branch mispredictions "
               f"({level})")
@@ -200,9 +201,10 @@ def _run_system(args, runner) -> int:
     return 0
 
 
-def _traced_cycles(runner, name: str, variant: str, out_path: str,
+def _traced_cycles(pipeline, name: str, variant: str, out_path: str,
                    config=None):
-    """Traced cycle-level fold; writes the compact stream.
+    """Traced cycle-level fold; writes the compact stream and returns
+    ``(stats, opn_stats)``.
 
     Bypasses the ``trips-cycles`` artifact cache (the raw event stream
     is not cached) but folds over the held, checksum-validated
@@ -212,20 +214,20 @@ def _traced_cycles(runner, name: str, variant: str, out_path: str,
 
     from repro.trace import write_compact
 
-    sim, events = runner.pipeline.traced_cycles(name, variant, config)
+    sim, events = pipeline.traced_cycles(name, variant, config)
     count = write_compact(events, out_path)
     print(f"wrote {count} events to {out_path}", file=_sys.stderr)
-    return sim.stats, sim
+    return sim.stats, sim.opn.stats
 
 
-def _cmd_trace(args, runner) -> int:
+def _cmd_trace(args, pipeline) -> int:
     from repro.trace import (
         render_event_counts, render_occupancy_timeline, render_opn_heatmap,
         render_tile_histogram, summarize, write_compact,
     )
 
     name = args.benchmark
-    sim, events = runner.pipeline.traced_cycles(name, args.variant)
+    sim, events = pipeline.traced_cycles(name, args.variant)
     stats = sim.stats
     print(f"{name} (cycles, {args.variant}): {stats.cycles} cycles, "
           f"IPC {stats.ipc:.2f}, {len(events)} events")
@@ -244,10 +246,10 @@ def _cmd_trace(args, runner) -> int:
     return 0
 
 
-def _cmd_asm(args, runner) -> int:
+def _cmd_asm(args, pipeline) -> int:
     from repro.isa import format_block, format_program
 
-    lowered = runner.trips_lowered(args.benchmark, args.variant)
+    lowered = pipeline.trips_lowered(args.benchmark, args.variant)
     if args.block:
         for block in lowered.program.all_blocks():
             if block.label == args.block:
@@ -259,7 +261,7 @@ def _cmd_asm(args, runner) -> int:
     return 0
 
 
-def _cmd_report(args, runner) -> int:
+def _cmd_report(args, pipeline) -> int:
     from repro.eval import experiment_names, run_experiment
     from repro.robust import RetryPolicy, RunReport
 
@@ -272,18 +274,18 @@ def _cmd_report(args, runner) -> int:
     report = RunReport()
 
     if args.jobs > 1:
-        if runner.pipeline.store is None:
+        if pipeline.store is None:
             print("--jobs requires the artifact cache "
                   "(drop --no-cache / REPRO_CACHE=0)", file=sys.stderr)
             return 2
         from repro.pipeline.parallel import report_plan, warm_benchmarks
         benchmarks, trace_names, bandwidth = report_plan(keys)
         if benchmarks or bandwidth:
-            cache_root = runner.pipeline.store.base
+            cache_root = pipeline.store.base
             warm_benchmarks(
                 benchmarks, cache_root, jobs=args.jobs,
                 trace_names=trace_names, bandwidth=bandwidth,
-                telemetry=runner.pipeline.telemetry,
+                telemetry=pipeline.telemetry,
                 policy=RetryPolicy(max_attempts=args.retries + 1),
                 stage_timeout=args.stage_timeout, report=report,
                 progress=lambda label: print(f"warmed {label}",
@@ -293,7 +295,7 @@ def _cmd_report(args, runner) -> int:
     # error) annotates that experiment instead of aborting the run.
     for key in keys:
         try:
-            rendered = run_experiment(key, runner=runner)
+            rendered = run_experiment(key, pipeline)
         except Exception as exc:
             message = f"{key}: {type(exc).__name__}: {exc}"
             report.annotate(message)
@@ -311,7 +313,7 @@ def _cmd_report(args, runner) -> int:
         from repro.trace import render_occupancy_timeline, render_opn_heatmap
 
         for bench in sorted(by_suite("kernels"), key=lambda b: b.name):
-            metrics = runner.trace_summary(bench.name, "compiled")
+            metrics = pipeline.trace_summary(bench.name, "compiled")
             print(f"=== {bench.name} (compiled) ===")
             print(render_opn_heatmap(metrics))
             print(render_occupancy_timeline(metrics))
@@ -319,7 +321,7 @@ def _cmd_report(args, runner) -> int:
     return 0 if report.ok else 1
 
 
-def _chaos_sweep_drill(args, runner, plan) -> int:
+def _chaos_sweep_drill(args, pipeline, plan) -> int:
     """The kill->resume determinism drill behind ``chaos --sweep``.
 
     1. Run the sweep in a **subprocess** with the fault plan: a
@@ -351,7 +353,7 @@ def _chaos_sweep_drill(args, runner, plan) -> int:
     except (SpecError, FileNotFoundError) as exc:
         print(f"bad --sweep spec: {exc}", file=sys.stderr)
         return 2
-    cache_dir = runner.pipeline.store.base
+    cache_dir = pipeline.store.base
     out_dir = Path(args.out) if args.out else \
         Path("sweeps") / f"chaos-{spec.name}"
 
@@ -386,13 +388,13 @@ def _chaos_sweep_drill(args, runner, plan) -> int:
     print(f"  [2/3] resuming: {terminal} terminal outcome(s) in the "
           f"journal", file=sys.stderr)
     resumed = run_sweep(spec, cache_dir, out_dir, resume=True,
-                        telemetry=runner.pipeline.telemetry)
+                        telemetry=pipeline.telemetry)
     print(f"  {resumed.summary_line()}", file=sys.stderr)
 
     print(f"  [3/3] uninterrupted reference sweep", file=sys.stderr)
     ref_dir = out_dir.parent / (out_dir.name + "-ref")
     reference = run_sweep(spec, cache_dir, ref_dir,
-                          telemetry=runner.pipeline.telemetry)
+                          telemetry=pipeline.telemetry)
 
     problems = []
     if resumed.replayed != terminal:
@@ -415,11 +417,11 @@ def _chaos_sweep_drill(args, runner, plan) -> int:
     return 0
 
 
-def _cmd_chaos(args, runner) -> int:
+def _cmd_chaos(args, pipeline) -> int:
     from repro.pipeline.parallel import warm_benchmarks
     from repro.robust import FaultPlan, RetryPolicy, RunReport
 
-    if runner.pipeline.store is None:
+    if pipeline.store is None:
         print("chaos requires the artifact cache "
               "(drop --no-cache / REPRO_CACHE=0)", file=sys.stderr)
         return 2
@@ -433,10 +435,10 @@ def _cmd_chaos(args, runner) -> int:
               "--sweep SPEC", file=sys.stderr)
         return 2
     if args.sweep_spec is not None:
-        return _chaos_sweep_drill(args, runner, plan)
+        return _chaos_sweep_drill(args, pipeline, plan)
     policy = RetryPolicy(max_attempts=args.retries + 1, seed=args.seed)
     report = RunReport()
-    cache_root = runner.pipeline.store.base
+    cache_root = pipeline.store.base
     include = ("expected", "cycles")
 
     print(f"chaos drill: {args.benchmark} under [{plan.describe()}], "
@@ -444,17 +446,17 @@ def _cmd_chaos(args, runner) -> int:
     warm_benchmarks([args.benchmark], cache_root, jobs=args.jobs,
                     include=include, faults=plan, policy=policy,
                     stage_timeout=args.stage_timeout,
-                    telemetry=runner.pipeline.telemetry, report=report,
+                    telemetry=pipeline.telemetry, report=report,
                     progress=lambda label: print(f"warmed {label}",
                                                  file=sys.stderr))
     # Verification pass, fault-free and in-process: loading every
     # artifact heals any corruption the plan injected (corrupt entries
     # are quarantined and recomputed).
     warm_benchmarks([args.benchmark], cache_root, jobs=1, include=include,
-                    telemetry=runner.pipeline.telemetry)
+                    telemetry=pipeline.telemetry)
 
     print(report.render())
-    incidents = runner.incidents()
+    incidents = pipeline.store.list_incidents()
     if incidents:
         print(f"quarantine: {len(incidents)} incident(s)")
         for record in incidents:
@@ -485,7 +487,7 @@ def _resolve_sweep_spec(args):
     return spec
 
 
-def _cmd_sweep(args, runner) -> int:
+def _cmd_sweep(args, pipeline) -> int:
     from pathlib import Path
 
     from repro.explore import (
@@ -500,7 +502,7 @@ def _cmd_sweep(args, runner) -> int:
             print(f"{name:18s} {spec.point_count():4d} points  "
                   f"{spec.description}")
         return 0
-    if runner.pipeline.store is None:
+    if pipeline.store is None:
         print("sweep requires the artifact cache "
               "(drop --no-cache / REPRO_CACHE=0)", file=sys.stderr)
         return 2
@@ -528,10 +530,10 @@ def _cmd_sweep(args, runner) -> int:
     progress = lambda label: print(f"done {label}", file=sys.stderr)
     try:
         result = run_sweep(
-            spec, cache_dir=runner.pipeline.store.base,
+            spec, cache_dir=pipeline.store.base,
             out_dir=out_dir, jobs=args.jobs, policy=policy,
             stage_timeout=args.stage_timeout, faults=faults,
-            telemetry=runner.pipeline.telemetry, progress=progress,
+            telemetry=pipeline.telemetry, progress=progress,
             resume=args.resume)
     except JournalError as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
@@ -545,7 +547,7 @@ def _cmd_sweep(args, runner) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_pack(args, _runner) -> int:
+def _cmd_pack(args, _pipeline) -> int:
     from repro.explore.pack import PackError, verify_pack, write_pack
 
     if args.pack_command == "create":
@@ -566,7 +568,7 @@ def _cmd_pack(args, _runner) -> int:
     return 0
 
 
-def _cmd_frontier(args, _runner) -> int:
+def _cmd_frontier(args, _pipeline) -> int:
     from repro.explore.analyze import (
         aggregate_configs, load_points, load_spec_json, pareto_frontier,
         sensitivity_rows,
@@ -610,7 +612,7 @@ def _cmd_frontier(args, _runner) -> int:
     return 0
 
 
-def _cmd_perf(args, _runner) -> int:
+def _cmd_perf(args, _pipeline) -> int:
     from repro import perf
 
     if args.perf_command == "list":
@@ -708,7 +710,7 @@ def _perf_compare(args) -> int:
     return code
 
 
-def _cmd_runs(args, _runner) -> int:
+def _cmd_runs(args, _pipeline) -> int:
     import json as _json
 
     from repro.obs import RunIndex, default_index_path
@@ -770,7 +772,7 @@ def _cmd_runs(args, _runner) -> int:
         index.close()
 
 
-def _cmd_spans(args, _runner) -> int:
+def _cmd_spans(args, _pipeline) -> int:
     from pathlib import Path
 
     from repro.obs import export_chrome
@@ -786,7 +788,7 @@ def _cmd_spans(args, _runner) -> int:
     return 0 if count else 1
 
 
-def _cmd_config(args, _runner) -> int:
+def _cmd_config(args, _pipeline) -> int:
     # args.config_command is always "show" today (argparse enforces it);
     # the sub-subcommand exists so `repro config diff` etc. can slot in.
     import dataclasses
@@ -835,7 +837,7 @@ def _cmd_config(args, _runner) -> int:
     return 0
 
 
-def _cmd_serve(args, runner) -> int:
+def _cmd_serve(args, pipeline) -> int:
     """Boot the always-warm service and run until drained.
 
     The HTTP listener runs in a daemon thread; the main thread parks
@@ -1286,16 +1288,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_runner(args):
-    """Build the command's Runner from the pipeline options."""
-    from repro.eval.runner import Runner
+def _make_pipeline(args):
+    """Build the command's Pipeline from the pipeline options."""
     from repro.pipeline import Pipeline, cache_enabled, default_cache_dir
 
     if getattr(args, "no_cache", False) or not cache_enabled():
         cache_dir = None
     else:
         cache_dir = args.cache_dir or default_cache_dir()
-    return Runner(pipeline=Pipeline(cache_dir=cache_dir))
+    return Pipeline(cache_dir=cache_dir)
 
 
 #: Commands the epilogue records into the run index.  ``sweep`` (and
@@ -1305,7 +1306,7 @@ def _make_runner(args):
 _INDEXED_COMMANDS = ("run", "report", "trace", "perf")
 
 
-def _record_invocation(args, runner, code, started_wall: float,
+def _record_invocation(args, pipeline, code, started_wall: float,
                        wall_s: float) -> None:
     """Append this invocation's row to the persisted run index.
 
@@ -1322,10 +1323,10 @@ def _record_invocation(args, runner, code, started_wall: float,
         )
         from repro.pipeline import cache_enabled
 
-        if runner is not None:
-            if runner.pipeline.store is None:
+        if pipeline is not None:
+            if pipeline.store is None:
                 return
-            index_path = default_index_path(runner.pipeline.store.base)
+            index_path = default_index_path(pipeline.store.base)
         elif cache_enabled():
             index_path = default_index_path(
                 getattr(args, "cache_dir", None))
@@ -1342,9 +1343,9 @@ def _record_invocation(args, runner, code, started_wall: float,
         extra = {key: notes.pop(key, "")
                  for key in ("spec_digest", "config_digest")}
         metrics = notes
-        if runner is not None:
+        if pipeline is not None:
             metrics.setdefault(
-                "computes", runner.pipeline.telemetry.computes())
+                "computes", pipeline.telemetry.computes())
         run = runctx.current()
         record_run(run.run_id, args.command, index_path=index_path,
                    label=str(label), git_sha=run.git_sha,
@@ -1377,7 +1378,7 @@ def main(argv=None) -> int:
                "config": _cmd_config, "pack": _cmd_pack,
                "serve": _cmd_serve, "runs": _cmd_runs,
                "spans": _cmd_spans}[args.command]
-    runner = _make_runner(args) \
+    pipeline = _make_pipeline(args) \
         if args.command not in ("list", "frontier", "perf", "config",
                                 "pack", "serve", "runs", "spans") \
         else None
@@ -1386,17 +1387,17 @@ def main(argv=None) -> int:
     started_clock = _time.perf_counter()
     code = None
     try:
-        code = handler(args, runner)
+        code = handler(args, pipeline)
         return code
     finally:
-        if runner is not None and getattr(args, "profile", False):
+        if pipeline is not None and getattr(args, "profile", False):
             from repro.eval.report import format_table
-            headers, rows = runner.pipeline.telemetry.profile()
+            headers, rows = pipeline.telemetry.profile()
             print()
             print(format_table("Pipeline profile", headers, rows,
                                "mem/disk hits vs computed misses per "
                                "stage; seconds are wall-clock."))
-        _record_invocation(args, runner, code, started_wall,
+        _record_invocation(args, pipeline, code, started_wall,
                            _time.perf_counter() - started_clock)
 
 

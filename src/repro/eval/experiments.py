@@ -1,11 +1,13 @@
 """Experiment drivers: one function per table/figure of the paper.
 
-Every driver returns a ``(headers, rows, note)`` triple and has a
-``render_*`` companion producing the text table the bench harness prints.
-All drivers share :data:`repro.eval.runner.SHARED_RUNNER` so simulations
-are reused across figures within a session — and, through the runner's
-:class:`repro.pipeline.Pipeline`, across sessions via the on-disk
-artifact store.
+Every driver returns a ``(headers, rows, note)`` triple, and
+:func:`run_experiment` renders it as the text table the bench harness
+prints.  Each driver that reads simulator statistics takes the
+:class:`repro.pipeline.Pipeline` that holds them as its first argument;
+:func:`run_experiment` passes the session's
+:func:`~repro.pipeline.shared_pipeline` when given none, so simulations
+are reused across figures within a session and, through its on-disk
+store, across sessions.
 
 Benchmark sets follow the paper: "simple" = kernels + VersaBench + the
 eight named EEMBC programs (with compiled C and hand-optimized H
@@ -20,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.bench import by_suite, get as get_benchmark
 from repro.eval.report import arithmean, format_table, geomean
-from repro.eval.runner import Runner, SHARED_RUNNER
+from repro.pipeline import Pipeline, shared_pipeline
 from repro.pipeline.parallel import BANDWIDTH_LEVELS
 from repro.refmodels import PLATFORMS, PUBLISHED_MATMUL_FPC
 from repro.uarch import (
@@ -82,29 +84,32 @@ _COMPOSITION_KEYS = ("memory", "control", "arith", "test", "move",
                      "executed_not_used", "fetched_not_executed")
 
 
-def _composition_row(runner: Runner, name: str, variant: str) -> List[float]:
-    stats = runner.trips_functional(name, variant)
+def _composition_row(pipeline: Pipeline, name: str,
+                     variant: str) -> List[float]:
+    stats = pipeline.trips_functional(name, variant)
     blocks = max(stats.blocks_committed, 1)
     per_block = [stats.composition.get(k, 0) / blocks
                  for k in _COMPOSITION_KEYS]
     return per_block + [stats.fetched / blocks]
 
 
-def fig3_block_composition(runner: Runner = SHARED_RUNNER,
+def fig3_block_composition(pipeline: Pipeline,
                            benchmarks: Sequence[str] = SIMPLE,
                            include_spec: bool = True):
     headers = ["Benchmark", "Var"] + [k[:7] for k in _COMPOSITION_KEYS] \
         + ["avg block"]
     rows = []
     for name in benchmarks:
-        rows.append([name, "C"] + _composition_row(runner, name, "compiled"))
+        rows.append([name, "C"]
+                    + _composition_row(pipeline, name, "compiled"))
         if get_benchmark(name).has_hand:
-            rows.append([name, "H"] + _composition_row(runner, name, "hand"))
+            rows.append([name, "H"]
+                        + _composition_row(pipeline, name, "hand"))
     suites = [("EEMBC mean", EEMBC8)]
     if include_spec:
         suites += [("SPECINT mean", SPEC_INT), ("SPECFP mean", SPEC_FP)]
     for label, names in suites:
-        per = [_composition_row(runner, n, "compiled") for n in names]
+        per = [_composition_row(pipeline, n, "compiled") for n in names]
         mean = [arithmean([row[i] for row in per]) for i in range(len(per[0]))]
         rows.append([label, "C"] + mean)
     note = ("Average dynamic block composition in instructions "
@@ -116,9 +121,9 @@ def fig3_block_composition(runner: Runner = SHARED_RUNNER,
 # Figure 4 — instruction overhead vs PowerPC.
 # ---------------------------------------------------------------------------
 
-def _fig4_row(runner: Runner, name: str, variant: str) -> List[float]:
-    trips = runner.trips_functional(name, variant)
-    ppc = runner.powerpc(name)
+def _fig4_row(pipeline: Pipeline, name: str, variant: str) -> List[float]:
+    trips = pipeline.trips_functional(name, variant)
+    ppc = pipeline.powerpc(name)
     base = max(ppc.executed, 1)
     return [trips.useful / base,
             trips.moves_executed / base,
@@ -127,21 +132,21 @@ def _fig4_row(runner: Runner, name: str, variant: str) -> List[float]:
             trips.fetched / base]
 
 
-def fig4_instruction_overhead(runner: Runner = SHARED_RUNNER,
+def fig4_instruction_overhead(pipeline: Pipeline,
                               benchmarks: Sequence[str] = SIMPLE,
                               include_spec: bool = True):
     headers = ["Benchmark", "Var", "useful", "moves", "exec-unused",
                "fetch-unexec", "total"]
     rows = []
     for name in benchmarks:
-        rows.append([name, "C"] + _fig4_row(runner, name, "compiled"))
+        rows.append([name, "C"] + _fig4_row(pipeline, name, "compiled"))
         if get_benchmark(name).has_hand:
-            rows.append([name, "H"] + _fig4_row(runner, name, "hand"))
+            rows.append([name, "H"] + _fig4_row(pipeline, name, "hand"))
     suites = [("EEMBC gmean", EEMBC8)]
     if include_spec:
         suites += [("SPECINT gmean", SPEC_INT), ("SPECFP gmean", SPEC_FP)]
     for label, names in suites:
-        per = [_fig4_row(runner, n, "compiled") for n in names]
+        per = [_fig4_row(pipeline, n, "compiled") for n in names]
         rows.append([label, "C"] + [
             geomean([row[i] for row in per]) for i in range(len(per[0]))])
     note = ("TRIPS fetched instructions normalized to PowerPC executed "
@@ -153,9 +158,9 @@ def fig4_instruction_overhead(runner: Runner = SHARED_RUNNER,
 # Figure 5 — storage accesses vs PowerPC.
 # ---------------------------------------------------------------------------
 
-def _fig5_row(runner: Runner, name: str, variant: str) -> List[float]:
-    trips = runner.trips_functional(name, variant)
-    ppc = runner.powerpc(name)
+def _fig5_row(pipeline: Pipeline, name: str, variant: str) -> List[float]:
+    trips = pipeline.trips_functional(name, variant)
+    ppc = pipeline.powerpc(name)
     mem_base = max(ppc.loads + ppc.stores, 1)
     reg_base = max(ppc.register_reads + ppc.register_writes, 1)
     return [
@@ -165,21 +170,21 @@ def _fig5_row(runner: Runner, name: str, variant: str) -> List[float]:
     ]
 
 
-def fig5_storage_accesses(runner: Runner = SHARED_RUNNER,
+def fig5_storage_accesses(pipeline: Pipeline,
                           benchmarks: Sequence[str] = SIMPLE,
                           include_spec: bool = True):
     headers = ["Benchmark", "Var", "mem/PPCmem", "regRW/PPCregRW",
                "operands/PPCregRW"]
     rows = []
     for name in benchmarks:
-        rows.append([name, "C"] + _fig5_row(runner, name, "compiled"))
+        rows.append([name, "C"] + _fig5_row(pipeline, name, "compiled"))
         if get_benchmark(name).has_hand:
-            rows.append([name, "H"] + _fig5_row(runner, name, "hand"))
+            rows.append([name, "H"] + _fig5_row(pipeline, name, "hand"))
     suites = [("EEMBC gmean", EEMBC8)]
     if include_spec:
         suites += [("SPECINT gmean", SPEC_INT), ("SPECFP gmean", SPEC_FP)]
     for label, names in suites:
-        per = [_fig5_row(runner, n, "compiled") for n in names]
+        per = [_fig5_row(pipeline, n, "compiled") for n in names]
         rows.append([label, "C"] + [
             geomean([row[i] for row in per]) for i in range(len(per[0]))])
     note = ("Storage accesses normalized to PowerPC (paper Figure 5: "
@@ -191,18 +196,18 @@ def fig5_storage_accesses(runner: Runner = SHARED_RUNNER,
 # Section 4.4 — code size.
 # ---------------------------------------------------------------------------
 
-def sec44_code_size(runner: Runner = SHARED_RUNNER,
+def sec44_code_size(pipeline: Pipeline,
                     benchmarks: Sequence[str] = SIMPLE):
     headers = ["Benchmark", "raw/PPC", "compressed/PPC",
                "dyn raw/PPC", "dyn compressed/PPC"]
     rows = []
     ratios = []
     for name in benchmarks:
-        lowered = runner.trips_lowered(name, "compiled")
-        stats = runner.trips_functional(name, "compiled")
-        risc_program = runner.pipeline.risc_lowered(name, "O2")
+        lowered = pipeline.trips_lowered(name, "compiled")
+        stats = pipeline.trips_functional(name, "compiled")
+        risc_program = pipeline.risc_lowered(name, "O2")
         ppc_static = risc_program.code_bytes()
-        ppc_stats = runner.powerpc(name)
+        ppc_stats = pipeline.powerpc(name)
         ppc_dynamic = max(ppc_stats.dynamic_code_bytes(), 1)
         report = dynamic_code_size(lowered.program, stats.fetched_blocks)
         row = [name,
@@ -223,24 +228,24 @@ def sec44_code_size(runner: Runner = SHARED_RUNNER,
 # Figure 6 — window occupancy.
 # ---------------------------------------------------------------------------
 
-def fig6_window_occupancy(runner: Runner = SHARED_RUNNER,
+def fig6_window_occupancy(pipeline: Pipeline,
                           benchmarks: Sequence[str] = SIMPLE,
                           spec: Sequence[str] = SPEC_INT + SPEC_FP):
     headers = ["Benchmark", "Var", "in-flight", "useful in-flight"]
     rows = []
     totals = {"C": [], "H": []}
     for name in benchmarks:
-        stats, _ = runner.trips_cycles(name, "compiled")
+        stats = pipeline.trips_cycles(name, "compiled").stats
         rows.append([name, "C", stats.avg_instructions_in_window,
                      stats.avg_useful_in_window])
         totals["C"].append(stats.avg_instructions_in_window)
         if get_benchmark(name).has_hand:
-            stats, _ = runner.trips_cycles(name, "hand")
+            stats = pipeline.trips_cycles(name, "hand").stats
             rows.append([name, "H", stats.avg_instructions_in_window,
                          stats.avg_useful_in_window])
             totals["H"].append(stats.avg_instructions_in_window)
     for name in spec:
-        stats, _ = runner.trips_cycles(name, "compiled")
+        stats = pipeline.trips_cycles(name, "compiled").stats
         rows.append([name, "C", stats.avg_instructions_in_window,
                      stats.avg_useful_in_window])
         totals["C"].append(stats.avg_instructions_in_window)
@@ -293,16 +298,16 @@ def _run_trips_predictor(trace, config: TripsConfig) -> Tuple[int, int]:
     return stats.predictions, stats.mispredictions
 
 
-def fig7_prediction(runner: Runner = SHARED_RUNNER,
+def fig7_prediction(pipeline: Pipeline,
                     benchmarks: Sequence[str] = SPEC_INT + SPEC_FP):
     headers = ["Benchmark", "A mpred%", "B mpred%", "H mpred%", "I mpred%",
                "A MPKI", "B MPKI", "H MPKI", "I MPKI"]
     rows = []
     mpki_acc = {k: [] for k in "ABHI"}
     for name in benchmarks:
-        basic = runner.block_trace(name, "basic")
-        hyper = runner.block_trace(name, "hyper")
-        useful = max(runner.trips_functional(name).useful, 1)
+        basic = pipeline.block_trace(name, formation="basic")
+        hyper = pipeline.block_trace(name, formation="hyper")
+        useful = max(pipeline.trips_functional(name).useful, 1)
         base = max(basic.blocks, 1)
         pa, ma = _run_alpha_on_trace(basic)
         pb, mb = _run_trips_predictor(basic, TripsConfig())
@@ -332,14 +337,14 @@ def fig7_prediction(runner: Runner = SHARED_RUNNER,
 # Figure 8 — memory bandwidth and OPN profile.
 # ---------------------------------------------------------------------------
 
-def fig8_bandwidth(runner: Runner = SHARED_RUNNER):
+def fig8_bandwidth(pipeline: Pipeline):
     config = TripsConfig()
     mhz = CLOCK_MHZ
     headers = ["Interface", "accesses", "achieved GB/s", "peak GB/s",
                "% of peak"]
     rows = []
     for label, doubles, stride in BANDWIDTH_LEVELS:
-        art = runner.pipeline.bandwidth(label, doubles, stride)
+        art = pipeline.bandwidth(label, doubles, stride)
         cycles = max(art.cycles, 1)
         seconds = cycles / (mhz * 1e6)
         if label == "L1-D to proc":
@@ -360,7 +365,7 @@ def fig8_bandwidth(runner: Runner = SHARED_RUNNER):
     return headers, rows, note
 
 
-def fig8_opn_profile(runner: Runner = SHARED_RUNNER):
+def fig8_opn_profile(pipeline: Pipeline):
     cases = [("EEMBC mean", EEMBC8, "compiled"),
              ("SPEC-gcc", ("gcc",), "compiled"),
              ("vadd-hand", ("vadd",), "hand"),
@@ -374,8 +379,7 @@ def fig8_opn_profile(runner: Runner = SHARED_RUNNER):
         hops = {}
         histogram = {}
         for name in names:
-            _, sim = runner.trips_cycles(name, variant)
-            stats = sim.opn.stats
+            stats = pipeline.trips_cycles(name, variant).opn_stats
             max_bucket = max(max_bucket, getattr(stats, "hop_buckets", 5))
             for k, v in stats.packets.items():
                 packets[k] = packets.get(k, 0) + v
@@ -406,25 +410,25 @@ def fig8_opn_profile(runner: Runner = SHARED_RUNNER):
 # Figure 9 / Figure 10 — IPC and the ideal-machine limit study.
 # ---------------------------------------------------------------------------
 
-def fig9_ipc(runner: Runner = SHARED_RUNNER,
+def fig9_ipc(pipeline: Pipeline,
              benchmarks: Sequence[str] = SIMPLE,
              spec: Sequence[str] = SPEC_INT + SPEC_FP):
     headers = ["Benchmark", "Var", "IPC", "useful IPC", "fetched IPC"]
     rows = []
     means = {"C": [], "H": []}
     for name in benchmarks:
-        stats, _ = runner.trips_cycles(name, "compiled")
+        stats = pipeline.trips_cycles(name, "compiled").stats
         rows.append([name, "C", stats.ipc, stats.useful_ipc,
                      stats.fetched_ipc])
         means["C"].append(stats.ipc)
         if get_benchmark(name).has_hand:
-            stats, _ = runner.trips_cycles(name, "hand")
+            stats = pipeline.trips_cycles(name, "hand").stats
             rows.append([name, "H", stats.ipc, stats.useful_ipc,
                          stats.fetched_ipc])
             means["H"].append(stats.ipc)
     spec_means = []
     for name in spec:
-        stats, _ = runner.trips_cycles(name, "compiled")
+        stats = pipeline.trips_cycles(name, "compiled").stats
         rows.append([name, "C", stats.ipc, stats.useful_ipc,
                      stats.fetched_ipc])
         spec_means.append(stats.ipc)
@@ -437,7 +441,7 @@ def fig9_ipc(runner: Runner = SHARED_RUNNER,
     return headers, rows, note
 
 
-def fig10_ideal_ilp(runner: Runner = SHARED_RUNNER,
+def fig10_ideal_ilp(pipeline: Pipeline,
                     benchmarks: Sequence[str] = SIMPLE,
                     spec: Sequence[str] = SPEC_INT + SPEC_FP):
     headers = ["Benchmark", "Var", "HW IPC", "ideal 1K/8", "ideal 1K/0",
@@ -447,10 +451,10 @@ def fig10_ideal_ilp(runner: Runner = SHARED_RUNNER,
     for name, variant in [(n, "compiled") for n in benchmarks + tuple(spec)] \
             + [(n, "hand") for n in benchmarks
                if get_benchmark(n).has_hand]:
-        hw, _ = runner.trips_cycles(name, variant)
-        ideal = runner.ideal(name, variant, 1024, 8)
-        ideal0 = runner.ideal(name, variant, 1024, 0)
-        big = runner.ideal(name, variant, 128 * 1024, 0)
+        hw = pipeline.trips_cycles(name, variant).stats
+        ideal = pipeline.ideal(name, variant, 1024, 8)
+        ideal0 = pipeline.ideal(name, variant, 1024, 0)
+        big = pipeline.ideal(name, variant, 128 * 1024, 0)
         rows.append([name, "C" if variant == "compiled" else "H",
                      hw.ipc, ideal.ipc, ideal0.ipc, big.ipc])
         if hw.ipc > 0:
@@ -466,19 +470,20 @@ def fig10_ideal_ilp(runner: Runner = SHARED_RUNNER,
 # Figure 11 / Figure 12 — speedups vs Core 2.
 # ---------------------------------------------------------------------------
 
-def _speedup_rows(runner: Runner, names: Iterable[str],
+def _speedup_rows(pipeline: Pipeline, names: Iterable[str],
                   include_hand: bool) -> List[List[object]]:
     rows = []
     for name in names:
-        base = runner.platform(name, "core2", "O2").cycles
-        trips_c, _ = runner.trips_cycles(name, "compiled")
+        base = pipeline.platform(name, "core2", "O2").cycles
+        trips_c = pipeline.trips_cycles(name, "compiled").stats
         row = [name,
-               base / max(runner.platform(name, "p3", "O2").cycles, 1),
-               base / max(runner.platform(name, "p4", "O2").cycles, 1),
-               base / max(runner.platform(name, "core2", "ICC").cycles, 1),
+               base / max(pipeline.platform(name, "p3", "O2").cycles, 1),
+               base / max(pipeline.platform(name, "p4", "O2").cycles, 1),
+               base / max(pipeline.platform(name, "core2", "ICC").cycles,
+                          1),
                base / max(trips_c.cycles, 1)]
         if include_hand and get_benchmark(name).has_hand:
-            trips_h, _ = runner.trips_cycles(name, "hand")
+            trips_h = pipeline.trips_cycles(name, "hand").stats
             row.append(base / max(trips_h.cycles, 1))
         elif include_hand:
             row.append("")
@@ -486,11 +491,11 @@ def _speedup_rows(runner: Runner, names: Iterable[str],
     return rows
 
 
-def fig11_simple_speedup(runner: Runner = SHARED_RUNNER,
+def fig11_simple_speedup(pipeline: Pipeline,
                          benchmarks: Sequence[str] = SIMPLE):
     headers = ["Benchmark", "P3-gcc", "P4-gcc", "Core2-icc",
                "TRIPS-compiled", "TRIPS-hand"]
-    rows = _speedup_rows(runner, benchmarks, include_hand=True)
+    rows = _speedup_rows(pipeline, benchmarks, include_hand=True)
     for column, label in ((4, "gmean TRIPS-C"), (5, "gmean TRIPS-H")):
         values = [r[column] for r in rows if isinstance(r[column], float)]
         rows.append([label] + [""] * (column - 1) + [geomean(values)]
@@ -500,14 +505,14 @@ def fig11_simple_speedup(runner: Runner = SHARED_RUNNER,
     return headers, rows, note
 
 
-def fig12_spec_speedup(runner: Runner = SHARED_RUNNER,
+def fig12_spec_speedup(pipeline: Pipeline,
                        spec_int: Sequence[str] = SPEC_INT,
                        spec_fp: Sequence[str] = SPEC_FP):
     headers = ["Benchmark", "P3-gcc", "P4-gcc", "Core2-icc",
                "TRIPS-compiled"]
-    rows = _speedup_rows(runner, spec_int, include_hand=False)
+    rows = _speedup_rows(pipeline, spec_int, include_hand=False)
     int_mean = geomean([r[4] for r in rows])
-    fp_rows = _speedup_rows(runner, spec_fp, include_hand=False)
+    fp_rows = _speedup_rows(pipeline, spec_fp, include_hand=False)
     fp_mean = geomean([r[4] for r in fp_rows])
     rows += fp_rows
     rows.append(["SPECINT gmean", "", "", "", int_mean])
@@ -521,16 +526,16 @@ def fig12_spec_speedup(runner: Runner = SHARED_RUNNER,
 # Table 3 — SPEC performance-counter detail.
 # ---------------------------------------------------------------------------
 
-def table3_counters(runner: Runner = SHARED_RUNNER,
+def table3_counters(pipeline: Pipeline,
                     benchmarks: Sequence[str] = SPEC_INT + SPEC_FP):
     headers = ["Benchmark", "C2 br/Ki", "TR br/Ki", "TR c-r/Ki",
                "C2 I$/Ki", "TR I$/Ki", "TR ldflush/Ki",
                "blk*8", "useful in flight"]
     rows = []
     for name in benchmarks:
-        trips, _ = runner.trips_cycles(name, "compiled")
-        func = runner.trips_functional(name)
-        core2 = runner.platform(name, "core2", "O2")
+        trips = pipeline.trips_cycles(name, "compiled").stats
+        func = pipeline.trips_functional(name)
+        core2 = pipeline.platform(name, "core2", "O2")
         useful = max(trips.useful, 1)
         avg_block = func.fetched / max(func.blocks_committed, 1)
         rows.append([
@@ -552,9 +557,9 @@ def table3_counters(runner: Runner = SHARED_RUNNER,
 # Section 6 — matrix-multiply FLOPS per cycle.
 # ---------------------------------------------------------------------------
 
-def sec6_matmul_fpc(runner: Runner = SHARED_RUNNER):
-    stats, _ = runner.trips_cycles("matrix", "hand")
-    func = runner.trips_functional("matrix", "hand")
+def sec6_matmul_fpc(pipeline: Pipeline):
+    stats = pipeline.trips_cycles("matrix", "hand").stats
+    func = pipeline.trips_functional("matrix", "hand")
     flops = func.composition.get("arith", 0)  # flop-dominated kernel
     # Count the actual FP operations from the functional composition is
     # coarse; derive from the algorithm instead: 2*n^3 flops.
@@ -599,16 +604,17 @@ def experiment_names() -> List[str]:
     return list(_EXPERIMENTS)
 
 
-def run_experiment(key: str, runner: Optional[Runner] = None,
+def run_experiment(key: str, pipeline: Optional[Pipeline] = None,
                    **kwargs) -> str:
     """Run one experiment by key and return its rendered table.
 
-    ``runner`` overrides :data:`SHARED_RUNNER` for drivers that take one
-    (the static tables ignore it), letting the CLI thread a disk-backed,
-    instrumented pipeline through every figure.
+    A driver that reads simulator statistics runs on ``pipeline``, or on
+    :func:`~repro.pipeline.shared_pipeline` when given none (the static
+    tables take no pipeline and build none).
     """
     driver, title = _EXPERIMENTS[key]
-    if runner is not None and "runner" in inspect.signature(driver).parameters:
-        kwargs.setdefault("runner", runner)
+    if "pipeline" in inspect.signature(driver).parameters:
+        kwargs["pipeline"] = pipeline if pipeline is not None \
+            else shared_pipeline()
     headers, rows, note = driver(**kwargs)
     return format_table(title, headers, rows, note)

@@ -58,7 +58,6 @@ from repro.robust import (
     FAILED, FaultPlan, RetryPolicy, RunReport, apply_driver_fault,
     apply_unit_faults, supervise_units,
 )
-from repro.uarch.config import TripsConfig
 
 __all__ = ["SweepResult", "point_artifact", "point_metrics", "run_sweep",
            "warm_point"]
@@ -70,14 +69,8 @@ POINT_STAGES = ("trips-cycles", "ideal")
 
 def _point_artifact(pipeline: Pipeline, payload: Dict[str, Any]):
     """Resolve one point's artifact through the pipeline (cache-aware)."""
-    if payload["system"] == "cycles":
-        config = TripsConfig(**payload["settings"]).validate()
-        return pipeline.trips_cycles(payload["benchmark"],
-                                     payload["variant"], config)
-    window = payload["settings"].get("window", 1024)
-    dispatch_cost = payload["settings"].get("dispatch_cost", 8)
-    return pipeline.ideal(payload["benchmark"], payload["variant"],
-                          window, dispatch_cost)
+    return pipeline.point(payload["system"], payload["benchmark"],
+                          payload["variant"], payload["settings"])
 
 
 def _attempt_point(pipeline: Pipeline, payload: Dict[str, Any],

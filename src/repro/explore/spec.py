@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.uarch.config import ConfigError, TripsConfig, component_tables
+from repro.uarch.ideal import DEFAULT_DISPATCH_COST, DEFAULT_WINDOW
 
 __all__ = [
     "IDEAL_AXES", "SPEC_KEYS", "SpecError", "SweepSpec", "axis_domain",
@@ -70,8 +71,8 @@ def _check_component_value(axis: str, value: str) -> str:
 
 #: Ideal-machine axes: name -> (default, minimum legal value).
 IDEAL_AXES: Dict[str, Tuple[int, int]] = {
-    "window": (1024, 1),
-    "dispatch_cost": (8, 0),
+    "window": (DEFAULT_WINDOW, 1),
+    "dispatch_cost": (DEFAULT_DISPATCH_COST, 0),
 }
 
 #: Legal top-level keys of a spec document.

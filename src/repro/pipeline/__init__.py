@@ -7,9 +7,8 @@ semantics, :mod:`repro.pipeline.observe` for telemetry, and
 """
 
 from repro.pipeline.core import (
-    BandwidthArtifact, ChecksumMismatch, CycleArtifact, CycleView,
-    PERSISTED_STAGES, Pipeline, SIMULATION_STAGES, TraceSummary,
-    VARIANT_LEVEL, shared_pipeline,
+    BandwidthArtifact, ChecksumMismatch, CycleArtifact, Pipeline,
+    SIMULATION_STAGES, TraceSummary, VARIANT_LEVEL, shared_pipeline,
 )
 from repro.pipeline.keys import (
     artifact_digest, config_digest, source_digest, stable_digest,
@@ -25,8 +24,6 @@ __all__ = [
     "CORRUPT",
     "ChecksumMismatch",
     "CycleArtifact",
-    "CycleView",
-    "PERSISTED_STAGES",
     "Pipeline",
     "SCHEMA_VERSION",
     "SIMULATION_STAGES",

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench import get as get_benchmark
@@ -65,7 +65,9 @@ from repro.uarch import (
     CacheStats, CycleStats, IdealStats, OpnStats, TripsConfig, run_cycles,
     run_ideal,
 )
-from repro.uarch.ideal import check_ideal_params, time_ideal
+from repro.uarch.ideal import (
+    DEFAULT_DISPATCH_COST, DEFAULT_WINDOW, check_ideal_params, time_ideal,
+)
 
 from repro.obs import spans as obs_spans
 from repro.pipeline.keys import artifact_digest, config_digest
@@ -79,13 +81,9 @@ from repro.pipeline.store import (
 #: Optimization level per TRIPS variant (the paper's C and H bars).
 VARIANT_LEVEL = {"compiled": "O2", "hand": "HAND"}
 
-#: Stages whose artifacts persist to disk.
-PERSISTED_STAGES = ("expected", "trips-functional", "trips-cycles", "ideal",
-                    "block-trace", "trace-summary", "powerpc", "platform",
-                    "bandwidth")
-
-#: Stages whose compute step invokes a simulator (used by tests asserting
-#: that a warm cache performs zero simulator invocations).
+#: Stages whose artifacts are stored on disk (when the pipeline has a
+#: store); every other stage is memory-only.  Tests count computes of
+#: these stages to assert that a warm store simulates nothing.
 SIMULATION_STAGES = ("expected", "trips-functional", "trips-cycles", "ideal",
                      "block-trace", "trace-summary", "powerpc", "platform",
                      "bandwidth")
@@ -126,31 +124,12 @@ class BandwidthArtifact:
     dram_accesses: int
 
 
-class CycleView:
-    """Simulator-shaped read-only view over a :class:`CycleArtifact`.
-
-    Exposes the attribute paths the drivers and CLI read from a live
-    :class:`~repro.uarch.core.CycleSimulator` (``.stats``, ``.opn.stats``,
-    ``.hierarchy.l1d.stats``, ``.hierarchy.dram.accesses``) so cached
-    cycle results are drop-in replacements for a fresh simulation.
-    """
-
-    def __init__(self, artifact: CycleArtifact) -> None:
-        self.stats = artifact.stats
-        self.opn = SimpleNamespace(stats=artifact.opn_stats)
-        self.hierarchy = SimpleNamespace(
-            l1d=SimpleNamespace(stats=artifact.l1d),
-            l1i=SimpleNamespace(stats=artifact.l1i),
-            l2=SimpleNamespace(stats=artifact.l2),
-            dram=SimpleNamespace(accesses=artifact.dram_accesses))
-
-
 class Pipeline:
     """Content-addressed, optionally disk-backed artifact pipeline.
 
-    ``cache_dir=None`` gives a memory-only pipeline (the historical
-    :class:`Runner` behaviour); pass a path to persist the heavyweight
-    stages across processes.  ``telemetry`` counts every stage
+    ``cache_dir=None`` gives a memory-only pipeline (each instance
+    independent); pass a path to persist the :data:`SIMULATION_STAGES`
+    across processes.  ``telemetry`` counts every stage
     resolution (see :mod:`repro.pipeline.observe`); with spans on,
     each resolution is also a ``stage.<name>`` span
     (:mod:`repro.obs.spans`).
@@ -200,19 +179,19 @@ class Pipeline:
 
     # -- generic stage resolution ------------------------------------------
 
-    def _materialize(self, stage: str, key: Any, compute: Callable[[], Any],
-                     persist: bool = False) -> Any:
+    def _materialize(self, stage: str, key: Any,
+                     compute: Callable[[], Any]) -> Any:
         # Span wrap is two-tier so the off path (the perf-guarded hot
         # cache path) pays one boolean check and no allocation.  The
         # recorder reprs whatever part of ``key`` JSON cannot encode.
         if obs_spans.spans_active():
             with obs_spans.span("stage." + stage, cat="pipeline",
                                 key=key) as live:
-                return self._resolve(stage, key, compute, persist, live)
-        return self._resolve(stage, key, compute, persist, None)
+                return self._resolve(stage, key, compute, live)
+        return self._resolve(stage, key, compute, None)
 
     def _resolve(self, stage: str, key: Any, compute: Callable[[], Any],
-                 persist: bool, live) -> Any:
+                 live) -> Any:
         digest = artifact_digest(SCHEMA_VERSION, stage, key)
         memory_key = (stage, digest)
         if memory_key in self._memory:
@@ -220,7 +199,8 @@ class Pipeline:
             if live is not None:
                 live.note(outcome=MEMORY_HIT, digest=digest[:12])
             return self._memory[memory_key]
-        if persist and self.store is not None:
+        persist = self.store is not None and stage in SIMULATION_STAGES
+        if persist:
             start = time.perf_counter()
             found, value = self.store.load(stage, digest)
             if found:
@@ -236,7 +216,7 @@ class Pipeline:
         if live is not None:
             live.note(outcome=COMPUTE, digest=digest[:12])
         self._memory[memory_key] = value
-        if persist and self.store is not None:
+        if persist:
             start = time.perf_counter()
             self.store.store(stage, digest, value)
             self.telemetry.record(stage, STORE, time.perf_counter() - start)
@@ -258,7 +238,7 @@ class Pipeline:
             result, _ = run_module(self.module(name))
             return result
 
-        value = self._materialize("expected", (name,), compute, persist=True)
+        value = self._materialize("expected", (name,), compute)
         self._expected[name] = value
         return value
 
@@ -308,10 +288,15 @@ class Pipeline:
                          variant: str = "compiled") -> TripsStats:
         return self._materialize(
             "trips-functional", (name, variant),
-            lambda: self.trips_outcomes(name, variant).stats, persist=True)
+            lambda: self.trips_outcomes(name, variant).stats)
 
     def trips_cycles(self, name: str, variant: str = "compiled",
                      config: Optional[TripsConfig] = None) -> CycleArtifact:
+        return self._materialize(*self._cycles(name, variant, config))
+
+    def _cycles(self, name: str, variant: str,
+                config: Optional[TripsConfig]):
+        """``(stage, key, compute)`` of one cycle-level run."""
         def compute():
             _result, sim = run_cycles(self.trips_lowered(name, variant),
                                       config=config,
@@ -330,17 +315,50 @@ class Pipeline:
                 dram_accesses=sim.hierarchy.dram.accesses)
 
         key = (name, variant, config_digest(config, TripsConfig))
-        return self._materialize("trips-cycles", key, compute, persist=True)
+        return "trips-cycles", key, compute
 
     def ideal(self, name: str, variant: str = "compiled",
-              window: int = 1024, dispatch_cost: int = 8) -> IdealStats:
+              window: int = DEFAULT_WINDOW,
+              dispatch_cost: int = DEFAULT_DISPATCH_COST) -> IdealStats:
+        return self._materialize(*self._ideal(name, variant, window,
+                                              dispatch_cost))
+
+    def _ideal(self, name: str, variant: str, window: int = DEFAULT_WINDOW,
+               dispatch_cost: int = DEFAULT_DISPATCH_COST):
+        """``(stage, key, compute)`` of one ideal-machine point."""
         # Before the recording is requested: a bad point executes nothing.
         check_ideal_params(window, dispatch_cost)
-        return self._materialize(
-            "ideal", (name, variant, window, dispatch_cost),
-            lambda: time_ideal(self.trips_outcomes(name, variant), window,
-                               dispatch_cost),
-            persist=True)
+        return ("ideal", (name, variant, window, dispatch_cost),
+                lambda: time_ideal(self.trips_outcomes(name, variant),
+                                   window, dispatch_cost))
+
+    # -- design points ------------------------------------------------------
+
+    def point(self, system: str, name: str, variant: str,
+              settings: Dict[str, Any]):
+        """One design point's artifact: a :class:`CycleArtifact` for
+        ``system="cycles"`` (``settings`` are :class:`TripsConfig`
+        fields), :class:`IdealStats` for ``"ideal"`` (``window``,
+        ``dispatch_cost``).  A sweep point and a ``/v1/run`` request
+        resolve here, keyed exactly as :meth:`trips_cycles` and
+        :meth:`ideal` key the same run."""
+        return self._materialize(*self._point(system, name, variant,
+                                              settings))
+
+    def point_address(self, system: str, name: str, variant: str,
+                      settings: Dict[str, Any]) -> Tuple[str, str]:
+        """``(stage, digest)`` under which :meth:`point` stores that
+        point, without resolving it.  A bad setting raises
+        :class:`~repro.uarch.config.ConfigError` here."""
+        stage, key, _compute = self._point(system, name, variant, settings)
+        return stage, artifact_digest(SCHEMA_VERSION, stage, key)
+
+    def _point(self, system: str, name: str, variant: str,
+               settings: Dict[str, Any]):
+        if system == "cycles":
+            return self._cycles(name, variant,
+                                TripsConfig(**settings).validate())
+        return self._ideal(name, variant, **settings)
 
     def traced_cycles(self, name: str, variant: str = "compiled",
                       config: Optional[TripsConfig] = None):
@@ -374,7 +392,7 @@ class Pipeline:
             return summarize(events, sim.stats.cycles, buckets=resolution)
 
         key = (name, variant, config_digest(config, TripsConfig), resolution)
-        return self._materialize("trace-summary", key, compute, persist=True)
+        return self._materialize("trace-summary", key, compute)
 
     def block_trace(self, name: str, variant: str = "compiled",
                     formation: str = "hyper") -> TraceSummary:
@@ -384,7 +402,7 @@ class Pipeline:
             return TraceSummary(events, len(events))
 
         return self._materialize("block-trace", (name, variant, formation),
-                                 compute, persist=True)
+                                 compute)
 
     # -- RISC / reference platform stages -----------------------------------
 
@@ -403,15 +421,14 @@ class Pipeline:
     def powerpc(self, name: str, level: str = "O2") -> RiscStats:
         return self._materialize(
             "powerpc", (name, level),
-            lambda: self.risc_trace(name, level).stats, persist=True)
+            lambda: self.risc_trace(name, level).stats)
 
     def platform(self, name: str, platform: str,
                  level: str = "O2") -> SuperscalarStats:
         return self._materialize(
             "platform", (name, platform, level),
             lambda: SuperscalarModel(PLATFORMS[platform]).run(
-                self.risc_trace(name, level)),
-            persist=True)
+                self.risc_trace(name, level)))
 
     # -- microbenchmark stages ----------------------------------------------
 
@@ -424,10 +441,12 @@ class Pipeline:
 
         key = (label, doubles, stride, lanes, memory_size,
                config_digest(None))
-        return self._materialize("bandwidth", key, compute, persist=True)
+        return self._materialize("bandwidth", key, compute)
 
 
+@lru_cache(maxsize=1)
 def shared_pipeline() -> Pipeline:
-    """The session-wide pipeline: disk-backed unless ``REPRO_CACHE=0``."""
+    """The session-wide pipeline: disk-backed unless ``REPRO_CACHE=0``.
+    Built on the first call; every later call returns the same one."""
     cache_dir = default_cache_dir() if cache_enabled() else None
     return Pipeline(cache_dir=cache_dir)

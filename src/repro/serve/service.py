@@ -12,9 +12,9 @@ Request lifecycle for ``/v1/run``:
 1. **Validate** the body through the sweep-spec validator
    (:func:`repro.explore.spec.validate_settings`), so a typo'd config
    field gets the same did-you-mean error a bad sweep would.
-2. **Key** the request by the *exact* content-addressed digest the
-   pipeline would store the artifact under — the cache key is the
-   idempotency key.
+2. **Key** the request by the digest the pipeline stores the
+   artifact under (:meth:`~repro.pipeline.core.Pipeline.point_address`)
+   — the cache key is the idempotency key.
 3. **Dedup**: join the in-flight table.  Followers block on the
    leader's entry and share its result or error.
 4. **Execute**: each leader is one task on the run executor (``jobs``
@@ -49,17 +49,14 @@ from repro.explore.engine import point_artifact, point_metrics, run_sweep
 from repro.obs.events import EventBus
 from repro.obs.dashboard import render_dashboard
 from repro.obs.runindex import RunIndex, default_index_path
-from repro.explore.spec import (
-    IDEAL_AXES, SpecError, SweepSpec, validate_settings,
-)
+from repro.explore.spec import SpecError, SweepSpec, validate_settings
 from repro.pipeline.core import Pipeline
-from repro.pipeline.keys import artifact_digest, canonicalize, config_digest
-from repro.pipeline.store import SCHEMA_VERSION
+from repro.pipeline.keys import canonicalize
 from repro.robust import FaultPlan, RetryPolicy, apply_unit_faults
 from repro.serve.dedup import InFlightEntry, InFlightTable
 from repro.serve.metrics import ServeMetrics
 from repro.serve.ratelimit import RateLimiter
-from repro.uarch.config import ConfigError, TripsConfig
+from repro.uarch.config import ConfigError
 
 __all__ = ["HttpError", "ServeConfig", "SimService"]
 
@@ -276,21 +273,13 @@ class SimService:
                             "'config' must be a JSON object")
         try:
             settings = validate_settings(config, system=system)
-            if system == "cycles":
-                trips = TripsConfig(**settings).validate()
-                stage = "trips-cycles"
-                key = (name, variant, config_digest(trips, TripsConfig))
-            else:
-                stage = "ideal"
-                window = settings.get("window", IDEAL_AXES["window"][0])
-                dispatch = settings.get("dispatch_cost",
-                                        IDEAL_AXES["dispatch_cost"][0])
-                key = (name, variant, window, dispatch)
+            stage, digest = self.pipeline.point_address(
+                system, name, variant, settings)
         except (SpecError, ConfigError) as exc:
             raise HttpError(400, type(exc).__name__, str(exc)) from None
         payload = {"benchmark": name, "variant": variant,
                    "system": system, "settings": settings}
-        return payload, stage, artifact_digest(SCHEMA_VERSION, stage, key)
+        return payload, stage, digest
 
     def handle_run(self, body: Any) -> Tuple[int, Dict[str, Any]]:
         self._refuse_if_draining()

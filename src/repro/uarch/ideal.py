@@ -34,6 +34,11 @@ from repro.trips.functional import (
     BlockOutcome, OutcomeStream, TripsSimulator,
 )
 
+#: The default point: a 1K-entry window and an 8-cycle block dispatch
+#: (Figure 10's "1K/8").
+DEFAULT_WINDOW = 1024
+DEFAULT_DISPATCH_COST = 8
+
 #: Load-use latency under perfect caching.
 PERFECT_LOAD_CYCLES = 1
 
@@ -86,8 +91,8 @@ def _plan(key: BlockOutcome) -> Tuple:
             tuple(steps), writes, completion)
 
 
-def time_ideal(stream: OutcomeStream, window: int = 1024,
-               dispatch_cost: int = 8,
+def time_ideal(stream: OutcomeStream, window: int = DEFAULT_WINDOW,
+               dispatch_cost: int = DEFAULT_DISPATCH_COST,
                max_blocks: int = 2_000_000) -> IdealStats:
     """Time a recorded execution on the ideal machine."""
     if len(stream.activations) > max_blocks:
@@ -163,8 +168,9 @@ class IdealSimulator:
     """Dataflow-limit machine with a window and a dispatch cost: ``run``
     executes the program once and times it with :func:`time_ideal`."""
 
-    def __init__(self, program: TripsProgram, window: int = 1024,
-                 dispatch_cost: int = 8,
+    def __init__(self, program: TripsProgram,
+                 window: int = DEFAULT_WINDOW,
+                 dispatch_cost: int = DEFAULT_DISPATCH_COST,
                  memory_size: int = 16 * 1024 * 1024,
                  max_blocks: int = 2_000_000) -> None:
         check_ideal_params(window, dispatch_cost)
@@ -185,8 +191,9 @@ class IdealSimulator:
 
 
 def run_ideal(program: TripsProgram, entry: str = "main",
-              args: Optional[List[object]] = None, window: int = 1024,
-              dispatch_cost: int = 8,
+              args: Optional[List[object]] = None,
+              window: int = DEFAULT_WINDOW,
+              dispatch_cost: int = DEFAULT_DISPATCH_COST,
               memory_size: int = 16 * 1024 * 1024):
     """One-shot convenience: returns (result, simulator)."""
     simulator = IdealSimulator(program, window, dispatch_cost, memory_size)

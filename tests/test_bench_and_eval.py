@@ -4,10 +4,10 @@ import pytest
 
 from repro.bench import all_benchmarks, by_suite, get, simple_benchmarks
 from repro.eval import (
-    Runner, format_table, geomean, run_experiment, table1_platforms,
+    format_table, geomean, run_experiment, table1_platforms,
     table2_suites,
 )
-from repro.eval.runner import ChecksumMismatch
+from repro.pipeline import ChecksumMismatch, Pipeline
 from repro.ir import run_module, verify_module
 
 
@@ -42,29 +42,29 @@ class TestRegistry:
 
 class TestRunner:
     def test_memoizes_modules(self):
-        runner = Runner()
-        assert runner.module("vadd") is runner.module("vadd")
+        pipeline = Pipeline()
+        assert pipeline.module("vadd") is pipeline.module("vadd")
 
     def test_expected_checksum(self):
-        runner = Runner()
-        assert runner.expected("crc") == run_module(get("crc").module())[0]
+        pipeline = Pipeline()
+        assert pipeline.expected("crc") == run_module(get("crc").module())[0]
 
     def test_powerpc_stats(self):
-        runner = Runner()
-        stats = runner.powerpc("rspeed")
+        pipeline = Pipeline()
+        stats = pipeline.powerpc("rspeed")
         assert stats.executed > 0
 
     def test_functional_stats_cached(self):
-        runner = Runner()
-        first = runner.trips_functional("rspeed")
-        second = runner.trips_functional("rspeed")
+        pipeline = Pipeline()
+        first = pipeline.trips_functional("rspeed")
+        second = pipeline.trips_functional("rspeed")
         assert first is second
 
     def test_checksum_guard_raises(self):
-        runner = Runner()
-        runner._expected["rspeed"] = -12345  # sabotage the golden value
+        pipeline = Pipeline()
+        pipeline._expected["rspeed"] = -12345  # sabotage the golden value
         with pytest.raises(ChecksumMismatch):
-            runner.trips_functional("rspeed")
+            pipeline.trips_functional("rspeed")
 
 
 class TestReport:
@@ -99,37 +99,37 @@ class TestIsaExperimentsOnSubset:
     """Fast checks of the paper-shape claims on a tiny benchmark subset."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return Runner()
+    def pipeline(self):
+        return Pipeline()
 
-    def test_fig4_overhead_direction(self, runner):
+    def test_fig4_overhead_direction(self, pipeline):
         # TRIPS fetches more total instructions than PowerPC executes, but
         # useful counts are comparable (paper Section 4.2).
-        trips = runner.trips_functional("a2time")
-        ppc = runner.powerpc("a2time")
+        trips = pipeline.trips_functional("a2time")
+        ppc = pipeline.powerpc("a2time")
         assert trips.fetched > ppc.executed
         assert trips.useful < 2.0 * ppc.executed
 
-    def test_fig5_fewer_memory_accesses(self, runner):
-        trips = runner.trips_functional("fft")
-        ppc = runner.powerpc("fft")
+    def test_fig5_fewer_memory_accesses(self, pipeline):
+        trips = pipeline.trips_functional("fft")
+        ppc = pipeline.powerpc("fft")
         trips_mem = trips.loads_executed + trips.stores_committed
         ppc_mem = ppc.loads + ppc.stores
         assert trips_mem <= ppc_mem
 
-    def test_fig5_fewer_register_accesses(self, runner):
-        trips = runner.trips_functional("conv")
-        ppc = runner.powerpc("conv")
+    def test_fig5_fewer_register_accesses(self, pipeline):
+        trips = pipeline.trips_functional("conv")
+        ppc = pipeline.powerpc("conv")
         trips_reg = trips.reads_fetched + trips.writes_committed
         ppc_reg = ppc.register_reads + ppc.register_writes
         assert trips_reg < 0.6 * ppc_reg  # paper: 10-20%
 
-    def test_code_size_expands(self, runner):
+    def test_code_size_expands(self, pipeline):
         from repro.isa import static_code_size
         from repro.opt import optimize
         from repro.risc import lower_module as lower_risc
-        lowered = runner.trips_lowered("rspeed")
+        lowered = pipeline.trips_lowered("rspeed")
         report = static_code_size(lowered.program)
-        risc = lower_risc(optimize(runner.module("rspeed"), "O2"))
+        risc = lower_risc(optimize(pipeline.module("rspeed"), "O2"))
         assert report.static_bytes_raw > risc.code_bytes()
         assert report.static_bytes_compressed < report.static_bytes_raw

@@ -18,8 +18,7 @@ Covered acceptance paths:
 Run by the CI ``chaos`` job under a hard timeout so a hang fails fast.
 """
 
-from repro.eval.runner import Runner
-from repro.pipeline import SIMULATION_STAGES
+from repro.pipeline import Pipeline, SIMULATION_STAGES
 from repro.pipeline.parallel import warm_benchmarks, warm_one
 from repro.robust import (
     COMPLETED, DEGRADED, FAILED, FaultPlan, RETRIED, RetryPolicy, RunReport,
@@ -50,11 +49,11 @@ class TestKilledWorker:
         assert outcome.status == RETRIED
         assert outcome.attempts == 2
         assert any("WorkerCrash" in cause for cause in outcome.causes)
-        # The artifacts really exist: a fresh runner renders warm.
-        runner = Runner(cache_dir=tmp_path)
-        stats, _ = runner.trips_cycles("rspeed")
+        # The artifacts really exist: a fresh pipeline renders warm.
+        pipeline = Pipeline(cache_dir=tmp_path)
+        stats = pipeline.trips_cycles("rspeed").stats
         assert stats.cycles > 0
-        assert runner.pipeline.telemetry.computes(SIMULATION_STAGES) == 0
+        assert pipeline.telemetry.computes(SIMULATION_STAGES) == 0
 
     def test_persistent_killer_degrades_to_serial(self, tmp_path):
         plan = FaultPlan.parse("kill-worker:rspeed:99")
@@ -65,9 +64,9 @@ class TestKilledWorker:
         assert outcome.status == DEGRADED
         assert outcome.attempts == 3  # two pooled tries + serial fallback
         assert report.ok  # degraded still means "nothing missing"
-        runner = Runner(cache_dir=tmp_path)
-        assert runner.trips_cycles("rspeed")[0].cycles > 0
-        assert runner.pipeline.telemetry.computes(SIMULATION_STAGES) == 0
+        pipeline = Pipeline(cache_dir=tmp_path)
+        assert pipeline.trips_cycles("rspeed").stats.cycles > 0
+        assert pipeline.telemetry.computes(SIMULATION_STAGES) == 0
 
 
 class TestRaisingVsKilledWorker:
@@ -87,9 +86,9 @@ class TestRaisingVsKilledWorker:
         assert report.units["rspeed"].status in (COMPLETED, RETRIED)
         assert not report.ok
         # The healthy benchmarks' artifacts landed despite the failure.
-        runner = Runner(cache_dir=tmp_path)
-        assert runner.trips_cycles("rspeed")[0].cycles > 0
-        assert runner.pipeline.telemetry.computes(SIMULATION_STAGES) == 0
+        pipeline = Pipeline(cache_dir=tmp_path)
+        assert pipeline.trips_cycles("rspeed").stats.cycles > 0
+        assert pipeline.telemetry.computes(SIMULATION_STAGES) == 0
 
     def test_serial_path_collects_failures_too(self, tmp_path):
         plan = FaultPlan.parse("flaky-stage:conven:99")
@@ -122,9 +121,9 @@ class TestHungStage:
         assert outcome.status == DEGRADED
         assert any("StageTimeout" in cause for cause in outcome.causes)
         assert report.ok
-        runner = Runner(cache_dir=tmp_path)
-        assert runner.trips_cycles("rspeed")[0].cycles > 0
-        assert runner.pipeline.telemetry.computes(SIMULATION_STAGES) == 0
+        pipeline = Pipeline(cache_dir=tmp_path)
+        assert pipeline.trips_cycles("rspeed").stats.cycles > 0
+        assert pipeline.telemetry.computes(SIMULATION_STAGES) == 0
 
 
 class TestCacheCorruptionRecovery:
@@ -135,11 +134,11 @@ class TestCacheCorruptionRecovery:
 
         # The poisoned entries are detected at next load: quarantined
         # with incident records, counted, and recomputed.
-        runner = Runner(cache_dir=tmp_path)
-        stats, _ = runner.trips_cycles("rspeed")
+        pipeline = Pipeline(cache_dir=tmp_path)
+        stats = pipeline.trips_cycles("rspeed").stats
         assert stats.cycles > 0
-        store = runner.pipeline.store
-        counters = runner.pipeline.telemetry.counters("trips-cycles")
+        store = pipeline.store
+        counters = pipeline.telemetry.counters("trips-cycles")
         assert counters.corrupt_entries >= 1
         assert counters.computes >= 1
         quarantined = list(store.quarantine_root.rglob("*.pkl"))
@@ -148,10 +147,10 @@ class TestCacheCorruptionRecovery:
         assert all(r["stage"] == "trips-cycles" for r in incidents)
 
         # Healed: the recomputed artifact serves the next session warm.
-        healed = Runner(cache_dir=tmp_path)
-        healed_stats, _ = healed.trips_cycles("rspeed")
+        healed = Pipeline(cache_dir=tmp_path)
+        healed_stats = healed.trips_cycles("rspeed").stats
         assert healed_stats == stats
-        assert healed.pipeline.telemetry.computes(SIMULATION_STAGES) == 0
+        assert healed.telemetry.computes(SIMULATION_STAGES) == 0
 
 
 class TestNoFaultDeterminism:
@@ -178,7 +177,7 @@ class TestNoFaultDeterminism:
     def test_traced_and_untraced_cycle_stats_identical(self):
         from repro.trace import CollectingTracer
         from repro.uarch import run_cycles
-        lowered = Runner().trips_lowered("rspeed")
+        lowered = Pipeline().trips_lowered("rspeed")
         plain_result, plain = run_cycles(lowered)
         traced_result, traced = run_cycles(lowered,
                                            tracer=CollectingTracer())
@@ -224,10 +223,10 @@ class TestReportRendersWhatItCan:
 
         real = repro.eval.run_experiment
 
-        def flaky_experiment(key, runner=None, **kwargs):
+        def flaky_experiment(key, pipeline=None, **kwargs):
             if key == "table2":
                 raise RuntimeError("injected driver failure")
-            return real(key, runner=runner, **kwargs)
+            return real(key, pipeline=pipeline, **kwargs)
 
         monkeypatch.setattr(repro.eval, "run_experiment", flaky_experiment)
         assert main(["report", "table2", "--cache-dir",

@@ -75,6 +75,26 @@ class TestCheckerCatchesRot:
         assert "doc.md:4:" in problems[1]
         assert "did you mean 'max_blocks_in_flight'" in problems[1]
 
+    def test_phantom_import_detected(self, tmp_path):
+        sys.path.insert(0, str(REPO / "src"))
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "```python\n"
+            "from repro.eval.runner import ChecksumMismatch\n"
+            "from repro.pipeline import Pipeline, NoSuchThing\n"
+            "from repro import obs\n"
+            "import repro.trace\n"
+            "```\n"
+            "```bash\n"
+            "from repro.eval.runner import ChecksumMismatch\n"
+            "```\n")
+        problems = check_docs.check_imports(doc)
+        assert len(problems) == 2
+        assert "doc.md:2:" in problems[0]
+        assert "repro.eval.runner" in problems[0]
+        assert "doc.md:3:" in problems[1]
+        assert "'NoSuchThing'" in problems[1]
+
     def test_parser_flags_recurse_into_subcommands(self):
         sys.path.insert(0, str(REPO / "src"))
         from repro.__main__ import build_parser

@@ -14,7 +14,7 @@ from repro.eval.experiments import (
     EEMBC8, SIMPLE, SPEC_FP, SPEC_INT, fig3_block_composition,
     fig4_instruction_overhead, fig5_storage_accesses,
 )
-from repro.eval.runner import Runner
+from repro.pipeline import Pipeline
 
 
 class TestExperimentRegistry:
@@ -52,40 +52,40 @@ class TestShapeGuards:
     """Direction-of-claim regression guards (fast subset)."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return Runner()
+    def pipeline(self):
+        return Pipeline()
 
     SUBSET = ("rspeed", "a2time", "conven")
 
-    def test_block_sizes_in_paper_band(self, runner):
+    def test_block_sizes_in_paper_band(self, pipeline):
         headers, rows, _ = fig3_block_composition(
-            runner, benchmarks=self.SUBSET, include_spec=False)
+            pipeline, benchmarks=self.SUBSET, include_spec=False)
         sizes = [row[-1] for row in rows if row[0] in self.SUBSET]
         assert all(20 <= size <= 128 for size in sizes)
 
-    def test_fetch_overhead_in_paper_band(self, runner):
+    def test_fetch_overhead_in_paper_band(self, pipeline):
         headers, rows, _ = fig4_instruction_overhead(
-            runner, benchmarks=self.SUBSET, include_spec=False)
+            pipeline, benchmarks=self.SUBSET, include_spec=False)
         totals = [row[-1] for row in rows if row[0] in self.SUBSET]
         assert all(1.2 <= total <= 8.0 for total in totals)
 
-    def test_useful_close_to_powerpc(self, runner):
+    def test_useful_close_to_powerpc(self, pipeline):
         headers, rows, _ = fig4_instruction_overhead(
-            runner, benchmarks=self.SUBSET, include_spec=False)
+            pipeline, benchmarks=self.SUBSET, include_spec=False)
         useful = [row[2] for row in rows if row[0] in self.SUBSET]
         assert all(0.5 <= u <= 1.6 for u in useful)
 
-    def test_register_access_ratio_low(self, runner):
+    def test_register_access_ratio_low(self, pipeline):
         headers, rows, _ = fig5_storage_accesses(
-            runner, benchmarks=self.SUBSET, include_spec=False)
+            pipeline, benchmarks=self.SUBSET, include_spec=False)
         ratios = [row[3] for row in rows if row[0] in self.SUBSET]
         assert all(ratio < 0.45 for ratio in ratios)
 
-    def test_hyperblocks_reduce_predictions(self, runner):
-        basic = runner.block_trace("a2time", "basic")
-        hyper = runner.block_trace("a2time", "hyper")
+    def test_hyperblocks_reduce_predictions(self, pipeline):
+        basic = pipeline.block_trace("a2time", formation="basic")
+        hyper = pipeline.block_trace("a2time", formation="hyper")
         assert hyper.blocks < 0.6 * basic.blocks
 
-    def test_window_occupancy_positive_and_bounded(self, runner):
-        stats, _ = runner.trips_cycles("rspeed")
+    def test_window_occupancy_positive_and_bounded(self, pipeline):
+        stats = pipeline.trips_cycles("rspeed").stats
         assert 16 <= stats.avg_instructions_in_window <= 1024

@@ -3,27 +3,27 @@ program-level assembler, and the CLI."""
 
 import pytest
 
-from repro.eval.runner import Runner
+from repro.pipeline import Pipeline
 from repro.isa import AsmError, format_program, parse_program
 from repro.trips import run_trips
 from repro.uarch import TripsConfig, run_cycles
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return Runner()
+def pipeline():
+    return Pipeline()
 
 
 class TestPredicatePrediction:
-    def test_correctness_preserved(self, runner):
-        lowered = runner.trips_lowered("a2time")
+    def test_correctness_preserved(self, pipeline):
+        lowered = pipeline.trips_lowered("a2time")
         config = TripsConfig()
         config.predicate_prediction = True
         result, _ = run_cycles(lowered, config=config)
-        assert result == runner.expected("a2time")
+        assert result == pipeline.expected("a2time")
 
-    def test_helps_predicated_code(self, runner):
-        lowered = runner.trips_lowered("a2time")
+    def test_helps_predicated_code(self, pipeline):
+        lowered = pipeline.trips_lowered("a2time")
         _, base = run_cycles(lowered)
         config = TripsConfig()
         config.predicate_prediction = True
@@ -31,30 +31,30 @@ class TestPredicatePrediction:
         assert pred.stats.cycles <= base.stats.cycles
         assert pred.stats.predicate_predictions > 0
 
-    def test_mispredictions_counted(self, runner):
+    def test_mispredictions_counted(self, pipeline):
         # Data-dependent predicates must miss at least sometimes.
-        lowered = runner.trips_lowered("8b10b")
+        lowered = pipeline.trips_lowered("8b10b")
         config = TripsConfig()
         config.predicate_prediction = True
         result, sim = run_cycles(lowered, config=config)
-        assert result == runner.expected("8b10b")
+        assert result == pipeline.expected("8b10b")
         assert sim.stats.predicate_mispredictions > 0
 
-    def test_disabled_by_default(self, runner):
-        _, sim = runner.trips_cycles("a2time")
-        assert sim.stats.predicate_predictions == 0
+    def test_disabled_by_default(self, pipeline):
+        stats = pipeline.trips_cycles("a2time").stats
+        assert stats.predicate_predictions == 0
 
 
 class TestVariableSizeBlocks:
-    def test_correctness_preserved(self, runner):
-        lowered = runner.trips_lowered("crc")
+    def test_correctness_preserved(self, pipeline):
+        lowered = pipeline.trips_lowered("crc")
         config = TripsConfig()
         config.variable_size_blocks = True
         result, _ = run_cycles(lowered, config=config)
-        assert result == runner.expected("crc")
+        assert result == pipeline.expected("crc")
 
-    def test_reduces_icache_pressure(self, runner):
-        lowered = runner.trips_lowered("perlbmk")
+    def test_reduces_icache_pressure(self, pipeline):
+        lowered = pipeline.trips_lowered("perlbmk")
         _, fixed = run_cycles(lowered)
         config = TripsConfig()
         config.variable_size_blocks = True
@@ -63,18 +63,18 @@ class TestVariableSizeBlocks:
 
 
 class TestProgramAssembler:
-    def test_round_trip(self, runner):
-        lowered = runner.trips_lowered("rspeed")
+    def test_round_trip(self, pipeline):
+        lowered = pipeline.trips_lowered("rspeed")
         text = format_program(lowered.program)
         reparsed = parse_program(text)
         assert format_program(reparsed) == text
 
-    def test_reparsed_program_executes(self, runner):
-        lowered = runner.trips_lowered("crc")
+    def test_reparsed_program_executes(self, pipeline):
+        lowered = pipeline.trips_lowered("crc")
         reparsed = parse_program(format_program(lowered.program))
         reparsed.globals_image = lowered.program.globals_image
         result, _ = run_trips(reparsed)
-        assert result == runner.expected("crc")
+        assert result == pipeline.expected("crc")
 
     def test_errors(self):
         with pytest.raises(AsmError):
@@ -144,20 +144,20 @@ class TestCli:
 
 class TestComposableGrid:
     @pytest.mark.parametrize("grid", [2, 4, 8])
-    def test_correctness_across_grids(self, runner, grid):
+    def test_correctness_across_grids(self, pipeline, grid):
         from repro.opt import optimize
         from repro.trips import lower_module
-        module = optimize(runner.module("crc"), "O2")
+        module = optimize(pipeline.module("crc"), "O2")
         lowered = lower_module(module, grid=grid)
         result, sim = run_cycles(lowered)
-        assert result == runner.expected("crc")
+        assert result == pipeline.expected("crc")
         # The machine is the array the program was placed on.
         assert sim.topology.grid == grid
 
-    def test_smaller_grid_has_fewer_hops(self, runner):
+    def test_smaller_grid_has_fewer_hops(self, pipeline):
         from repro.opt import optimize
         from repro.trips import lower_module
-        module = optimize(runner.module("fft"), "O2")
+        module = optimize(pipeline.module("fft"), "O2")
         results = {}
         for grid in (2, 8):
             lowered = lower_module(module, grid=grid)
@@ -165,9 +165,9 @@ class TestComposableGrid:
             results[grid] = sim.opn.stats.average_hops()
         assert results[2] < results[8]
 
-    def test_placement_respects_grid_bounds(self, runner):
+    def test_placement_respects_grid_bounds(self, pipeline):
         from repro.trips import place_block
-        lowered = runner.trips_lowered("crc")
+        lowered = pipeline.trips_lowered("crc")
         block = max(lowered.program.all_blocks(),
                     key=lambda b: len(b.instructions))
         for grid in (2, 4, 8):

@@ -21,7 +21,6 @@ import pytest
 
 from repro.eval.experiments import fig9_ipc
 from repro.eval.report import format_table
-from repro.eval.runner import Runner
 from repro.pipeline import (
     ArtifactStore, Pipeline, SCHEMA_VERSION, SIMULATION_STAGES, Telemetry,
     artifact_digest, config_digest, stable_digest,
@@ -130,44 +129,73 @@ class TestObservability:
         assert counters.memory_hits == 1
 
 
+class TestSharedPipeline:
+    def test_importing_the_drivers_builds_nothing(self):
+        # A child ``repro`` process of an importer must mint its own run.
+        env = _env()
+        env.pop("REPRO_RUN_ID", None)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import os, repro.eval; print(os.environ.get('REPRO_RUN_ID'))"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "None"
+
+    def test_built_on_first_call_then_shared(self, monkeypatch):
+        from repro.pipeline import shared_pipeline
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        shared_pipeline.cache_clear()
+        try:
+            first = shared_pipeline()
+            assert first.store is None
+            assert shared_pipeline() is first
+        finally:
+            shared_pipeline.cache_clear()
+
+
 class TestSatelliteFixes:
-    """The two historical Runner cache-key bugs must stay fixed."""
+    """Two historical cache-key bugs must stay fixed."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return Runner()
+    def pipeline(self):
+        return Pipeline()
 
-    def test_block_trace_keyed_by_variant(self, runner):
-        compiled = runner.block_trace("rspeed", "hyper", "compiled")
-        hand = runner.block_trace("rspeed", "hyper", "hand")
+    def test_block_trace_keyed_by_variant(self, pipeline):
+        compiled = pipeline.block_trace("rspeed", variant="compiled",
+                                        formation="hyper")
+        hand = pipeline.block_trace("rspeed", variant="hand",
+                                    formation="hyper")
         # The old (name, formation) key silently served the compiled trace
         # for the hand request; now each variant is its own artifact,
         # traced with its own lowering.
         assert compiled is not hand
-        assert runner.pipeline.telemetry.counters("block-trace").computes == 2
+        assert pipeline.telemetry.counters("block-trace").computes == 2
         # ...and each memoized under its own key.
-        assert runner.block_trace("rspeed", "hyper", "compiled") is compiled
-        assert runner.block_trace("rspeed", "hyper", "hand") is hand
-        assert runner.pipeline.telemetry.counters("block-trace").computes == 2
+        assert pipeline.block_trace("rspeed", variant="compiled",
+                                    formation="hyper") is compiled
+        assert pipeline.block_trace("rspeed", variant="hand",
+                                    formation="hyper") is hand
+        assert pipeline.telemetry.counters("block-trace").computes == 2
 
-    def test_trips_cycles_custom_config_memoized(self, runner):
+    def test_trips_cycles_custom_config_memoized(self, pipeline):
         config = TripsConfig()
         config.mispredict_flush_cycles = 20
-        first, _ = runner.trips_cycles("rspeed", config=config)
-        before = runner.pipeline.telemetry.counters("trips-cycles").computes
+        first = pipeline.trips_cycles("rspeed", config=config)
+        before = pipeline.telemetry.counters("trips-cycles").computes
         # An equal-valued fresh config must hit the same cache slot.
         again = TripsConfig()
         again.mispredict_flush_cycles = 20
-        second, _ = runner.trips_cycles("rspeed", config=again)
-        after = runner.pipeline.telemetry.counters("trips-cycles").computes
+        second = pipeline.trips_cycles("rspeed", config=again)
+        after = pipeline.telemetry.counters("trips-cycles").computes
         assert after == before
         assert second is first
 
-    def test_trips_cycles_configs_do_not_collide(self, runner):
-        default, _ = runner.trips_cycles("rspeed")
+    def test_trips_cycles_configs_do_not_collide(self, pipeline):
+        default = pipeline.trips_cycles("rspeed")
         slow = TripsConfig()
         slow.mispredict_flush_cycles = 50
-        slower, _ = runner.trips_cycles("rspeed", config=slow)
+        slower = pipeline.trips_cycles("rspeed", config=slow)
         assert slower is not default
 
 
@@ -177,8 +205,7 @@ class TestDiskCacheAcrossProcesses:
     SCRIPT = textwrap.dedent("""\
         import sys
         from repro.eval.experiments import fig9_ipc
-        from repro.eval.runner import Runner
-        from repro.pipeline import SIMULATION_STAGES
+        from repro.pipeline import Pipeline, SIMULATION_STAGES
 
         cache_dir, mode = sys.argv[1], sys.argv[2]
         if mode == "warm":
@@ -191,10 +218,10 @@ class TestDiskCacheAcrossProcesses:
 
             core.CycleSimulator.run = _boom
 
-        runner = Runner(cache_dir=cache_dir)
-        fig9_ipc(runner, benchmarks=("rspeed",), spec=())
+        pipeline = Pipeline(cache_dir=cache_dir)
+        fig9_ipc(pipeline, benchmarks=("rspeed",), spec=())
         print("COMPUTES",
-              runner.pipeline.telemetry.computes(SIMULATION_STAGES))
+              pipeline.telemetry.computes(SIMULATION_STAGES))
     """)
 
     def _run(self, tmp_path, mode):
@@ -221,8 +248,7 @@ class TestOneExecutionPerSemantics:
     SCRIPT = textwrap.dedent("""\
         import sys
         from repro.eval.experiments import run_experiment
-        from repro.eval.runner import Runner
-        from repro.pipeline import SIMULATION_STAGES
+        from repro.pipeline import Pipeline, SIMULATION_STAGES
 
         cache_dir, mode = sys.argv[1], sys.argv[2]
         if mode == "warm":
@@ -236,12 +262,12 @@ class TestOneExecutionPerSemantics:
             TripsSimulator.run = _boom
             RiscSimulator.run = _boom
 
-        runner = Runner(cache_dir=cache_dir)
+        pipeline = Pipeline(cache_dir=cache_dir)
         for key in ("fig7", "fig10", "fig11", "sec44"):
             extra = {"spec": ()} if key == "fig10" else {}
-            run_experiment(key, runner, benchmarks=("rspeed",), **extra)
+            run_experiment(key, pipeline, benchmarks=("rspeed",), **extra)
         print("COMPUTES",
-              runner.pipeline.telemetry.computes(SIMULATION_STAGES))
+              pipeline.telemetry.computes(SIMULATION_STAGES))
     """)
 
     def test_cold_render_executes_each_program_once(self, monkeypatch):
@@ -261,13 +287,13 @@ class TestOneExecutionPerSemantics:
                             counted("trips", TripsSimulator.run))
         monkeypatch.setattr(RiscSimulator, "run",
                             counted("risc", RiscSimulator.run))
-        runner = Runner()
+        pipeline = Pipeline()
         for key in self.KEYS:
             extra = {"spec": ()} if key == "fig10" else {}
-            run_experiment(key, runner, benchmarks=("rspeed",), **extra)
+            run_experiment(key, pipeline, benchmarks=("rspeed",), **extra)
         # (compiled, hyper), (compiled, basic), (hand, hyper); O2, ICC.
         assert calls == {"trips": 3, "risc": 2}
-        counters = runner.pipeline.telemetry.counters
+        counters = pipeline.telemetry.counters
         assert counters("ideal").computes == 6
         assert counters("platform").computes == 4
 
@@ -321,7 +347,7 @@ class TestOneExecutionPerSemantics:
         with pytest.raises(ConfigError):
             pipeline.ideal("rspeed", **params)
         with pytest.raises(ConfigError):
-            Runner(pipeline=pipeline).ideal("rspeed", **params)
+            pipeline.point("ideal", "rspeed", "compiled", params)
         assert pipeline.telemetry.computes() == 0
         assert not [path for path in (tmp_path / "cache").rglob("*")
                     if path.is_file()]
@@ -337,14 +363,14 @@ class TestParallelFanout:
             self.NAMES, tmp_path, jobs=2, include=("expected", "cycles"))
         assert telemetry.computes(("trips-cycles",)) > 0
 
-        serial = Runner()  # memory-only: simulates everything itself
-        warm = Runner(cache_dir=tmp_path)
+        serial = Pipeline()  # memory-only: simulates everything itself
+        warm = Pipeline(cache_dir=tmp_path)
         render = lambda r: format_table(
             "fig9", *fig9_ipc(r, benchmarks=self.NAMES, spec=()))
         assert render(warm) == render(serial)
         # The warm render never simulated: every cycle run was a disk hit.
-        assert warm.pipeline.telemetry.computes(SIMULATION_STAGES) == 0
-        assert warm.pipeline.telemetry.counters("trips-cycles").disk_hits > 0
+        assert warm.telemetry.computes(SIMULATION_STAGES) == 0
+        assert warm.telemetry.counters("trips-cycles").disk_hits > 0
 
     def test_warm_is_idempotent(self, tmp_path):
         warm_benchmarks(self.NAMES, tmp_path, jobs=1,
@@ -358,11 +384,11 @@ class TestChecksumGuardStillArmed:
     def test_disk_artifacts_were_validated_at_compute_time(self, tmp_path):
         from repro.pipeline import ChecksumMismatch
 
-        runner = Runner(cache_dir=tmp_path)
-        runner._expected["rspeed"] = -1  # sabotage before first compute
+        pipeline = Pipeline(cache_dir=tmp_path)
+        pipeline._expected["rspeed"] = -1  # sabotage before first compute
         with pytest.raises(ChecksumMismatch):
-            runner.trips_functional("rspeed")
+            pipeline.trips_functional("rspeed")
         # Nothing poisonous was persisted for later sessions.
-        fresh = Runner(cache_dir=tmp_path)
+        fresh = Pipeline(cache_dir=tmp_path)
         stats = fresh.trips_functional("rspeed")
         assert stats.fetched > 0

@@ -275,8 +275,8 @@ class TestStoreWriteFailures:
 class TestSimulationWatchdog:
     @pytest.fixture(scope="class")
     def lowered(self):
-        from repro.eval.runner import Runner
-        return Runner().trips_lowered("rspeed")
+        from repro.pipeline import Pipeline
+        return Pipeline().trips_lowered("rspeed")
 
     def test_block_budget_contextual(self, lowered):
         from repro.uarch import CycleSimulator

@@ -671,6 +671,20 @@ def test_http_run_rejects_out_of_domain_ideal_params_without_simulating(
     assert server.service.pipeline.telemetry.computes() == 0
 
 
+def test_http_ideal_run_digest_addresses_its_artifact(server):
+    client = ServeClient(server.url)
+    response = client.run(BENCH, system="ideal")
+    assert response["metrics"]["ipc"] > 0
+    artifact = client.artifact(response["digest"])
+    assert artifact["stage"] == "ideal"
+    assert artifact["digest"] == response["digest"]
+    # Spelling out the default point names the same artifact.
+    explicit = client.run(BENCH, system="ideal",
+                          config={"window": 1024, "dispatch_cost": 8})
+    assert explicit["digest"] == response["digest"]
+    assert explicit["warm"] is True
+
+
 def test_http_trace_rejects_bad_buckets_without_simulating(server):
     client = ServeClient(server.url)
     for buckets in ("abc", 0, MAX_TRACE_BUCKETS + 1):

@@ -284,15 +284,15 @@ class TestDerivedViews:
 
 class TestPipelineStage:
     def test_trace_summary_cached(self, tmp_path):
-        from repro.eval.runner import Runner
-        runner = Runner(cache_dir=str(tmp_path / "cache"))
-        first = runner.trace_summary("crc", "compiled")
-        again = runner.trace_summary("crc", "compiled")
+        from repro.pipeline import Pipeline
+        pipeline = Pipeline(cache_dir=str(tmp_path / "cache"))
+        first = pipeline.trace_summary("crc", "compiled")
+        again = pipeline.trace_summary("crc", "compiled")
         assert again is first  # memory hit
         assert first.total_hops > 0
         assert first.cycles > 0
         # A second pipeline sharing the disk store reads it back.
-        other = Runner(cache_dir=str(tmp_path / "cache"))
+        other = Pipeline(cache_dir=str(tmp_path / "cache"))
         warm = other.trace_summary("crc", "compiled")
         assert warm.link_packets == first.link_packets
         assert warm.occupancy == pytest.approx(first.occupancy)

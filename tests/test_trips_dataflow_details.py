@@ -81,9 +81,9 @@ class TestNestedPredication:
 
 class TestConversionInvariants:
     def _lowered(self, name="a2time"):
-        from repro.eval.runner import Runner
-        runner = Runner()
-        return runner.trips_lowered(name)
+        from repro.pipeline import Pipeline
+        pipeline = Pipeline()
+        return pipeline.trips_lowered(name)
 
     def test_every_operand_slot_has_a_producer(self):
         from repro.isa import operand_count
@@ -117,10 +117,10 @@ class TestConversionInvariants:
                         f"{block.label} i{inst.index} predicate unfed"
 
     def test_conversion_deterministic(self):
-        from repro.eval.runner import Runner
+        from repro.pipeline import Pipeline
         from repro.isa import format_program
-        a = Runner().trips_lowered("crc")
-        b = Runner().trips_lowered("crc")
+        a = Pipeline().trips_lowered("crc")
+        b = Pipeline().trips_lowered("crc")
         assert format_program(a.program) == format_program(b.program)
 
     def test_implicit_gating_reduces_predicates(self):

@@ -103,8 +103,8 @@ class TestOpnCoordinates:
 
 class TestIdealKnobs:
     def _lowered(self):
-        from repro.eval.runner import Runner
-        return Runner().trips_lowered("crc")
+        from repro.pipeline import Pipeline
+        return Pipeline().trips_lowered("crc")
 
     def test_window_one_block_serializes(self):
         from repro.uarch import run_ideal

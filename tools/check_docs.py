@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (run by the CI ``docs`` job).
 
-Three classes of rot this catches:
+Four classes of rot this catches:
 
 1. **Broken internal links.**  Every relative markdown link in
    ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``, and ``docs/*.md``
@@ -21,6 +21,11 @@ Three classes of rot this catches:
    KEY=...`` must be a ``TripsConfig`` field or an ideal-machine axis,
    by the sweep spec's own name validation (so a deleted field in an
    example fails here with the same did-you-mean a user would get).
+
+4. **Phantom imports.**  Inside a fenced ``python`` block, every
+   ``import repro...`` or ``from repro... import ...`` line must import,
+   and each name it imports must exist (so a sample naming a deleted
+   module or class fails here, not in a reader's shell).
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 Needs ``src/`` importable (run as ``python tools/check_docs.py`` from
@@ -52,6 +57,8 @@ _INLINE_FLAG = re.compile(r"`(--[A-Za-z][A-Za-z0-9-]*)")
 _CLI_FLAG = re.compile(r"(--[A-Za-z][A-Za-z0-9-]*)")
 _CONFIG_ARG = re.compile(r"--config[= ]+[\"']?([^\s\"']+)")
 _POINTS_ARG = re.compile(r"--points[= ]+[\"']?([^\s=\"']+)=")
+_IMPORT = re.compile(r"\s*(?:from\s+(repro[\w.]*)\s+import\s+(.+)"
+                     r"|import\s+(repro[\w.]*))")
 
 
 def _rel(path: Path) -> str:
@@ -152,6 +159,51 @@ def check_config_keys(path: Path) -> List[str]:
     return problems
 
 
+def documented_imports(path: Path) -> List[Tuple[int, str, List[str]]]:
+    """``(line, module, names)`` of the ``repro`` imports inside the
+    fenced ``python`` blocks of ``path`` (``names`` is empty for a plain
+    ``import``)."""
+    imports = []
+    fence = None
+    lines = path.read_text().splitlines()
+    for number, line in enumerate(lines, start=1):
+        if line.lstrip().startswith("```"):
+            fence = None if fence is not None else line.strip()[3:].strip()
+            continue
+        match = _IMPORT.fullmatch(line) if fence == "python" else None
+        if not match:
+            continue
+        module, names = match.group(1) or match.group(3), match.group(2)
+        if names and names.strip().startswith("("):
+            follow = number
+            while ")" not in names and follow < len(lines):
+                names += " " + lines[follow]
+                follow += 1
+        parts = (names or "").strip("() ").split(",")
+        imports.append((number, module, [part.split()[0] for part in parts
+                                         if part.strip()]))
+    return imports
+
+
+def check_imports(path: Path) -> List[str]:
+    import importlib.util
+
+    problems = []
+    for number, module, names in documented_imports(path):
+        try:
+            imported = importlib.import_module(module)
+        except ImportError as error:
+            problems.append(f"{_rel(path)}:{number}: documented import "
+                            f"{module}: {error}")
+            continue
+        for name in names:
+            if not hasattr(imported, name) and \
+                    importlib.util.find_spec(f"{module}.{name}") is None:
+                problems.append(f"{_rel(path)}:{number}: documented "
+                                f"import: {module} has no {name!r}")
+    return problems
+
+
 def main(argv: Iterable[str] = ()) -> int:
     del argv
     sys.path.insert(0, str(REPO / "src"))
@@ -165,6 +217,7 @@ def main(argv: Iterable[str] = ()) -> int:
         problems.extend(check_links(path))
         problems.extend(check_flags(path, known))
         problems.extend(check_config_keys(path))
+        problems.extend(check_imports(path))
 
     for problem in problems:
         print(problem)
