@@ -837,7 +837,7 @@ def _cmd_config(args, _pipeline) -> int:
     return 0
 
 
-def _cmd_serve(args, pipeline) -> int:
+def _cmd_serve(args, _pipeline) -> int:
     """Boot the always-warm service and run until drained.
 
     The HTTP listener runs in a daemon thread; the main thread parks

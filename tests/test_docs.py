@@ -82,6 +82,7 @@ class TestCheckerCatchesRot:
             "```python\n"
             "from repro.eval.runner import ChecksumMismatch\n"
             "from repro.pipeline import Pipeline, NoSuchThing\n"
+            "from repro.pipeline.core import Pipeline as P, NoSuchThing\n"
             "from repro import obs\n"
             "import repro.trace\n"
             "```\n"
@@ -89,11 +90,12 @@ class TestCheckerCatchesRot:
             "from repro.eval.runner import ChecksumMismatch\n"
             "```\n")
         problems = check_docs.check_imports(doc)
-        assert len(problems) == 2
+        assert len(problems) == 3
         assert "doc.md:2:" in problems[0]
         assert "repro.eval.runner" in problems[0]
         assert "doc.md:3:" in problems[1]
         assert "'NoSuchThing'" in problems[1]
+        assert "doc.md:4:" in problems[2]
 
     def test_parser_flags_recurse_into_subcommands(self):
         sys.path.insert(0, str(REPO / "src"))

@@ -162,11 +162,10 @@ def check_config_keys(path: Path) -> List[str]:
 def documented_imports(path: Path) -> List[Tuple[int, str, List[str]]]:
     """``(line, module, names)`` of the ``repro`` imports inside the
     fenced ``python`` blocks of ``path`` (``names`` is empty for a plain
-    ``import``)."""
+    ``import``; only the first line of a parenthesized list is read)."""
     imports = []
     fence = None
-    lines = path.read_text().splitlines()
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
         if line.lstrip().startswith("```"):
             fence = None if fence is not None else line.strip()[3:].strip()
             continue
@@ -174,11 +173,6 @@ def documented_imports(path: Path) -> List[Tuple[int, str, List[str]]]:
         if not match:
             continue
         module, names = match.group(1) or match.group(3), match.group(2)
-        if names and names.strip().startswith("("):
-            follow = number
-            while ")" not in names and follow < len(lines):
-                names += " " + lines[follow]
-                follow += 1
         parts = (names or "").strip("() ").split(",")
         imports.append((number, module, [part.split()[0] for part in parts
                                          if part.strip()]))
@@ -197,10 +191,12 @@ def check_imports(path: Path) -> List[str]:
                             f"{module}: {error}")
             continue
         for name in names:
-            if not hasattr(imported, name) and \
-                    importlib.util.find_spec(f"{module}.{name}") is None:
-                problems.append(f"{_rel(path)}:{number}: documented "
-                                f"import: {module} has no {name!r}")
+            if hasattr(imported, name) or (
+                    hasattr(imported, "__path__")
+                    and importlib.util.find_spec(f"{module}.{name}")):
+                continue
+            problems.append(f"{_rel(path)}:{number}: documented import: "
+                            f"{module} has no {name!r}")
     return problems
 
 
