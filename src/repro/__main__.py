@@ -680,23 +680,43 @@ def _perf_run(args) -> int:
     return 0
 
 
+def _bench_rounds(path: str) -> list:
+    """The BENCH payloads at ``path``: the file, or a directory's
+    ``*.json`` files in name order (one per round)."""
+    from pathlib import Path
+
+    from repro import perf
+
+    root = Path(path)
+    files = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    if not files:
+        raise ValueError(f"{path}: no BENCH files")
+    return [perf.load_bench(file) for file in files]
+
+
 def _perf_compare(args) -> int:
     from repro import perf
 
     try:
-        base = perf.load_bench(args.base)
-        new = perf.load_bench(args.new)
+        base = _bench_rounds(args.base)
+        new = _bench_rounds(args.new)
+        if len(base) == len(new) == 1:
+            rows = perf.compare_payloads(
+                base[0], new[0], warn_pct=args.warn_pct,
+                fail_pct=args.fail_pct, noise_mads=args.noise_mads)
+        else:
+            rows = perf.compare_rounds(base, new, warn_pct=args.warn_pct,
+                                       fail_pct=args.fail_pct)
     except (OSError, ValueError) as exc:
         print(f"perf compare: {exc}", file=sys.stderr)
         return 2
-    rows = perf.compare_payloads(base, new, warn_pct=args.warn_pct,
-                                 fail_pct=args.fail_pct,
-                                 noise_mads=args.noise_mads)
-    base_run = (base.get("run") or {}).get("run_id", "")
-    new_run = (new.get("run") or {}).get("run_id", "")
+    base_run = ",".join((p.get("run") or {}).get("run_id", "")
+                        for p in base)
+    new_run = ",".join((p.get("run") or {}).get("run_id", "")
+                       for p in new)
     print(perf.render_comparison(rows, str(args.base), str(args.new),
                                  base_run_id=base_run,
-                                 new_run_id=new_run))
+                                 new_run_id=new_run, rounds=len(base)))
     code = perf.exit_code(rows)
     verdict = {perf.EXIT_OK: "ok", perf.EXIT_WARN: "WARN",
                perf.EXIT_REGRESSION: "REGRESSION"}[code]
@@ -1269,10 +1289,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "hotspots per benchmark (default K=10)")
 
     perf_cmp = perf_sub.add_parser(
-        "compare", help="regression verdicts between two BENCH files")
+        "compare", help="regression verdicts between two BENCH files, or "
+                        "two directories of alternating rounds")
     perf_cmp.add_argument("base", help="baseline BENCH file "
-                                       "(e.g. benchmarks/baseline.json)")
-    perf_cmp.add_argument("new", help="candidate BENCH file")
+                                       "(e.g. benchmarks/baseline.json), "
+                                       "or a directory of one file per "
+                                       "round")
+    perf_cmp.add_argument("new", help="candidate BENCH file, or a "
+                                      "directory with as many rounds")
     perf_cmp.add_argument("--warn-pct", type=float, default=10.0,
                           metavar="PCT",
                           help="median slowdown that warns (default 10)")

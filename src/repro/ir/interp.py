@@ -14,14 +14,14 @@ from __future__ import annotations
 import mmap
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.ir.function import Function, Module
+from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.types import (
-    sign_extend, to_unsigned64, wrap64, zero_extend,
+    MASK64, SIGN64, sign_extend, to_unsigned64, wrap64, zero_extend,
 )
-from repro.ir.values import Const, VReg
+from repro.ir.values import Const
 
 
 class TrapError(Exception):
@@ -48,9 +48,18 @@ class InterpStats:
     calls: int = 0
     by_opcode: Dict[Opcode, int] = field(default_factory=dict)
 
-    def count(self, op: Opcode) -> None:
-        self.executed += 1
-        self.by_opcode[op] = self.by_opcode.get(op, 0) + 1
+    def count(self, op: Opcode, times: int = 1) -> None:
+        """Count ``times`` executions of ``op``."""
+        self.executed += times
+        self.by_opcode[op] = self.by_opcode.get(op, 0) + times
+        if op is Opcode.LOAD:
+            self.loads += times
+        elif op is Opcode.STORE:
+            self.stores += times
+        elif op is Opcode.BR or op is Opcode.CBR:
+            self.branches += times
+        elif op is Opcode.CALL:
+            self.calls += times
 
 
 #: Private, so a forked worker gets copy-on-write pages rather than
@@ -105,71 +114,178 @@ class Memory:
         return bytes(self.data[address:address + length])
 
 
-def _eval_int_binop(op: Opcode, a: int, b: int) -> int:
-    if op is Opcode.ADD:
-        return wrap64(a + b)
-    if op is Opcode.SUB:
-        return wrap64(a - b)
-    if op is Opcode.MUL:
-        return wrap64(a * b)
-    if op is Opcode.DIV:
-        if b == 0:
-            raise TrapError("integer divide by zero")
-        return wrap64(int(a / b))  # truncate toward zero
-    if op is Opcode.REM:
-        if b == 0:
-            raise TrapError("integer remainder by zero")
-        return wrap64(a - int(a / b) * b)
-    if op is Opcode.AND:
-        return wrap64(a & b)
-    if op is Opcode.OR:
-        return wrap64(a | b)
-    if op is Opcode.XOR:
-        return wrap64(a ^ b)
-    if op is Opcode.SHL:
-        return wrap64(a << (b & 63))
-    if op is Opcode.SHR:
-        return wrap64(to_unsigned64(a) >> (b & 63))
-    if op is Opcode.SRA:
-        return wrap64(a >> (b & 63))
-    raise AssertionError(f"not an int binop: {op}")
+def int_div(a: int, b: int) -> int:
+    """Signed 64-bit division truncating toward zero, exact for every
+    operand (``int(a / b)`` would round through a 53-bit double)."""
+    if b == 0:
+        raise TrapError("integer divide by zero")
+    quotient = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        quotient = -quotient
+    return ((quotient + SIGN64) & MASK64) - SIGN64
 
 
-_COMPARE_FNS = {
-    Opcode.EQ: lambda a, b: a == b,
-    Opcode.NE: lambda a, b: a != b,
-    Opcode.LT: lambda a, b: a < b,
-    Opcode.LE: lambda a, b: a <= b,
-    Opcode.GT: lambda a, b: a > b,
-    Opcode.GE: lambda a, b: a >= b,
-    Opcode.ULT: lambda a, b: to_unsigned64(a) < to_unsigned64(b),
-    Opcode.UGE: lambda a, b: to_unsigned64(a) >= to_unsigned64(b),
-    Opcode.FEQ: lambda a, b: a == b,
-    Opcode.FLT: lambda a, b: a < b,
-    Opcode.FLE: lambda a, b: a <= b,
+def int_rem(a: int, b: int) -> int:
+    """The remainder of :func:`int_div`: ``a - quotient * b``, with the
+    sign of the dividend."""
+    if b == 0:
+        raise TrapError("integer remainder by zero")
+    quotient = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        quotient = -quotient
+    return ((a - quotient * b + SIGN64) & MASK64) - SIGN64
+
+
+def _float_div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise TrapError("float divide by zero")
+    return a / b
+
+
+# ``((v + SIGN64) & MASK64) - SIGN64`` is ``wrap64(v)`` without the call.
+OPERATIONS: Dict[Opcode, Callable[..., object]] = {
+    Opcode.ADD: lambda a, b: ((a + b + SIGN64) & MASK64) - SIGN64,
+    Opcode.SUB: lambda a, b: ((a - b + SIGN64) & MASK64) - SIGN64,
+    Opcode.MUL: lambda a, b: ((a * b + SIGN64) & MASK64) - SIGN64,
+    Opcode.DIV: int_div,
+    Opcode.REM: int_rem,
+    Opcode.AND: lambda a, b: (((a & b) + SIGN64) & MASK64) - SIGN64,
+    Opcode.OR: lambda a, b: (((a | b) + SIGN64) & MASK64) - SIGN64,
+    Opcode.XOR: lambda a, b: (((a ^ b) + SIGN64) & MASK64) - SIGN64,
+    Opcode.SHL: lambda a, b: (((a << (b & 63)) + SIGN64) & MASK64) - SIGN64,
+    Opcode.SHR: lambda a, b: ((((a & MASK64) >> (b & 63)) + SIGN64)
+                              & MASK64) - SIGN64,
+    Opcode.SRA: lambda a, b: (((a >> (b & 63)) + SIGN64) & MASK64) - SIGN64,
+    Opcode.EQ: lambda a, b: 1 if a == b else 0,
+    Opcode.NE: lambda a, b: 1 if a != b else 0,
+    Opcode.LT: lambda a, b: 1 if a < b else 0,
+    Opcode.LE: lambda a, b: 1 if a <= b else 0,
+    Opcode.GT: lambda a, b: 1 if a > b else 0,
+    Opcode.GE: lambda a, b: 1 if a >= b else 0,
+    Opcode.ULT: lambda a, b: 1 if (a & MASK64) < (b & MASK64) else 0,
+    Opcode.UGE: lambda a, b: 1 if (a & MASK64) >= (b & MASK64) else 0,
+    Opcode.FADD: lambda a, b: a + b,
+    Opcode.FSUB: lambda a, b: a - b,
+    Opcode.FMUL: lambda a, b: a * b,
+    Opcode.FDIV: _float_div,
+    Opcode.FEQ: lambda a, b: 1 if a == b else 0,
+    Opcode.FLT: lambda a, b: 1 if a < b else 0,
+    Opcode.FLE: lambda a, b: 1 if a <= b else 0,
+    Opcode.I2F: float,
+    Opcode.F2I: lambda a: wrap64(int(a)),
 }
+"""The value each computing opcode yields from its operand values: the
+one semantics table, shared by the interpreter and the constant folder."""
+
+#: Decoded instruction kinds, in the order the interpreter tests them.
+_BINARY, _MOV, _CBR, _BR, _LOAD, _STORE, _UNARY, _RET, _CALL = range(9)
+
+_UNARY_OPS = frozenset({Opcode.I2F, Opcode.F2I})
+
+#: Opcodes by the index a decoded instruction counts itself under.
+_OPCODES = tuple(Opcode)
+_OPCODE_INDEX = {op: index for index, op in enumerate(_OPCODES)}
+
+#: The value of a register slot no instruction has written yet.
+_UNDEFINED = object()
 
 
-def _eval_compare(op: Opcode, a, b) -> int:
-    return 1 if _COMPARE_FNS[op](a, b) else 0
+class _Decoded:
+    """A function decoded for one interpreter.
 
+    Each block is a list of instruction tuples ``(kind, opcode index,
+    ...)`` ending at its first terminator; a branch holds its target's
+    list.  Registers and constants are slots of a list register file:
+    ``frame`` is a new call's file (registers undefined, constants in
+    place) and ``operands`` names each slot's operand for trap messages.
+    """
 
-def _eval_float_binop(op: Opcode, a: float, b: float) -> float:
-    if op is Opcode.FADD:
-        return a + b
-    if op is Opcode.FSUB:
-        return a - b
-    if op is Opcode.FMUL:
-        return a * b
-    if op is Opcode.FDIV:
-        if b == 0.0:
-            raise TrapError("float divide by zero")
-        return a / b
-    raise AssertionError(f"not a float binop: {op}")
+    def __init__(self, func: Function) -> None:
+        self.frame: List[object] = []
+        self.operands: List[object] = []
+        self.labels: Dict[int, str] = {}
+        self._slots: Dict[object, int] = {}
+        self._blocks: Dict[BasicBlock, list] = {}
+        self._pending: List[BasicBlock] = []
+        self.params = [self._register(p) for p in func.params]
+        self.entry = self._block(func.entry)
+        while self._pending:
+            block = self._pending.pop()
+            body = self._blocks[block]
+            for inst in block.instructions:
+                body.append(self._instruction(func, inst))
+                if inst.is_terminator:
+                    break
+
+    def _block(self, block: BasicBlock) -> list:
+        body = self._blocks.get(block)
+        if body is None:
+            body = self._blocks[block] = []
+            self.labels[id(body)] = block.label
+            self._pending.append(block)
+        return body
+
+    def _slot(self, initial: object, operand: object) -> int:
+        self.frame.append(initial)
+        self.operands.append(operand)
+        return len(self.frame) - 1
+
+    def _register(self, reg: object) -> int:
+        # Keyed by VReg equality, as the interpreter's register dict was.
+        slot = self._slots.get(reg)
+        if slot is None:
+            slot = self._slots[reg] = self._slot(_UNDEFINED, reg)
+        return slot
+
+    def _operand(self, value: object) -> int:
+        if isinstance(value, Const):
+            return self._slot(value.value, value)
+        return self._register(value)
+
+    def _instruction(self, func: Function, inst: Instruction) -> tuple:
+        op = inst.op
+        index = _OPCODE_INDEX[op]
+        args = [self._operand(a) for a in inst.args]
+        if op in _UNARY_OPS:
+            return (_UNARY, index, self._register(inst.dest), args[0],
+                    OPERATIONS[op])
+        if op in OPERATIONS:
+            return (_BINARY, index, self._register(inst.dest), args[0],
+                    args[1], OPERATIONS[op])
+        if op is Opcode.MOV:
+            return (_MOV, index, self._register(inst.dest), args[0])
+        if op is Opcode.CBR:
+            return (_CBR, index, args[0],
+                    self._block(func.block(inst.labels[0])),
+                    self._block(func.block(inst.labels[1])))
+        if op is Opcode.BR:
+            return (_BR, index, self._block(func.block(inst.labels[0])))
+        if op is Opcode.LOAD:
+            return (_LOAD, index, self._register(inst.dest), args[0],
+                    inst.offset, inst.width, inst.signed,
+                    inst.dest.type.is_float)
+        if op is Opcode.STORE:
+            return (_STORE, index, args[0], args[1], inst.offset,
+                    inst.width)
+        if op is Opcode.RET:
+            return (_RET, index, args[0] if args else -1)
+        if op is Opcode.CALL:
+            return (_CALL, index, inst.callee, args,
+                    self._register(inst.dest))
+        raise AssertionError(f"unhandled opcode {op}")
+
+    def undefined(self, slot: int) -> TrapError:
+        return TrapError(f"read of undefined register {self.operands[slot]}")
 
 
 class Interpreter:
-    """Executes a module starting from a named function."""
+    """Executes a module starting from a named function.
+
+    Each function is decoded on its first call within this interpreter
+    (never cached on the module: optimizer passes rewrite instructions
+    in place), and executions are counted per opcode and folded into
+    :attr:`stats` when :meth:`run` returns or traps.
+    """
 
     def __init__(self, module: Module, memory_size: int = DEFAULT_MEMORY_SIZE,
                  fuel: int = DEFAULT_FUEL) -> None:
@@ -177,6 +293,8 @@ class Interpreter:
         self.memory = Memory(memory_size)
         self.fuel = fuel
         self.stats = InterpStats()
+        self._decoded: Dict[Function, _Decoded] = {}
+        self._counts = [0] * len(_OPCODES)
         self._load_globals()
 
     def _load_globals(self) -> None:
@@ -187,99 +305,117 @@ class Interpreter:
     def run(self, entry: str = "main", args: Optional[List[object]] = None):
         """Execute ``entry`` with ``args``; returns its return value."""
         func = self.module.function(entry)
-        return self._call(func, list(args or []))
+        try:
+            return self._call(func, list(args or []))
+        finally:
+            counts = self._counts
+            for index, times in enumerate(counts):
+                if times:
+                    self.stats.count(_OPCODES[index], times)
+                    counts[index] = 0
 
     def _call(self, func: Function, args: List[object]):
         if len(args) != len(func.params):
             raise TrapError(
                 f"{func.name} called with {len(args)} args, "
                 f"expected {len(func.params)}")
-        regs: Dict[VReg, object] = dict(zip(func.params, args))
-        block = func.entry
-        index = 0
-        while True:
-            if index >= len(block.instructions):
-                raise TrapError(f"fell off the end of {func.name}/{block.label}")
-            inst = block.instructions[index]
-            self.fuel -= 1
-            if self.fuel <= 0:
-                raise TrapError("out of fuel (infinite loop?)")
-            self.stats.count(inst.op)
-            op = inst.op
-
-            if op is Opcode.BR:
-                self.stats.branches += 1
-                block = func.block(inst.labels[0])
-                index = 0
-                continue
-            if op is Opcode.CBR:
-                self.stats.branches += 1
-                cond = self._value(inst.args[0], regs)
-                block = func.block(inst.labels[0] if cond else inst.labels[1])
-                index = 0
-                continue
-            if op is Opcode.RET:
-                if inst.args:
-                    return self._value(inst.args[0], regs)
-                return None
-            if op is Opcode.CALL:
-                self.stats.calls += 1
-                callee = self.module.function(inst.callee)
-                call_args = [self._value(a, regs) for a in inst.args]
-                result = self._call(callee, call_args)
-                if inst.dest is not None:
-                    regs[inst.dest] = result
-                index += 1
-                continue
-
-            regs_write, step = self._execute_straightline(inst, regs)
-            if regs_write is not None:
-                regs[inst.dest] = regs_write
-            index += step
-
-    def _execute_straightline(self, inst: Instruction, regs):
-        """Execute a non-control-flow instruction; returns (dest value, 1)."""
-        op = inst.op
-        if op is Opcode.MOV:
-            return self._value(inst.args[0], regs), 1
-        if op is Opcode.LOAD:
-            self.stats.loads += 1
-            address = self._value(inst.args[0], regs) + inst.offset
-            if inst.dest.type.is_float:
-                return self.memory.load_float(address), 1
-            return self.memory.load_int(address, inst.width, inst.signed), 1
-        if op is Opcode.STORE:
-            self.stats.stores += 1
-            value = self._value(inst.args[0], regs)
-            address = self._value(inst.args[1], regs) + inst.offset
-            if isinstance(value, float):
-                self.memory.store_float(address, value)
-            else:
-                self.memory.store_int(address, inst.width, value)
-            return None, 1
-        if op is Opcode.I2F:
-            return float(self._value(inst.args[0], regs)), 1
-        if op is Opcode.F2I:
-            return wrap64(int(self._value(inst.args[0], regs))), 1
-
-        a = self._value(inst.args[0], regs)
-        b = self._value(inst.args[1], regs)
-        if op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV):
-            return _eval_float_binop(op, a, b), 1
-        if op in (Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT,
-                  Opcode.GE, Opcode.ULT, Opcode.UGE, Opcode.FEQ,
-                  Opcode.FLT, Opcode.FLE):
-            return _eval_compare(op, a, b), 1
-        return _eval_int_binop(op, a, b), 1
-
-    @staticmethod
-    def _value(operand, regs):
-        if isinstance(operand, Const):
-            return operand.value
+        code = self._decoded.get(func)
+        if code is None:
+            code = self._decoded[func] = _Decoded(func)
+        regs = code.frame.copy()
+        for slot, value in zip(code.params, args):
+            regs[slot] = value
+        counts = self._counts
+        memory = self.memory
+        undefined = _UNDEFINED
+        fuel = self.fuel
+        block = code.entry
         try:
-            return regs[operand]
-        except KeyError:
-            raise TrapError(f"read of undefined register {operand}") from None
+            while True:
+                for inst in block:
+                    fuel -= 1
+                    if fuel <= 0:
+                        raise TrapError("out of fuel (infinite loop?)")
+                    counts[inst[1]] += 1
+                    kind = inst[0]
+                    if kind == _BINARY:
+                        _, _, dest, x, y, operation = inst
+                        a = regs[x]
+                        if a is undefined:
+                            raise code.undefined(x)
+                        b = regs[y]
+                        if b is undefined:
+                            raise code.undefined(y)
+                        regs[dest] = operation(a, b)
+                    elif kind == _MOV:
+                        value = regs[inst[3]]
+                        if value is undefined:
+                            raise code.undefined(inst[3])
+                        regs[inst[2]] = value
+                    elif kind == _CBR:
+                        _, _, x, taken, fallthrough = inst
+                        cond = regs[x]
+                        if cond is undefined:
+                            raise code.undefined(x)
+                        block = taken if cond else fallthrough
+                        break
+                    elif kind == _BR:
+                        block = inst[2]
+                        break
+                    elif kind == _LOAD:
+                        _, _, dest, x, offset, width, signed, is_float = inst
+                        base = regs[x]
+                        if base is undefined:
+                            raise code.undefined(x)
+                        if is_float:
+                            regs[dest] = memory.load_float(base + offset)
+                        else:
+                            regs[dest] = memory.load_int(base + offset,
+                                                         width, signed)
+                    elif kind == _STORE:
+                        _, _, x, y, offset, width = inst
+                        value = regs[x]
+                        if value is undefined:
+                            raise code.undefined(x)
+                        base = regs[y]
+                        if base is undefined:
+                            raise code.undefined(y)
+                        if isinstance(value, float):
+                            memory.store_float(base + offset, value)
+                        else:
+                            memory.store_int(base + offset, width, value)
+                    elif kind == _UNARY:
+                        _, _, dest, x, operation = inst
+                        value = regs[x]
+                        if value is undefined:
+                            raise code.undefined(x)
+                        regs[dest] = operation(value)
+                    elif kind == _RET:
+                        if inst[2] < 0:
+                            return None
+                        value = regs[inst[2]]
+                        if value is undefined:
+                            raise code.undefined(inst[2])
+                        return value
+                    else:
+                        _, _, callee, arg_slots, dest = inst
+                        function = self.module.function(callee)
+                        values = []
+                        for x in arg_slots:
+                            value = regs[x]
+                            if value is undefined:
+                                raise code.undefined(x)
+                            values.append(value)
+                        self.fuel = fuel
+                        try:
+                            regs[dest] = self._call(function, values)
+                        finally:
+                            fuel = self.fuel
+                else:
+                    raise TrapError(f"fell off the end of {func.name}/"
+                                    f"{code.labels[id(block)]}")
+        finally:
+            self.fuel = fuel
 
 
 def run_module(module: Module, entry: str = "main",

@@ -9,10 +9,8 @@ them entirely.
 from __future__ import annotations
 
 from repro.ir.function import Function, Module
-from repro.ir.instructions import (
-    CMP_OPS, FLOAT_BINOPS, INT_BINOPS, Instruction, Opcode,
-)
-from repro.ir.interp import TrapError, _eval_compare, _eval_float_binop, _eval_int_binop
+from repro.ir.instructions import Instruction, Opcode
+from repro.ir.interp import OPERATIONS, TrapError
 from repro.ir.values import Const, const
 
 
@@ -33,29 +31,14 @@ def fold_function(func: Function) -> int:
 
 
 def _fold_instruction(inst: Instruction):
-    op = inst.op
-    args = inst.args
-    all_const = all(isinstance(a, Const) for a in args)
-
-    if op in INT_BINOPS and all_const:
+    operation = OPERATIONS.get(inst.op)
+    if operation is not None and all(isinstance(a, Const)
+                                     for a in inst.args):
         try:
-            value = _eval_int_binop(op, args[0].value, args[1].value)
+            value = operation(*[a.value for a in inst.args])
         except TrapError:
             return None  # preserve the trap at run time
         return _mov(inst, value)
-    if op in FLOAT_BINOPS and all_const:
-        try:
-            value = _eval_float_binop(op, args[0].value, args[1].value)
-        except TrapError:
-            return None
-        return _mov(inst, value)
-    if op in CMP_OPS and all_const:
-        return _mov(inst, _eval_compare(op, args[0].value, args[1].value))
-    if op is Opcode.I2F and all_const:
-        return _mov(inst, float(args[0].value))
-    if op is Opcode.F2I and all_const:
-        return _mov(inst, int(args[0].value))
-
     return _simplify_algebraic(inst)
 
 

@@ -18,8 +18,10 @@ hot paths:
   result files (host fingerprint + :class:`repro.runctx.RunContext`
   stamp + per-benchmark statistics);
 * :mod:`repro.perf.compare` — threshold-based regression verdicts
-  between two BENCH files (the committed ``benchmarks/baseline.json``
-  is the reference), with distinct exit codes for ok/warn/regression.
+  between two BENCH files, and the round rule that judges a change from
+  alternating rounds of the parent and the change (the committed
+  ``benchmarks/baseline.json`` only guards against catastrophic
+  regressions), with distinct exit codes for ok/warn/regression.
 
 ``docs/PERF.md`` is the usage and schema reference.
 """
@@ -30,7 +32,7 @@ from repro.perf.benchfile import (
 )
 from repro.perf.compare import (
     EXIT_OK, EXIT_REGRESSION, EXIT_WARN, CompareRow, compare_payloads,
-    exit_code, render_comparison,
+    compare_rounds, exit_code, render_comparison,
 )
 from repro.perf.harness import BenchResult, BenchSpec, hotspots, mad, \
     measure, median
@@ -39,8 +41,8 @@ from repro.perf.suite import default_suite, suite_names
 __all__ = [
     "BENCH_SCHEMA_VERSION", "BenchResult", "BenchSpec", "CompareRow",
     "EXIT_OK", "EXIT_REGRESSION", "EXIT_WARN", "bench_payload",
-    "compare_payloads", "default_bench_path", "default_suite",
-    "exit_code", "hotspots", "host_fingerprint", "load_bench", "mad",
-    "measure", "median", "render_comparison", "suite_names",
-    "validate_bench", "write_bench",
+    "compare_payloads", "compare_rounds", "default_bench_path",
+    "default_suite", "exit_code", "hotspots", "host_fingerprint",
+    "load_bench", "mad", "measure", "median", "render_comparison",
+    "suite_names", "validate_bench", "write_bench",
 ]

@@ -82,7 +82,15 @@ class SuperscalarStats:
 _FP_SCALED = frozenset({ROp.FADD, ROp.FSUB, ROp.FMUL, ROp.FDIV})
 _FP_OPS = _FP_SCALED | {ROp.FCMPEQ, ROp.FCMPLT, ROp.FCMPLE, ROp.I2F,
                         ROp.F2I}
-_BRANCH_OPS = frozenset({ROp.BNZ, ROp.BZ, ROp.B, ROp.CALL, ROp.RET})
+
+#: Branch kinds: none, conditional, call, return, unconditional.
+_NOT_BRANCH, _CONDITIONAL, _CALL, _RETURN, _JUMP = range(5)
+_BRANCH_KIND = {ROp.BNZ: _CONDITIONAL, ROp.BZ: _CONDITIONAL,
+                ROp.CALL: _CALL, ROp.RET: _RETURN, ROp.B: _JUMP}
+
+#: Memory kinds: none, load, store.
+_NO_MEMORY, _LOAD, _STORE = range(3)
+_MEMORY_KIND = {"load": _LOAD, "store": _STORE}
 
 
 class SuperscalarModel:
@@ -128,39 +136,52 @@ class SuperscalarModel:
         mem_issued: Dict[int, int] = {}
         fp_issued: Dict[int, int] = {}
         width = spec.issue_width
-        # Per global pc: (op, category, sources, dest, latency, port
-        # group counters or None, the group's ports).
+        line_bytes = self.l1i.line_bytes
+        # Per global pc: (branch kind, memory kind, sources, dest,
+        # latency, port group counters or None, the group's ports,
+        # I-cache line).
         table = []
-        for op, category, sources, dest in trace.static:
+        for pc, (op, category, sources, dest) in enumerate(trace.static):
             latency = LATENCY.get(op, 1)
             if op in _FP_SCALED:
                 latency = max(1, int(latency * spec.fp_latency_scale))
-            group, ports = (mem_issued, spec.mem_ports) \
-                if category in ("load", "store") else \
+            memory = _MEMORY_KIND.get(category, _NO_MEMORY)
+            group, ports = (mem_issued, spec.mem_ports) if memory else \
                 (fp_issued, spec.fp_ports) if op in _FP_OPS else (None, 0)
-            table.append((op, category, sources, dest, latency, group,
-                          ports))
+            table.append((_BRANCH_KIND.get(op, _NOT_BRANCH), memory,
+                          sources, dest, latency, group, ports,
+                          pc * 4 // line_bytes))
         # Retire times of the last rob_size instructions; the zeros of
         # an empty ROB never hold dispatch back.
         rob = deque([0] * spec.rob_size, maxlen=spec.rob_size)
         fetch_step = 1.0 / spec.fetch_width
         fetch_time = 0.0
         prev_retire = cycles = 0
+        fetched_line = -1
+        # Keys held by the three issue counters together.
+        counted_cycles = 0
 
         for pc, address, taken in zip(trace.pcs, trace.addresses,
                                       trace.taken):
-            op, category, sources, dest, latency, group, ports = table[pc]
+            (branch, memory, sources, dest, latency, group, ports,
+             line) = table[pc]
 
-            # Fetch: instruction cache + fetch bandwidth.
-            if not icache(pc * 4):
-                stats.icache_misses += 1
-                fetch_time += spec.l2_latency
+            # Fetch: instruction cache + fetch bandwidth.  Fetching from
+            # the line fetched last is a hit that leaves the LRU order as
+            # it is, so only a move to another line probes the cache.
+            if line != fetched_line:
+                fetched_line = line
+                if not icache(pc * 4):
+                    stats.icache_misses += 1
+                    fetch_time += spec.l2_latency
             fetch = fetch_time
             fetch_time += fetch_step
 
             # ROB occupancy: dispatch waits for the entry rob_size back
             # to have retired.
-            ready = max(int(fetch), rob[0])
+            ready = int(fetch)
+            if rob[0] > ready:
+                ready = rob[0]
             for reg in sources:
                 if reg_ready[reg] > ready:
                     ready = reg_ready[reg]
@@ -172,20 +193,28 @@ class SuperscalarModel:
             while issued.get(issue, 0) >= width or (
                     group is not None and group.get(issue, 0) >= ports):
                 issue += 1
-            issued[issue] = issued.get(issue, 0) + 1
+            count = issued.get(issue, 0)
+            if not count:
+                counted_cycles += 1
+            issued[issue] = count + 1
             if group is not None:
-                group[issue] = group.get(issue, 0) + 1
-            if len(issued) + len(mem_issued) + len(fp_issued) > 32768:
+                count = group.get(issue, 0)
+                if not count:
+                    counted_cycles += 1
+                group[issue] = count + 1
+            if counted_cycles > 32768:
                 # Forget counters far behind the newest issue cycle.
                 horizon = max(issued) - 8192
                 for counts in (issued, mem_issued, fp_issued):
                     for cycle in [c for c in counts if c < horizon]:
                         del counts[cycle]
+                counted_cycles = len(issued) + len(mem_issued) \
+                    + len(fp_issued)
 
             done = issue + latency
-            if category == "load":
+            if memory == _LOAD:
                 done = issue + memory_latency(address, issue)
-            elif category == "store":
+            elif memory == _STORE:
                 # Stores retire through the store buffer; charge the
                 # cache access for bandwidth accounting but not the
                 # dependence path.
@@ -193,16 +222,16 @@ class SuperscalarModel:
                 done = issue + 1
 
             # Branch resolution.
-            if op in _BRANCH_OPS:
+            if branch:
                 stats.branches += 1
                 mispredicted = False
-                if op is ROp.BNZ or op is ROp.BZ:
+                if branch == _CONDITIONAL:
                     predicted = predictor.predict(pc)
                     predictor.update(pc, taken)
                     mispredicted = predicted != taken
-                elif op is ROp.CALL:
+                elif branch == _CALL:
                     ras.append(pc + 1)
-                elif op is ROp.RET:
+                elif branch == _RETURN:
                     # Return target prediction: almost always right with
                     # a RAS; a cold/overflowed RAS mispredicts.
                     mispredicted = not ras
@@ -220,11 +249,11 @@ class SuperscalarModel:
             if dest >= 0:
                 reg_ready[dest] = done
 
-            retire = max(done, prev_retire)
-            prev_retire = retire
-            rob.append(retire)
-            if retire > cycles:
-                cycles = retire
+            if done > prev_retire:
+                prev_retire = done
+            rob.append(prev_retire)
+            if prev_retire > cycles:
+                cycles = prev_retire
 
         stats.instructions += len(trace)
         stats.cycles = max(stats.cycles, cycles)

@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.interp import Memory, TrapError
+from repro.ir.interp import Memory, TrapError, int_div, int_rem
 from repro.ir.types import to_unsigned64, wrap64
 from repro.robust.errors import SimulationBudgetExceeded
 
@@ -641,24 +641,12 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _idiv(a, b):
-    if b == 0:
-        raise TrapError("integer divide by zero")
-    return wrap64(int(a / b))
-
-
-def _irem(a, b):
-    if b == 0:
-        raise TrapError("integer remainder by zero")
-    return wrap64(a - int(a / b) * b)
-
-
 _BINOPS = {
     TOp.ADD: lambda a, b: wrap64(a + b),
     TOp.SUB: lambda a, b: wrap64(a - b),
     TOp.MUL: lambda a, b: wrap64(a * b),
-    TOp.DIV: _idiv,
-    TOp.REM: _irem,
+    TOp.DIV: int_div,
+    TOp.REM: int_rem,
     TOp.AND: lambda a, b: wrap64(a & b),
     TOp.OR: lambda a, b: wrap64(a | b),
     TOp.XOR: lambda a, b: wrap64(a ^ b),

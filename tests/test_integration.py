@@ -75,3 +75,40 @@ def test_paper_shape_ideal_speedup_bounded():
     _, ideal = run_ideal(lowered.program)
     ratio = hw.stats.cycles / ideal.stats.cycles
     assert 1.0 <= ratio < 12.0
+
+
+@pytest.mark.parametrize("op,dividend,expected", [
+    ("div", (1 << 62) + 1, 1537228672809129301),
+    ("rem", (1 << 62) + 1, 2),
+    ("div", -((1 << 62) + 1), -1537228672809129301),
+    ("rem", -((1 << 62) + 1), -2),
+])
+def test_integer_division_is_exact(op, dividend, expected):
+    """DIV and REM truncate toward zero exactly on every simulator; a
+    quotient rounded through a double would read ...216 and remainder
+    257, on all of them alike, so no checksum would catch it."""
+    from repro.bench._util import init_i64
+    from repro.ir import Builder, Type
+
+    b = Builder()
+    cell = b.global_array("a", 1, 8, init_i64([dividend]))
+    b.function("main", return_type=Type.I64)
+    b.ret(getattr(b, op)(b.load(cell), 3))
+    assert run_module(b.module)[0] == expected
+    for level in ("O0", "O2"):
+        optimized = optimize(b.module, level)
+        assert run_program(lower_risc(optimized))[0] == expected, level
+        assert run_trips(lower_trips(optimized).program)[0] == expected, \
+            level
+
+
+def test_constant_division_folds_exactly():
+    from repro.ir import Builder, Opcode, Type
+
+    b = Builder()
+    b.function("main", return_type=Type.I64)
+    b.ret(b.div((1 << 62) + 1, 3))
+    optimized = optimize(b.module, "O2")
+    assert not any(inst.op is Opcode.DIV
+                   for inst in optimized.function("main").instructions())
+    assert run_module(optimized)[0] == 1537228672809129301

@@ -3,13 +3,15 @@ regression verdicts with their exit codes, and the CLI surface."""
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import perf, runctx
 from repro.__main__ import main
 from repro.perf.compare import (
-    EXIT_OK, EXIT_REGRESSION, EXIT_WARN, compare_payloads, exit_code,
+    EXIT_OK, EXIT_REGRESSION, EXIT_WARN, compare_payloads, compare_rounds,
+    exit_code,
 )
 from repro.perf.harness import BenchSpec, hotspots, mad, measure, median
 
@@ -258,6 +260,72 @@ class TestCompare:
         assert "(run ?)" in rendered
 
 
+#: PR 20's spans-off check: five alternating rounds of ``pipeline-warm``
+#: on a copy with spans skipped (base) and on the change (new).
+SPANS_OFF = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" \
+    / "21fd0a7" / "spans-off"
+
+
+def _rounds(prefix):
+    return [perf.load_bench(SPANS_OFF / f"{prefix}-{i}.json")
+            for i in range(1, 6)]
+
+
+class TestCompareRounds:
+    def test_committed_spans_off_rounds_are_unresolved(self):
+        base, new = _rounds("nospans"), _rounds("change")
+        # One pair at a time, the MAD guard reads both directions.
+        single = {compare_payloads(b, n)[0].verdict
+                  for b, n in zip(base, new)}
+        assert {"faster", "regression"} <= single
+        # Their round medians spread about a third of the median.
+        [row] = compare_rounds(base, new)
+        assert row.verdict == "unresolved"
+        assert row.delta_pct == pytest.approx(2.35, abs=0.1)
+        assert "wins 2/5" in row.note
+        assert exit_code([row]) == EXIT_WARN
+
+    def test_ten_winning_rounds_read_faster(self):
+        base = [_payload({"a": 1.00 + 0.01 * i}) for i in range(10)]
+        new = [_payload({"a": 0.80 + 0.01 * i}) for i in range(10)]
+        [row] = compare_rounds(base, new)
+        assert row.verdict == "faster"
+        assert exit_code([row]) == EXIT_OK
+
+    def test_faster_needs_nine_tenths_of_the_pairs(self):
+        base = [_payload({"a": 1.0}) for _ in range(10)]
+        new = [_payload({"a": 0.8}) for _ in range(8)] \
+            + [_payload({"a": 1.0}) for _ in range(2)]   # two ties
+        [row] = compare_rounds(base, new)
+        assert row.verdict == "ok"
+        assert "wins 8/10" in row.note
+
+    def test_faster_needs_a_gap_wider_than_the_base_spread(self):
+        base = [_payload({"a": value})
+                for value in (1.00, 1.04, 1.08, 1.02, 1.06)]
+        new = [_payload({"a": value - 0.01})
+               for value in (1.00, 1.04, 1.08, 1.02, 1.06)]
+        [row] = compare_rounds(base, new)
+        assert row.verdict == "ok"
+
+    def test_slower_rounds_regress(self):
+        base = [_payload({"a": 1.0}) for _ in range(3)]
+        new = [_payload({"a": 1.3}) for _ in range(3)]
+        [row] = compare_rounds(base, new)
+        assert row.verdict == "regression"
+
+    def test_wide_rounds_that_all_lose_still_regress(self):
+        base = [_payload({"a": value}) for value in (1.0, 1.2, 1.4)]
+        new = [_payload({"a": value}) for value in (2.0, 2.4, 2.8)]
+        [row] = compare_rounds(base, new)
+        assert row.verdict == "regression"
+
+    def test_unequal_round_counts_are_refused(self):
+        with pytest.raises(ValueError, match="pair them"):
+            compare_rounds([_payload({"a": 1.0})] * 2,
+                           [_payload({"a": 1.0})] * 3)
+
+
 class TestPerfCli:
     def test_list_names_every_benchmark(self, capsys):
         assert main(["perf", "list"]) == 0
@@ -301,6 +369,22 @@ class TestPerfCli:
             assert main(["perf", "compare", str(base), str(new)]) \
                 == expected
         assert "verdict" in capsys.readouterr().out
+
+    def test_compare_directories_of_rounds(self, tmp_path, capsys):
+        for side, prefix in (("base", "nospans"), ("new", "change")):
+            (tmp_path / side).mkdir()
+            for i in range(1, 6):
+                name = f"{prefix}-{i}.json"
+                (tmp_path / side / name).write_text(
+                    (SPANS_OFF / name).read_text())
+        assert main(["perf", "compare", str(tmp_path / "base"),
+                     str(tmp_path / "new")]) == EXIT_WARN
+        out = capsys.readouterr().out
+        assert "unresolved" in out and "5 alternating rounds" in out
+        # A directory against one file is a usage error.
+        assert main(["perf", "compare", str(tmp_path / "base"),
+                     str(SPANS_OFF / "change-1.json")]) == 2
+        assert "pair them" in capsys.readouterr().err
 
     def test_compare_rejects_invalid_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

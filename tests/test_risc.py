@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.ir import Builder, Type, run_module
+from repro.ir import Builder, TrapError, Type, run_module
 from repro.opt import optimize
 from repro.risc import (
     RClass, Reg, RiscSimulator, RiscTrace, ROp, lower_module, run_program,
 )
-from repro.risc.isa import CATEGORY, INT_ALLOCATABLE, RiscInst
+from repro.risc.isa import (
+    CATEGORY, INT_ALLOCATABLE, RiscFunction, RiscInst, RiscProgram,
+)
 
 from tests.util import branchy_module, random_program, sum_of_squares_module
 
@@ -142,3 +144,79 @@ class TestTrace:
         for i, inst in enumerate(func.instructions):
             if inst.op is ROp.B:
                 assert func.labels[inst.label] != i + 1
+
+
+class TestTrapPoints:
+    """Statistics of runs stopped by a trap, as recorded before the
+    simulator decoded its program once: the rewrite must keep them."""
+
+    @staticmethod
+    def _counts(stats):
+        return dict(executed=stats.executed,
+                    by_category=dict(stats.by_category),
+                    loads=stats.loads, stores=stats.stores,
+                    register_reads=stats.register_reads,
+                    register_writes=stats.register_writes,
+                    branches=stats.branches,
+                    taken_branches=stats.taken_branches,
+                    touched=len(stats.touched_pcs))
+
+    def test_out_of_fuel(self):
+        from repro.bench import get
+        program = lower_module(optimize(get("rspeed").module(), "O2"))
+        sim = RiscSimulator(program, fuel=1234)
+        with pytest.raises(TrapError, match=r"out of fuel"):
+            sim.run("main")
+        assert self._counts(sim.stats) == dict(
+            executed=1233,
+            by_category={"arith": 717, "control": 153, "load": 51,
+                         "move": 203, "store": 7, "test": 102},
+            loads=51, stores=7, register_reads=1238, register_writes=1073,
+            branches=153, taken_branches=152, touched=36)
+
+    def test_store_out_of_range(self):
+        # The trapping store read its two registers and counts as a
+        # store, but it did not retire.
+        b = Builder()
+        buf = b.global_array("buf", 1, 8)
+        b.function("main", return_type=Type.I64)
+        b.store(7, b.add(buf, 10 ** 9))
+        b.ret(0)
+        sim = RiscSimulator(lower_module(b.module))
+        with pytest.raises(TrapError, match=r"memory access out of range"):
+            sim.run("main")
+        assert self._counts(sim.stats) == dict(
+            executed=8, by_category={"arith": 5, "store": 3}, loads=0,
+            stores=4, register_reads=11, register_writes=5, branches=0,
+            taken_branches=0, touched=8)
+
+    def test_divide_by_zero(self):
+        b = Builder()
+        zero = b.global_array("zero", 1, 8)
+        b.function("main", return_type=Type.I64)
+        b.ret(b.div(5, b.load(zero)))
+        sim = RiscSimulator(lower_module(b.module))
+        with pytest.raises(TrapError, match=r"integer divide by zero"):
+            sim.run("main")
+        assert self._counts(sim.stats) == dict(
+            executed=7, by_category={"arith": 3, "store": 3, "load": 1},
+            loads=1, stores=3, register_reads=10, register_writes=4,
+            branches=0, taken_branches=0, touched=7)
+
+
+class TestWriteRule:
+    def test_destination_class_converts_the_value(self):
+        """A write converts by the destination's class: ``wrap64(int(v))``
+        into an integer register, ``float(v)`` into a float one, even
+        where an instruction mixes classes."""
+        f1, f2 = Reg(RClass.FLT, 1), Reg(RClass.FLT, 2)
+        r3, r4 = Reg(RClass.INT, 3), Reg(RClass.INT, 4)
+        main = RiscFunction("main", [
+            RiscInst(ROp.LI, rd=f1, fimm=1.5),
+            RiscInst(ROp.LI, rd=f2, fimm=2.25),
+            RiscInst(ROp.FADD, rd=r4, ra=f1, rb=f2),   # 3.75 -> 3
+            RiscInst(ROp.MR, rd=r3, ra=f2),            # 2.25 -> 2
+            RiscInst(ROp.ADD, rd=r3, ra=r3, rb=r4),
+            RiscInst(ROp.RET),
+        ])
+        assert run_program(RiscProgram({"main": main}))[0] == 5
