@@ -142,7 +142,10 @@ def _float_div(a: float, b: float) -> float:
     return a / b
 
 
-# ``((v + SIGN64) & MASK64) - SIGN64`` is ``wrap64(v)`` without the call.
+#: The value each computing opcode yields from its operand values: the
+#: one semantics table, shared by the interpreter, the constant folder and
+#: the RISC simulator.  ``((v + SIGN64) & MASK64) - SIGN64`` is
+#: ``wrap64(v)`` without the call.
 OPERATIONS: Dict[Opcode, Callable[..., object]] = {
     Opcode.ADD: lambda a, b: ((a + b + SIGN64) & MASK64) - SIGN64,
     Opcode.SUB: lambda a, b: ((a - b + SIGN64) & MASK64) - SIGN64,
@@ -174,8 +177,6 @@ OPERATIONS: Dict[Opcode, Callable[..., object]] = {
     Opcode.I2F: float,
     Opcode.F2I: lambda a: wrap64(int(a)),
 }
-"""The value each computing opcode yields from its operand values: the
-one semantics table, shared by the interpreter and the constant folder."""
 
 #: Decoded instruction kinds, in the order the interpreter tests them.
 _BINARY, _MOV, _CBR, _BR, _LOAD, _STORE, _UNARY, _RET, _CALL = range(9)

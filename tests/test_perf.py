@@ -260,8 +260,9 @@ class TestCompare:
         assert "(run ?)" in rendered
 
 
-#: PR 20's spans-off check: five alternating rounds of ``pipeline-warm``
-#: on a copy with spans skipped (base) and on the change (new).
+#: The spans-off check recorded with commit 21fd0a7: five alternating
+#: rounds of ``pipeline-warm`` on a copy that skips the spans check
+#: (base) and on that commit (new).
 SPANS_OFF = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" \
     / "21fd0a7" / "spans-off"
 
